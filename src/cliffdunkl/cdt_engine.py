@@ -6,18 +6,28 @@ p-block and a q-block) is
     F(y) = integral  E_p(x1, -a y1) f(x) E_q(x2, -b y2) dmu(x),
 
 where a, b are multivector square roots of -1 and dmu carries the
-|x_j|^(2 kappa_j) weights.  Each kernel factor lives in the commutative
-plane span{1, u}, so writing E = A + u B per coordinate the whole kernel
-block collapses to complex arithmetic with u playing i.  Expanding
+|x_j|^(2 kappa_j) weights.  Per coordinate E = A + u B, A even and B odd
+in x_j y_j, u = a on the p-block and b on the q-block.
 
-    E_p f E_q = sum_{s,r in {0,1}}  P_s(x1, y1) Q_r(x2, y2) a^s f b^r
+Precondition: every grid axis is mirrored bit for bit (nodes equal
+-nodes[::-1], weights and |x|^(2 kappa) factors symmetric), as `build_axis`
+builds it.  Folding each axis into the even and odd parts of the samples
+on its positive half, the even part meets only A and the odd part only B:
+one real half-size matrix per axis and parity, and the parity is kept.  A
+parity class sigma in {0,1}^d collects one u per odd axis, and a^2 = b^2
+= -1 turns that into a sign table:
 
-(with P_0 + i P_1 = prod over the p-block, Q likewise) turns the transform
-into four real separable contractions of the coefficient tensor, one per
-(s, r), followed by a constant reassembly a^s e_A b^r per blade.  That is
-what `_partial_transform` computes; `forward`, `forward_left`,
-`forward_right` and `inverse` differ only in the reassembly matrix, the
-kernel conjugation, and constants.
+    a^|sigma_p| f b^|sigma_q| = sign(sigma) a^s f b^r,
+    s = |sigma_p| mod 2,  r = |sigma_q| mod 2,
+    sign(sigma) = (-1)^(floor(|sigma_p|/2) + floor(|sigma_q|/2)).
+
+So a transform is, per class, one real GEMM per axis and the blade matrix
+sign(sigma) cmat[s, r] (coefficients of a^s e_A b^r); then the classes
+unfold onto the full axes.  `forward`, `forward_left`, `forward_right` and
+`inverse` differ only in that matrix, the kernel conjugation (B -> -B) and
+constants.  Translation and convolution are scalar operators (each unit
+enters every path an even number of times), so they run the same
+contractions with signs in place of blade matrices.
 
 Normalization: `raw` implements the integral above literally; `mehta`
 multiplies the forward transform by c_{k_p} c_{k_q} (and adjusts the
@@ -32,7 +42,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -185,7 +196,12 @@ def rel_l2_error(got: SampledField, want: SampledField) -> float:
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Immutable discretization: grids, per-coordinate kernels, units, mode."""
+    """Immutable discretization: grids, per-coordinate kernels, units, mode.
+
+    `fwd_mats[j]` stacks axis j's (even, odd) half matrices, positive x
+    nodes to positive y nodes: w(x) A(x y) and w(x) B(x y).  `inv_mats[j]`
+    holds the inverse's, y to x: w(y) A(x y) and -w(y) B(x y).
+    """
 
     sig: Signature
     ms: MultiplicitySplit
@@ -194,21 +210,33 @@ class TransformPlan:
     grid_x: TensorGrid
     grid_y: TensorGrid
     tables: tuple
-    kmats: tuple  # complex K_j[xi, yk] = A + iB of E(x_j, -u y_j)
+    fwd_mats: tuple
+    inv_mats: tuple
     normalization: str
     rtol: float
     radius: float
     budget: int
     cmat_two: np.ndarray  # [s, r, A, :] = coeffs of a^s e_A b^r
-    cmat_left: np.ndarray  # a^s b^r e_A
-    cmat_right: np.ndarray  # e_A a^s b^r
 
-    @property
+    @cached_property
     def mode_scale(self) -> float:
-        """Factor applied to the raw forward integral."""
-        if self.normalization == "mehta":
-            return mehta_constant(self.ms.kappa_p) * mehta_constant(self.ms.kappa_q)
-        return 1.0
+        """Factor applied to the raw forward integral, computed on first use."""
+        return mehta_constant(self.ms.kappa) if self.normalization == "mehta" else 1.0
+
+    @cached_property
+    def cmat_left(self) -> np.ndarray:  # a^s b^r e_A
+        return _assembly_matrix(self.sig, self.a.value, self.b.value, "left")
+
+    @cached_property
+    def cmat_right(self) -> np.ndarray:  # e_A a^s b^r
+        return _assembly_matrix(self.sig, self.a.value, self.b.value, "right")
+
+
+def _c_squared(plan: TransformPlan) -> float:
+    """(c_{k_p} c_{k_q})^2, the constant of the unnormalized inverse."""
+    if plan.normalization == "mehta":
+        return plan.mode_scale**2
+    return (mehta_constant(plan.ms.kappa_p) * mehta_constant(plan.ms.kappa_q)) ** 2
 
 
 def _assembly_matrix(sig: Signature, a: MultiVector, b: MultiVector, order: str) -> np.ndarray:
@@ -249,7 +277,8 @@ def build_plan(
 
     L_x / L_y are half-widths per coordinate (scalars broadcast).  The plan
     refuses coordinates with L_x * L_y beyond `radius`: the kernel tables
-    are only trusted up to that argument.
+    are only trusted up to that argument.  Kernels are tabulated on the
+    positive quadrant of each axis; parity gives the rest.
     """
     if sig.d != ms.d:
         raise PlanMismatch(f"{ms.d} multiplicities for d={sig.d}")
@@ -272,13 +301,16 @@ def build_plan(
         kernel_coefficients(ms.kappa[j], t_max=float(Lx[j] * Ly[j]) + 1e-9)
         for j in range(d)
     )
-    kmats = []
-    for j in range(d):
-        t = np.outer(grid_x.axes[j].nodes, grid_y.axes[j].nodes)
-        A, B = eval_kernel_ab(tables[j], t.ravel())
-        K = (A + 1j * B).reshape(t.shape)
-        K.flags.writeable = False
-        kmats.append(K)
+    mats = []
+    for table, ax, ay in zip(tables, grid_x.axes, grid_y.axes):
+        n, m = len(ax) // 2, len(ay) // 2
+        A, B = eval_kernel_ab(table, np.outer(ax.nodes[n:], ay.nodes[m:]).ravel())
+        A, B = A.reshape(n, m), B.reshape(n, m)
+        wx, wy = (ax.weights * ax.wk)[n:, None], (ay.weights * ay.wk)[m:, None]
+        pair = np.stack((wx * A, wx * B)), np.stack((wy * A.T, -wy * B.T))
+        for M in pair:
+            M.flags.writeable = False
+        mats.append(pair)
     return TransformPlan(
         sig=sig,
         ms=ms,
@@ -287,82 +319,118 @@ def build_plan(
         grid_x=grid_x,
         grid_y=grid_y,
         tables=tables,
-        kmats=tuple(kmats),
+        fwd_mats=tuple(fwd for fwd, _ in mats),
+        inv_mats=tuple(inv for _, inv in mats),
         normalization=normalization,
         rtol=rtol,
         radius=radius,
         budget=budget,
         cmat_two=_assembly_matrix(sig, a.value, b.value, "two"),
-        cmat_left=_assembly_matrix(sig, a.value, b.value, "left"),
-        cmat_right=_assembly_matrix(sig, a.value, b.value, "right"),
     )
 
 
-# -- core contraction -----------------------------------------------------
+# -- the parity contraction core ---------------------------------------------
+#
+# A class stack is (C, *half, k): C = 2^d parity classes in C order over
+# (sigma_1, ..., sigma_d), then the positive half of every axis, then the
+# blade axis (or any other trailing axis).
 
 
-def _axis_contract(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(arr, mat, axes=([axis], [0]))
-    return np.moveaxis(out, -1, axis)
+@lru_cache(maxsize=None)
+def _parity_classes(d: int, split: int) -> tuple:
+    """Per class: the parity bits (C, d), s, r and sign(sigma)."""
+    bits = np.array(list(itertools.product((0, 1), repeat=d)), dtype=int)
+    kp, kq = bits[:, :split].sum(axis=1), bits[:, split:].sum(axis=1)
+    return bits, kp % 2, kq % 2, (-1.0) ** (kp // 2 + kq // 2)
 
 
-def _partial_transform(values: np.ndarray, plan: TransformPlan, inverse: bool) -> np.ndarray:
-    """The four scalar contractions T[s, r] of a coefficient tensor.
-
-    T[s, r][y..., A] = integral P_s(x1,y1) Q_r(x2,y2) values[x..., A] dmu(x)
-    with (P_0, P_1) = (Re, Im) of the p-block kernel product and Q likewise;
-    inverse=True conjugates the kernels and integrates over the other grid.
-    """
-    d = plan.ms.d
-    split = plan.ms.split
-    mats = []
+def _fold(values: np.ndarray, d: int) -> np.ndarray:
+    """Samples (*grid, k) on mirrored axes -> class stack.  Per axis, bit 0
+    holds f(x) + f(-x) and bit 1 holds f(x) - f(-x): 2^d times the parity
+    components, which is what the half matrices integrate against."""
+    X = values[None]
     for j in range(d):
-        if inverse:
-            w = plan.grid_y.axes[j].weights * plan.grid_y.axes[j].wk
-            mats.append(w[:, None] * np.conj(plan.kmats[j]).T)
-        else:
-            w = plan.grid_x.axes[j].weights * plan.grid_x.axes[j].wk
-            mats.append(w[:, None] * plan.kmats[j])
-    W = values.astype(complex)
-    for j in range(split, d):
-        W = _axis_contract(W, mats[j], j)
-    shape_out = W.shape  # q-axes already on the output grid
-    T = np.empty((2, 2) + shape_out)
-    for r, part in ((0, W.real), (1, W.imag)):
-        U = part.astype(complex)
-        for j in range(split):
-            U = _axis_contract(U, mats[j], j)
-        T[0, r] = U.real
-        T[1, r] = U.imag
-    return T
+        n = X.shape[1 + j] // 2
+        lead = (slice(None),) * (1 + j)
+        pos, neg = X[lead + (slice(n, None),)], X[lead + (slice(n - 1, None, -1),)]
+        out = np.empty((X.shape[0], 2) + pos.shape[1:])
+        np.add(pos, neg, out=out[:, 0])
+        np.subtract(pos, neg, out=out[:, 1])
+        X = out.reshape((-1,) + pos.shape[1:])
+    return X
 
 
-def _assemble(T: np.ndarray, cmat: np.ndarray) -> np.ndarray:
-    return np.einsum("sr...A,srAk->...k", T, cmat)
+def _unfold(X: np.ndarray, d: int) -> np.ndarray:
+    """Class stack of parity components -> values (*grid, k)."""
+    for j in reversed(range(d)):
+        X = X.reshape((-1, 2) + X.shape[1:])
+        n = X.shape[2 + j]
+        lead = (slice(None),) * (1 + j)
+        out = np.empty(X.shape[:1] + X.shape[2:2 + j] + (2 * n,) + X.shape[3 + j:])
+        np.add(X[:, 0], X[:, 1], out=out[lead + (slice(n, None),)])
+        np.subtract(X[:, 0], X[:, 1], out=out[lead + (slice(n - 1, None, -1),)])
+        X = out
+    return X[0]
 
 
-def _forward_values(f, plan: TransformPlan, cmat: np.ndarray) -> np.ndarray:
+def _contract(X: np.ndarray, plan: TransformPlan, inverse: bool, blades=None) -> np.ndarray:
+    """Contract every axis of a class stack with each class's even or odd
+    half matrix, x to y (y to x if `inverse`), then the blade axis with the
+    (C, k, k') matrices `blades`.  Each step is one batched GEMM that
+    contracts the leading axis and appends the output axis, so nothing is
+    transposed; without a blade step the result is blade-first, (C, k, *half).
+    """
+    bits = _parity_classes(plan.ms.d, plan.ms.split)[0]
+    mats = plan.inv_mats if inverse else plan.fwd_mats
+    steps = [mats[j][bits[:, j]] for j in range(plan.ms.d)]
+    C, shape = X.shape[0], list(X.shape[1:])
+    for M in steps if blades is None else steps + [blades]:
+        X = np.matmul(X.reshape(C, M.shape[-2], -1).transpose(0, 2, 1), M)
+        shape = shape[1:] + [M.shape[-1]]
+    return X.reshape([C] + shape)
+
+
+def _partial_transform(values: np.ndarray, plan: TransformPlan, inverse: bool,
+                       blades=None) -> np.ndarray:
+    """`_contract` of the folded samples (*grid, k)."""
+    return _contract(_fold(values, plan.ms.d), plan, inverse, blades)
+
+
+def _transform(values: np.ndarray, plan: TransformPlan, inverse: bool, cmat,
+               const: float) -> np.ndarray:
+    """const * sum over classes sigma of sign(sigma) a^s (class) b^r."""
+    _, s, r, sign = _parity_classes(plan.ms.d, plan.ms.split)
+    blades = (const * sign)[:, None, None] * cmat[s, r]
+    return _unfold(_partial_transform(values, plan, inverse, blades), plan.ms.d)
+
+
+def _to_x_grid(H: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    """c^2 times the inverse-kernel integral of a y-side class stack of
+    parity components, for the scalar operators: values (*grid_x, k).
+    The factor 2^d turns components into the fold sums the matrices expect."""
+    scale = np.eye(H.shape[-1]) * (_c_squared(plan) * 2.0**plan.ms.d)
+    return _unfold(_contract(H, plan, True, scale[None]), plan.ms.d)
+
+
+def _forward(f, plan: TransformPlan, cmat: np.ndarray) -> SampledField:
     values = _sample_on(f, plan.grid_x, plan.sig, plan.ms)
-    T = _partial_transform(values, plan, inverse=False)
-    return plan.mode_scale * _assemble(T, cmat)
+    out = _transform(values, plan, False, cmat, plan.mode_scale)
+    return SampledField(plan.sig, plan.ms, plan.grid_y, out)
 
 
 def forward(f, plan: TransformPlan) -> SampledField:
     """Two-sided transform: kernel E_p on the left, E_q on the right."""
-    out = _forward_values(f, plan, plan.cmat_two)
-    return SampledField(plan.sig, plan.ms, plan.grid_y, out)
+    return _forward(f, plan, plan.cmat_two)
 
 
 def forward_left(f, plan: TransformPlan) -> SampledField:
     """Both kernel factors to the left of f (order E_p E_q f)."""
-    out = _forward_values(f, plan, plan.cmat_left)
-    return SampledField(plan.sig, plan.ms, plan.grid_y, out)
+    return _forward(f, plan, plan.cmat_left)
 
 
 def forward_right(f, plan: TransformPlan) -> SampledField:
     """Both kernel factors to the right of f (order f E_p E_q)."""
-    out = _forward_values(f, plan, plan.cmat_right)
-    return SampledField(plan.sig, plan.ms, plan.grid_y, out)
+    return _forward(f, plan, plan.cmat_right)
 
 
 def inverse(F, plan: TransformPlan) -> SampledField:
@@ -372,10 +440,7 @@ def inverse(F, plan: TransformPlan) -> SampledField:
     c_{k_p} c_{k_q} so that inverse(forward(f)) = f in either mode.
     """
     values = _sample_on(F, plan.grid_y, plan.sig, plan.ms)
-    T = _partial_transform(values, plan, inverse=True)
-    c = mehta_constant(plan.ms.kappa_p) * mehta_constant(plan.ms.kappa_q)
-    const = c * c / plan.mode_scale
-    out = const * _assemble(T, plan.cmat_two)
+    out = _transform(values, plan, True, plan.cmat_two, _c_squared(plan) / plan.mode_scale)
     return SampledField(plan.sig, plan.ms, plan.grid_x, out)
 
 
@@ -424,31 +489,11 @@ class ClaimReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "paper_value": self.paper_value,
-            "measured_value": self.measured_value,
-            "ratio": self.ratio,
-            "status": self.status,
-            "grid": self.grid,
-            "sig": self.sig,
-            "kappa": list(self.kappa),
-            "units": self.units,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClaimReport":
-        return cls(
-            claim=data["claim"],
-            paper_value=data["paper_value"],
-            measured_value=data["measured_value"],
-            ratio=data["ratio"],
-            status=data["status"],
-            grid=dict(data["grid"]),
-            sig=data["sig"],
-            kappa=tuple(data["kappa"]),
-            units=data["units"],
-        )
+        return cls(**{**data, "grid": dict(data["grid"]), "kappa": tuple(data["kappa"])})
 
 
 def reports_to_json(reports) -> str:
@@ -617,51 +662,23 @@ def eigencheck(v, u, plan: TransformPlan) -> ClaimReport:
         "dimensionless",
     )
     if fit["shape_residual"] > plan.rtol or fit["unit_residual"] > plan.rtol:
-        report = ClaimReport(
-            claim=report.claim,
-            paper_value=report.paper_value,
-            measured_value=report.measured_value,
-            ratio=report.ratio,
-            status="flagged",
-            grid=report.grid,
-            sig=report.sig,
-            kappa=report.kappa,
-            units=report.units,
-        )
+        report = replace(report, status="flagged")
     return report
 
 
 # -- translation and convolution ------------------------------------------
 
 
-def _unit_profiles(plan: TransformPlan, z, conj: bool = False) -> tuple:
-    """(P, Q) kernel products at fixed first argument z over the y grid.
-
-    P = prod over the p-block of E(z_j, -u y_j) as a complex array on the
-    full y shape (Re + i Im with i playing the unit); Q over the q-block.
-    """
-    d = plan.ms.d
-    shape = plan.grid_y.shape
-    P = np.ones(shape, dtype=complex)
-    Q = np.ones(shape, dtype=complex)
-    for j in range(d):
-        t = float(z[j]) * plan.grid_y.axes[j].nodes
-        A, B = eval_kernel_ab(plan.tables[j], t)
-        fac = A - 1j * B if conj else A + 1j * B
-        fac = fac.reshape([-1 if k == j else 1 for k in range(d)])
-        if j < plan.ms.split:
-            P = P * fac
-        else:
-            Q = Q * fac
-    return P, Q
-
-
 def translate_spectral(f, z, plan: TransformPlan) -> SampledField:
     """tau_z f = inverse of E_p(z1,-a y1) forward(f)(y) E_q(z2,-b y2).
 
     Mode factors cancel between forward and inverse, so the operator is
-    normalization-independent.  tau_0 is the identity up to round-trip
-    error.
+    normalization-independent.  It is also scalar: per axis, the forward,
+    profile and inverse factors carry an even power of the unit.  The
+    profile E(z_j, -u y_j) = A + u B therefore mixes the even and odd
+    classes as even' = A even - B odd, odd' = -(B even + A odd), the minus
+    offsetting the inverse's negated odd matrices.  tau_0 is the identity
+    up to round-trip error.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.size != plan.ms.d:
@@ -671,16 +688,18 @@ def translate_spectral(f, z, plan: TransformPlan) -> SampledField:
             raise ArgumentOutOfRadius(
                 f"|z_{j + 1}| * L_y exceeds the kernel radius {plan.tables[j].t_max:g}"
             )
-    F = forward(f, plan)
-    P, Q = _unit_profiles(plan, z)
-    T = np.einsum(
-        "s...,...A,r...->sr...A",
-        np.stack([P.real, P.imag]),
-        F.values,
-        np.stack([Q.real, Q.imag]),
-    )
-    G = _assemble(T, plan.cmat_two)
-    return inverse(SampledField(plan.sig, plan.ms, plan.grid_y, G), plan)
+    d, nb = plan.ms.d, plan.sig.n_blades
+    values = _sample_on(f, plan.grid_x, plan.sig, plan.ms)
+    G = _partial_transform(values, plan, False, np.eye(nb)[None])  # scalar: blades ride along
+    for j, ay in enumerate(plan.grid_y.axes):
+        A, B = eval_kernel_ab(plan.tables[j], z[j] * ay.nodes[len(ay) // 2:])
+        shape = [-1 if k == j else 1 for k in range(d + 1)]
+        A, B = A.reshape(shape), B.reshape(shape)
+        G = G.reshape((2**j, 2, -1) + G.shape[1:])
+        even, odd = G[:, 0], G[:, 1]
+        G = np.stack((A * even - B * odd, -(B * even + A * odd)), axis=1)
+        G = G.reshape((-1,) + even.shape[2:])
+    return SampledField(plan.sig, plan.ms, plan.grid_x, _to_x_grid(G, plan))
 
 
 def _shift_coordinate(fn: Callable, j: int, zj: float) -> Callable:
@@ -750,60 +769,38 @@ def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *, order: int
     return AnalyticField(f.sig, ms, blades, spread=spread)
 
 
-def _mul_matrices(sig: Signature, m: MultiVector) -> tuple:
-    """(left, right) matrices: (m x)_k = left[j,k] x_j, (x m)_k = right[i,k] x_i."""
-    S = structure_tensor(sig)
-    left = np.einsum("i,ijk->jk", m.coeff, S)
-    right = np.einsum("j,ijk->ik", m.coeff, S)
-    return left, right
-
-
 def convolve(f, g, plan: TransformPlan, *, budget: int | None = None) -> SampledField:
     """(f * g)(x) = integral f(z) tau_z g(x) dmu(z), tau_z spectral.
 
-    Expanding tau_z under the inverse integral and swapping the z and y
-    integrations reduces the double integral to: partial transforms of f,
-    a pointwise multivector product with the transform of g, and one
-    inverse-kernel contraction per (s, r) component.  The result does not
-    depend on the plan's normalization mode.  `budget` caps the kernel
-    evaluations per output node (= the y-grid size).
+    tau_z is scalar, so swapping the z and y integrations leaves pointwise
+    products of the contracted classes Phi of f and Gamma of g: y class tau
+    collects (-1)^|alpha or beta| Phi_alpha Gamma_beta over
+    alpha xor beta = tau, the sign being what the units and the inverse's
+    conjugation leave, with the blade products taken by one GEMM against
+    the structure tensor.  One inverse contraction per class follows.  The
+    result depends neither on the units nor on the normalization mode.
+    `budget` caps the kernel evaluations per output node (= the y-grid
+    size).
     """
     cap = plan.budget if budget is None else budget
     if plan.grid_y.n_nodes > cap:
         raise NodeBudgetExceeded(
             f"{plan.grid_y.n_nodes} kernel evaluations per output node exceeds {cap}"
         )
-    Vf = _sample_on(f, plan.grid_x, plan.sig, plan.ms)
-    Vg = _sample_on(g, plan.grid_x, plan.sig, plan.ms)
-    Ghat = _assemble(_partial_transform(Vg, plan, inverse=False), plan.cmat_two)
-    Phi = _partial_transform(Vf, plan, inverse=False)
-    S = structure_tensor(plan.sig)
-    one = MultiVector.scalar(plan.sig, 1.0)
-    apow = (one, plan.a.value)
-    bpow = (one, plan.b.value)
-    # Phi_a[s'][r'] = Phi[s', r'] * a^s'   (right multiplication)
-    phi_a = np.empty_like(Phi)
-    for sp in range(2):
-        _, right_a = _mul_matrices(plan.sig, apow[sp])
-        phi_a[sp] = np.einsum("r...i,ik->r...k", Phi[sp], right_a)
-    c = mehta_constant(plan.ms.kappa_p) * mehta_constant(plan.ms.kappa_q)
-    acc = None
-    for s in range(2):
-        # R_s = sum_{s', r'} (Phi[s',r'] a^s') (a^s Ghat b^r')
-        left_as, _ = _mul_matrices(plan.sig, apow[s])
-        R_s = None
-        for rp in range(2):
-            _, right_b = _mul_matrices(plan.sig, bpow[rp])
-            G_mid = np.einsum("...j,jk,kl->...l", Ghat, left_as, right_b)
-            for sp in range(2):
-                term = np.einsum("...i,...j,ijk->...k", phi_a[sp, rp], G_mid, S)
-                R_s = term if R_s is None else R_s + term
-        for r in range(2):
-            _, right_br = _mul_matrices(plan.sig, bpow[r])
-            R_sr = np.einsum("...i,ik->...k", R_s, right_br)
-            T = _partial_transform(R_sr, plan, inverse=True)
-            acc = T[s, r] if acc is None else acc + T[s, r]
-    return SampledField(plan.sig, plan.ms, plan.grid_x, c * c * acc)
+    nb = plan.sig.n_blades
+    Phi, Gam = (_partial_transform(_sample_on(h, plan.grid_x, plan.sig, plan.ms), plan, False)
+                for h in (f, g))
+    C, half = Phi.shape[0], Phi.shape[2:]
+    Phi, Gam = Phi.reshape(C, nb, 1, -1), Gam.reshape(C, 1, nb, -1)
+    S = structure_tensor(plan.sig).reshape(nb * nb, nb)
+    bits = _parity_classes(plan.ms.d, plan.ms.split)[0]
+    sign = (-1.0) ** np.maximum(bits[:, None], bits[None, :]).sum(axis=-1)
+    H = np.empty((C, Phi.shape[-1], nb))
+    for tau in range(C):
+        Q = sum(sign[al, al ^ tau] * Phi[al] * Gam[al ^ tau] for al in range(C))
+        H[tau] = Q.reshape(nb * nb, -1).T @ S
+    H = H.reshape((C,) + half + (nb,))
+    return SampledField(plan.sig, plan.ms, plan.grid_x, _to_x_grid(H, plan))
 
 
 # -- the claims ledger ----------------------------------------------------

@@ -1,7 +1,8 @@
 """Command line driver.
 
 Exit codes: 0 success, 2 usage error, 3 input/schema error, 4 numerical
-failure (radius/budget/overflow), 5 claims ledger ran but flagged at least
+failure (radius/budget/overflow, Mehta-constant quadrature disagreeing
+with its closed form), 5 claims ledger ran but flagged at least
 one claim (data, not a crash -- scripts branch on it).
 
 Field files are authoritative for signature/kappa/split; the --sig/--kappa
@@ -44,7 +45,12 @@ from .clifford_core import (
     SquareNotMinusOne,
     validate_imaginary,
 )
-from .dunkl_rank1 import ArgumentOutOfRadius, eval_kernel_ab, kernel_coefficients
+from .dunkl_rank1 import (
+    ArgumentOutOfRadius,
+    QuadratureDisagreement,
+    eval_kernel_ab,
+    kernel_coefficients,
+)
 from .field_expr import DepthExceeded, ExprSyntaxError, NonFiniteResult, UnknownCoordinate
 from .field_io import SchemaError, load_field, save_field
 from .miyachi import MiyachiConfig, verdict, verdict_to_json
@@ -62,7 +68,8 @@ _INPUT_ERRORS = (
 )
 _NUMERIC_ERRORS = (
     ArgumentOutOfRadius, NodeBudgetExceeded, NodeCountExceeded,
-    NonFiniteResult, ZeroNormField, OverflowError, FloatingPointError,
+    NonFiniteResult, ZeroNormField, QuadratureDisagreement, OverflowError,
+    FloatingPointError,
 )
 
 

@@ -84,11 +84,13 @@ def jacobi_recurrence(n: int, a: float, b: float):
         raise ValueError("need n >= 1")
     alpha = np.zeros(n)
     beta = np.zeros(n)
-    beta[0] = (
-        2.0 ** (a + b + 1.0)
-        * math.gamma(a + 1.0)
-        * math.gamma(b + 1.0)
-        / math.gamma(a + b + 2.0)
+    # total mass 2^(a+b+1) B(a+1, b+1), in log space: the gamma factors
+    # overflow on their own once a + b + 2 > 171
+    beta[0] = math.exp(
+        (a + b + 1.0) * math.log(2.0)
+        + math.lgamma(a + 1.0)
+        + math.lgamma(b + 1.0)
+        - math.lgamma(a + b + 2.0)
     )
     alpha[0] = (b - a) / (a + b + 2.0)
     for k in range(n):

@@ -159,6 +159,58 @@ def test_transform_matches_multivector_loop(sig02, ms_std, unit_a, unit_b, trans
         assert np.max(np.abs(acc - F.values[j1, j2])) <= 1e-12
 
 
+@pytest.mark.parametrize("q,split", [(3, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("transform", ["two", "left", "right", "inverse"])
+def test_multi_axis_blocks_match_multivector_loop(q, split, transform):
+    # several coordinates per block, so powers u^k with k >= 2 (the sign
+    # (-1)^floor(k/2)) occur; literal sums in multivector arithmetic on the
+    # plan's own nodes, including the inverse with conjugated kernels
+    sig = Signature(0, q)
+    ms = MultiplicitySplit((0.3, 0.7, 0.5, 0.2)[:q], split)
+    a = _unit(sig, [("e1", 0.6), ("e12", 0.8)])
+    b = _unit(sig, [("e23", 1.0)])
+    plan = build_plan(sig, ms, a, b, L_x=4.0, L_y=3.5, order=3)
+    coef = np.random.default_rng(q + split).uniform(-1.0, 1.0, (sig.n_blades, q))
+    f = AnalyticField(sig, ms, {
+        m: (lambda c: lambda *X: np.prod([cj + xj for cj, xj in zip(c, X)], axis=0)
+            * np.exp(-sum(x * x for x in X)))(coef[m])
+        for m in range(sig.n_blades)
+    })
+    src, dst = (plan.grid_y, plan.grid_x) if transform == "inverse" else (plan.grid_x, plan.grid_y)
+    if transform == "inverse":
+        got = inverse(f, plan)
+        c = mehta_constant(ms.kappa_p) * mehta_constant(ms.kappa_q)
+        scale = c * c
+    else:
+        got = {"two": forward, "left": forward_left, "right": forward_right}[transform](f, plan)
+        scale = 1.0
+    vals = _sample_on(f, src, sig, ms)
+    w = src.total_weights().reshape(src.shape)
+    rng = np.random.default_rng(7)
+    for out_idx in (tuple(rng.integers(0, n) for n in dst.shape) for _ in range(3)):
+        yv = [ax.nodes[i] for ax, i in zip(dst.axes, out_idx)]
+
+        def block(lo, hi, unit, idx):
+            xv = [src.axes[j].nodes[i] for j, i in zip(range(lo, hi), idx)]
+            return eval_kernel_block(plan.tables[lo:hi], xv, yv[lo:hi], unit,
+                                     conj=transform == "inverse")
+
+        eps = {i: block(0, split, plan.a, i) for i in np.ndindex(*src.shape[:split])}
+        eqs = {i: block(split, q, plan.b, i) for i in np.ndindex(*src.shape[split:])}
+        acc = np.zeros(sig.n_blades)
+        for idx in np.ndindex(*src.shape):
+            Ep, Eq = eps[idx[:split]], eqs[idx[split:]]
+            fmv = MultiVector(sig, vals[idx])
+            if transform == "left":
+                mv = Ep * Eq * fmv
+            elif transform == "right":
+                mv = fmv * Ep * Eq
+            else:
+                mv = Ep * fmv * Eq
+            acc += w[idx] * mv.coeff
+        assert np.max(np.abs(scale * acc - got.values[out_idx])) <= 1e-12
+
+
 # -- Gaussian images --------------------------------------------------------
 
 
@@ -512,6 +564,36 @@ def test_convolution_budget_is_enforced(sig02, ms_std, unit_a, unit_b):
     f = gaussian_field(sig02, ms_std)
     with pytest.raises(NodeBudgetExceeded):
         convolve(f, f, plan, budget=plan.grid_y.n_nodes - 1)
+
+
+# -- constants ------------------------------------------------------------------
+
+
+def test_mehta_plan_evaluates_its_constant_at_most_once(sig02, ms_std, unit_a, unit_b,
+                                                       monkeypatch):
+    import cliffdunkl.cdt_engine as engine
+
+    calls = []
+    real = engine.mehta_constant
+    monkeypatch.setattr(engine, "mehta_constant", lambda k: calls.append(k) or real(k))
+    plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=5.0, L_y=5.0, order=12,
+                      normalization="mehta")
+    assert calls == []  # lazy: a plan that is never used never evaluates it
+    f = gaussian_field(sig02, ms_std)
+    for _ in range(2):
+        inverse(forward(f, plan), plan)
+        translate_spectral(f, (0.3, -0.2), plan)
+        convolve(f, f, plan)
+    assert len(calls) <= 1
+
+
+def test_forward_only_raw_plan_never_evaluates_the_mehta_constant(sig02, unit_a, unit_b):
+    # mehta_constant raises QuadratureDisagreement at kappa = 60; a raw
+    # forward transform does not need it
+    ms = MultiplicitySplit((60.0, 0.5), 1)
+    plan = build_plan(sig02, ms, unit_a, unit_b, L_x=4.0, L_y=4.0, order=8)
+    F = forward(gaussian_field(sig02, ms), plan)
+    assert np.all(np.isfinite(F.values))
 
 
 # -- reports and the ledger ---------------------------------------------------

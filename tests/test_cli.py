@@ -241,6 +241,26 @@ def test_numerical_failures_exit_4(tmp_path, gauss_file, capsys):
     capsys.readouterr()
 
 
+def test_mehta_quadrature_disagreement_exits_4(tmp_path, capsys):
+    # kappa = 60: the Mehta constant's quadrature drifts from its gamma
+    # closed form, which is reported as a numerical failure, not a traceback
+    doc = dict(_gauss_doc(), kappa=[60.0, 0.5])
+    path = tmp_path / "k60.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["roundtrip", "--field", str(path),
+               "--in-grid", "-4:4:1:8", "--out-grid", "-4:4:1:8"])
+    assert rc == 4
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_kernel_at_large_kappa_exits_0(capsys):
+    # kappa >= 86 used to overflow the Jacobi rule's total mass
+    rc = main(["kernel", "--kappa", "100", "--t", "5"])
+    assert rc == 0
+    a = float(re.search(r"A = (.+)", capsys.readouterr().out).group(1))
+    assert a == pytest.approx(0.939687297051085550834993483378, rel=1e-13)
+
+
 def test_miyachi_bad_ladder_exits_2(tmp_path, gauss_file, capsys):
     rc = main(["miyachi", "--field", str(gauss_file),
                "--alpha", "1", "--beta", "1", "--lambda", "1",

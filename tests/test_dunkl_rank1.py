@@ -95,9 +95,10 @@ def test_kernel_t0_and_k0_closed_form():
     assert np.max(np.abs(B + np.sin(t))) < 1e-14
 
 
-@pytest.mark.parametrize("kappa", [0.25, 0.7, 1.3])
+@pytest.mark.parametrize("kappa", [0.25, 0.7, 1.3, 100.0])
 def test_kernel_against_hypergeometric(kappa):
-    # A(t) = 0F1(kappa+1/2; -t^2/4), B(t) = -t/(2 kappa+1) 0F1(kappa+3/2; -t^2/4)
+    # A(t) = 0F1(kappa+1/2; -t^2/4), B(t) = -t/(2 kappa+1) 0F1(kappa+3/2; -t^2/4);
+    # kappa = 100 needs the Jacobi rule's total mass in log space
     table = kernel_coefficients(kappa, t_max=26.0)
     rng = np.random.default_rng(10)
     for t in rng.uniform(-25.0, 25.0, 30):

@@ -85,6 +85,10 @@ def test_positivity_and_node_placement():
         assert np.all(np.abs(ax.nodes) < 5.0)
         if kappa > 0:
             assert np.all(ax.nodes != 0.0)
+        # exact mirroring, bit for bit: the transform engine folds on it
+        assert np.array_equal(ax.nodes, -ax.nodes[::-1])
+        assert np.array_equal(ax.weights, ax.weights[::-1])
+        assert np.array_equal(ax.wk, ax.wk[::-1])
     grid = build_grid(MultiplicitySplit((0.3, 0.7), 1), 4.0)
     assert np.all(grid.weight_values() >= 0.0)
 
