@@ -43,8 +43,8 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property, lru_cache
-from typing import Callable, Mapping
+from functools import cached_property, lru_cache, partial
+from typing import Mapping
 
 import numpy as np
 
@@ -71,6 +71,7 @@ from .quadrature import TensorGrid, build_grid
 
 KERNEL_RADIUS_CAP = 80.0  # max |x_j|*|y_j| a plan will accept per coordinate
 CONVOLVE_BUDGET = 1 << 20  # kernel evaluations per output node (= y-grid size)
+_EXPLICIT_CHUNK = 1 << 15  # field values per call in translate_explicit
 
 
 class PlanMismatch(ValueError):
@@ -702,51 +703,34 @@ def translate_spectral(f, z, plan: TransformPlan) -> SampledField:
     return SampledField(plan.sig, plan.ms, plan.grid_x, _to_x_grid(G, plan))
 
 
-def _shift_coordinate(fn: Callable, j: int, zj: float) -> Callable:
-    def shifted(*X):
-        X = list(X)
-        X[j] = np.asarray(X[j], dtype=float) - zj
-        return fn(*X)
-
-    return shifted
-
-
-def _roesler_coordinate(fn: Callable, j: int, zj: float, nodes, wts) -> Callable:
-    """One-dimensional translation in coordinate j by zj, kappa_j > 0:
-
-        (tau f)(x) = 1/2 int f(+Omega) (1 + (x-z)/Omega) psi(t) dt
-                   + 1/2 int f(-Omega) (1 - (x-z)/Omega) psi(t) dt,
-
-    Omega = sqrt(x^2 + z^2 - 2 x z t).  At Omega = 0 both branch factors
-    collapse to 1/2, which is the correct limit.
-    """
-
-    def translated(*X):
-        xj = np.asarray(X[j], dtype=float)
-        acc = None
-        for tm, wm in zip(nodes, wts):
-            om = np.sqrt(np.maximum(xj * xj + zj * zj - 2.0 * zj * xj * tm, 0.0))
-            safe = np.where(om > 0.0, om, 1.0)
-            ratio = np.where(om > 0.0, (xj - zj) / safe, 0.0)
-            args_p = list(X)
-            args_p[j] = om
-            args_m = list(X)
-            args_m[j] = -om
-            term = 0.5 * ((1.0 + ratio) * fn(*args_p) + (1.0 - ratio) * fn(*args_m))
-            acc = wm * term if acc is None else acc + wm * term
-        return acc
-
-    return translated
+def _branch_table(x: np.ndarray, zj: float, rule) -> tuple:
+    """(coordinates, coefficients), each (len(x), branches): x - z with 1 at
+    kappa_j = 0, else +-Omega with w (1 +- (x-z)/Omega)/2 per psi node (t, w),
+    Omega = sqrt(x^2 + z^2 - 2 x z t), both w/2 in the limit Omega = 0."""
+    if rule is None:
+        return (x - zj)[:, None], np.ones((x.size, 1))
+    t, w = rule
+    om = np.sqrt(np.maximum((x * x)[:, None] + zj * zj - (2.0 * zj * x)[:, None] * t, 0.0))
+    ratio = np.divide((x - zj)[:, None], om, out=np.zeros_like(om), where=om > 0.0)
+    return np.hstack((om, -om)), 0.5 * np.hstack((w * (1.0 + ratio), w * (1.0 - ratio)))
 
 
 def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *, order: int = 48) -> AnalyticField:
-    """Coordinate-by-coordinate rank-one translation of an analytic field.
+    """Rank-one (Roesler) translation of an analytic field, blade by blade.
 
-    Every kappa_j > 0 coordinate applies the one-dimensional integral
-    formula against psi_kappa (quadrature order `order`); kappa_j = 0
-    coordinates degenerate to the exact classical shift f(.. x_j - z_j ..).
-    p-block coordinates are applied first, then the q-block, though the
-    per-blade scalar operators commute.
+    A kappa_j > 0 coordinate applies the one-dimensional formula
+
+        (tau f)(x) = 1/2 int f(+Omega) (1 + (x-z)/Omega) psi(t) dt
+                   + 1/2 int f(-Omega) (1 - (x-z)/Omega) psi(t) dt
+
+    with the psi_kappa rule of `order` nodes; a kappa_j = 0 coordinate is
+    the exact shift x_j - z_j.  Coordinates enter separately, so tau f sums
+    the field over the product of the axes' branch tables, weighted by the
+    product of the branch coefficients.  The returned callables flatten
+    their broadcast coordinates and walk them in chunks: the axis with the
+    most branches rides along as a trailing array axis, and Python loops
+    over the other axes' branches only, one field call of at most
+    `_EXPLICIT_CHUNK` values each, so temporaries stay bounded.
     """
     if not isinstance(f, AnalyticField):
         raise TypeError("explicit translation needs an analytic field")
@@ -756,15 +740,29 @@ def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *, order: int
     if z.size != ms.d:
         raise ValueError(f"need {ms.d} translation components")
     rules = [psi_rule(k, order) if k > 0.0 else None for k in ms.kappa]
-    blades = {}
-    for mask, fn in f.blades.items():
-        out = fn
-        for j in range(ms.d):
-            if rules[j] is None:
-                out = _shift_coordinate(out, j, float(z[j]))
-            else:
-                out = _roesler_coordinate(out, j, float(z[j]), *rules[j])
-        blades[mask] = out
+    widths = [1 if r is None else 2 * len(r[0]) for r in rules]
+    inner = int(np.argmax(widths))
+    outer = [j for j in range(ms.d) if j != inner]
+    step = max(1, _EXPLICIT_CHUNK // widths[inner])
+
+    def translated(*X, fn):
+        X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
+        pts = [x.ravel() for x in X]
+        out = np.empty(pts[0].size)
+        for lo in range(0, out.size, step):
+            tabs = [_branch_table(x[lo:lo + step], z[j], rules[j]) for j, x in enumerate(pts)]
+            args, acc = [c for c, _ in tabs], 0.0
+            for branch in itertools.product(*(range(widths[j]) for j in outer)):
+                coef = 1.0
+                for j, b in zip(outer, branch):
+                    args[j] = tabs[j][0][:, b:b + 1]
+                    coef = coef * tabs[j][1][:, b]
+                vals = np.broadcast_to(np.asarray(fn(*args), dtype=float), tabs[inner][0].shape)
+                acc = acc + coef * np.einsum("ij,ij->i", vals, tabs[inner][1])
+            out[lo:lo + step] = acc
+        return out.reshape(X[0].shape)
+
+    blades = {mask: partial(translated, fn=fn) for mask, fn in f.blades.items()}
     spread = f.spread + float(np.max(np.abs(z))) if z.size else f.spread
     return AnalyticField(f.sig, ms, blades, spread=spread)
 

@@ -98,7 +98,10 @@ def _header_from_flags(args):
     split = sig.d // 2 if args.split is None else args.split
     from .dunkl_rank1 import MultiplicitySplit
 
-    return sig, MultiplicitySplit(tuple(kappa), split)
+    try:
+        return sig, MultiplicitySplit(tuple(kappa), split)
+    except ValueError as e:
+        raise _Usage(str(e)) from None
 
 
 def _load(args):

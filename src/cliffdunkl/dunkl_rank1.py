@@ -82,8 +82,8 @@ class MultiplicitySplit:
 
     def __init__(self, kappa, split: int):
         kappa = tuple(float(k) for k in kappa)
-        if any(k < 0.0 for k in kappa):
-            raise ValueError("multiplicities must be nonnegative")
+        if not all(0.0 <= k < math.inf for k in kappa):
+            raise ValueError(f"multiplicities must be finite and nonnegative, got {kappa}")
         if not 0 <= split <= len(kappa):
             raise ValueError(f"split {split} outside 0..{len(kappa)}")
         object.__setattr__(self, "kappa", kappa)
@@ -159,11 +159,24 @@ def _kahan_poly(coeff_signed: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return s
 
 
+@lru_cache(maxsize=256)
+def _series_terms(kappa: float) -> int:
+    """Degree a table keeps for |t| <= SERIES_RADIUS (tail below 1e-16)."""
+    return kernel_coefficients(kappa, t_max=SERIES_RADIUS).N
+
+
 def kernel_ab_series(table: KernelTable, t) -> tuple:
-    """(A, B) by compensated ascending-degree summation of the series."""
+    """(A, B) by compensated ascending-degree summation of the series.
+
+    Within SERIES_RADIUS only the degrees that radius needs are summed;
+    beyond it the whole table is.
+    """
     t = np.asarray(t, dtype=float)
-    n_even = (table.N // 2) + 1
-    n_odd = (table.N + 1) // 2
+    N = table.N
+    if t.size and np.max(np.abs(t)) <= SERIES_RADIUS:
+        N = min(N, _series_terms(table.kappa))
+    n_even = (N // 2) + 1
+    n_odd = (N + 1) // 2
     t2 = t * t
     even_pows = np.empty((n_even,) + t.shape)
     even_pows[0] = 1.0
@@ -369,6 +382,7 @@ def psi_rule(kappa: float, order: int = 48):
     if kappa <= 0.0:
         raise ValueError("psi density needs kappa > 0")
     rule = jacobi_rule(kappa, order)
-    const = math.gamma(kappa + 0.5) / (math.sqrt(math.pi) * math.gamma(kappa))
+    # log space: Gamma(kappa + 1/2) alone overflows from kappa ~ 171 on
+    const = math.exp(math.lgamma(kappa + 0.5) - math.lgamma(kappa) - 0.5 * math.log(math.pi))
     w = const * rule.weights * (1.0 + rule.nodes)
     return rule.nodes, w

@@ -253,6 +253,20 @@ def test_mehta_quadrature_disagreement_exits_4(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_non_finite_kappa_is_an_input_error(tmp_path, capsys):
+    # a NaN multiplicity used to surface much later as a TruncationTooLarge traceback
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(dict(_gauss_doc(), kappa=[math.nan, 0.5])))
+    rc = main(["translate", "--field", str(path), "--z", "0.1,0.2",
+               "--method", "explicit", "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "input error: kappa" in err and "Traceback" not in err
+    rc = main(["eigencheck", "--sig", "0,2", "--kappa", "inf,0.5", "--v", "0", "--u", "0"])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_kernel_at_large_kappa_exits_0(capsys):
     # kappa >= 86 used to overflow the Jacobi rule's total mass
     rc = main(["kernel", "--kappa", "100", "--t", "5"])

@@ -4,10 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
+from scipy.special import gammaln, jv
 
 from cliffdunkl.clifford_core import MultiVector, Signature, modulus, validate_imaginary
 from cliffdunkl.dunkl_rank1 import (
     HERMITE_N_CAP,
+    SERIES_RADIUS,
     ArgumentOutOfRadius,
     MultiplicitySplit,
     TruncationTooLarge,
@@ -36,6 +38,12 @@ def test_split_bookkeeping():
         MultiplicitySplit((-0.1,), 0)
     with pytest.raises(ValueError):
         MultiplicitySplit((0.1, 0.2), 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_split_rejects_non_finite_multiplicities(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MultiplicitySplit((bad, 0.5), 1)
 
 
 def test_coefficients_k0_are_inverse_factorials():
@@ -120,6 +128,27 @@ def test_series_and_integral_routes_agree():
         Ai, Bi = kernel_ab_integral(kappa, t)
         assert abs(float(As) - float(Ai)) < 1e-12
         assert abs(float(Bs) - float(Bi)) < 1e-12
+
+
+def _bessel_ab(kappa, t):
+    # A = j_(kappa-1/2)(t), B = -t/(2 kappa+1) j_(kappa+1/2)(t) with the
+    # normalized Bessel j_a(t) = Gamma(a+1) (t/2)^(-a) J_a(t)
+    at = np.abs(t)
+    scale = np.exp(gammaln(kappa + 0.5) + (0.5 - kappa) * np.log(at / 2.0))
+    return scale * jv(kappa - 0.5, at), -np.sign(t) * scale * jv(kappa + 0.5, at)
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1e-3, 0.05, 0.3, 0.5, 1.0, 2.7, 7.5, 15.0, 30.0])
+def test_kernel_against_scipy_bessel(kappa):
+    # both routes: the series within SERIES_RADIUS, the integral beyond
+    table = kernel_coefficients(kappa, t_max=80.0)
+    t = np.concatenate([np.linspace(-80.0, 80.0, 2001), np.linspace(-4.0, 4.0, 801)])
+    t = t[t != 0.0]
+    assert np.any(np.abs(t) <= SERIES_RADIUS) and np.any(np.abs(t) > SERIES_RADIUS)
+    A, B = eval_kernel_ab(table, t)
+    A_ref, B_ref = _bessel_ab(kappa, t)
+    assert np.max(np.abs(A - A_ref)) <= 8e-14
+    assert np.max(np.abs(B - B_ref)) <= 8e-14
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.25, 0.5, 1.0, 2.0])
@@ -231,7 +260,7 @@ def test_hermite_cap():
         hermite_basis(0.3, HERMITE_N_CAP + 1)
 
 
-@pytest.mark.parametrize("kappa", [0.2, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("kappa", [0.2, 0.5, 1.0, 3.0, 200.0])
 def test_psi_rule_mass_and_mean(kappa):
     nodes, weights = psi_rule(kappa)
     assert np.all(np.abs(nodes) < 1.0)
