@@ -22,10 +22,15 @@ parity class sigma in {0,1}^d collects one u per odd axis, and a^2 = b^2
     sign(sigma) = (-1)^(floor(|sigma_p|/2) + floor(|sigma_q|/2)).
 
 So a transform is, per class, one real GEMM per axis and the blade matrix
-sign(sigma) cmat[s, r] (coefficients of a^s e_A b^r); then the classes
-unfold onto the full axes.  `forward`, `forward_left`, `forward_right` and
-`inverse` differ only in that matrix, the kernel conjugation (B -> -B) and
-constants.  Translation and convolution are scalar operators (each unit
+sign(sigma) cmat[s, r] (coefficients of a^s e_A b^r).  The fold takes a
+constant number of passes at any d: gather the 2^d mirrored orthants into
+one stack, then mix them into the 2^d classes with the +-1 Hadamard matrix
+(-1)^(sigma . epsilon) in a single GEMM; the unfold is the same GEMM and a
+scatter back onto the full axes.  Every stage, from the gather to the
+scatter, writes into one of two work buffers that the stages take in turn,
+and the last one is the result.  `forward`, `forward_left`,
+`forward_right` and `inverse` differ only in that matrix, the kernel
+conjugation (B -> -B) and constants.  Translation and convolution are scalar operators (each unit
 enters every path an even number of times), so they run the same
 contractions with signs in place of blade matrices.
 
@@ -44,7 +49,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache, partial
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -66,6 +71,7 @@ from .dunkl_rank1 import (
     kernel_coefficients,
     mehta_constant,
     psi_rule,
+    zero_limit,
 )
 from .quadrature import TensorGrid, build_grid
 
@@ -119,14 +125,21 @@ class AnalyticField:
         object.__setattr__(self, "blades", norm)
 
     def sample(self, grid: TensorGrid) -> np.ndarray:
+        """Values (*grid.shape, 2^d), a view of a blade-first array, so that
+        every blade is written contiguously."""
         coords = _coords(grid)
-        out = np.zeros(grid.shape + (self.sig.n_blades,))
+        out = np.zeros((self.sig.n_blades,) + grid.shape)
         for mask, fn in self.blades.items():
-            vals = np.asarray(fn(*coords), dtype=float)
-            out[..., mask] += np.broadcast_to(vals, grid.shape)
+            out[mask] = fn(*coords)
         if not np.isfinite(out).all():
             raise ValueError("field evaluated to a non-finite value on the grid")
-        return out
+        return np.moveaxis(out, 0, -1)
+
+
+class _Owned(NamedTuple):
+    """A freshly computed array that `SampledField` may keep without a copy."""
+
+    array: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -139,11 +152,12 @@ class SampledField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = self.values
+        # a caller's array is copied; an engine result nobody else holds is adopted
+        vals = vals.array if isinstance(vals, _Owned) else np.array(vals, dtype=float, order="C")
         want = self.grid.shape + (self.sig.n_blades,)
         if vals.shape != want:
             raise ValueError(f"values shape {vals.shape}, grid wants {want}")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -288,6 +302,8 @@ def build_plan(
             raise PlanMismatch(f"unit {unit.label} has signature {unit.sig}")
     if normalization not in ("raw", "mehta"):
         raise ValueError(f"unknown normalization {normalization!r}")
+    if not (math.isfinite(rtol) and rtol > 0.0):
+        raise ValueError(f"rtol must be finite and positive, got {rtol!r}")
     d = ms.d
     Lx = np.broadcast_to(np.asarray(L_x, dtype=float), (d,))
     Ly = Lx if L_y is None else np.broadcast_to(np.asarray(L_y, dtype=float), (d,))
@@ -334,7 +350,38 @@ def build_plan(
 #
 # A class stack is (C, *half, k): C = 2^d parity classes in C order over
 # (sigma_1, ..., sigma_d), then the positive half of every axis, then the
-# blade axis (or any other trailing axis).
+# blade axis (or any other trailing axis).  An orthant stack has the same
+# shape with the 2^d mirrored orthants epsilon in place of the classes
+# (epsilon_j = 1: the negative half of axis j, reversed so that it lines up
+# with the positive half).  The Sylvester-Hadamard matrix
+# H[sigma, epsilon] = (-1)^(sigma . epsilon) maps one to the other, and
+# H H = 2^d I.  A transform runs in two flat work buffers, each stage
+# reading the one the stage before wrote: gather, H, one GEMM per axis and
+# the blade GEMM, H, scatter.
+
+
+class _Work:
+    """Two flat buffers of `size` floats that the stages of a d-axis
+    transform write in turn.
+
+    A transform takes d + 5 stages (the inverse half of a scalar operator
+    d + 3), so it ends in bufs[d % 2].  That one is allocated first, so
+    the other, released when the transform returns, lies above it next to
+    the top of the heap, where malloc can hand it back.  Allocated the
+    other way round, the released buffers left holes that raised the peak
+    RSS of the d34_roundtrip benchmark by 16-23 MiB in about half of its
+    runs (glibc malloc).
+    """
+
+    def __init__(self, d: int, size: int):
+        first, second = np.empty(size), np.empty(size)
+        self.bufs, self.turn = ((second, first) if d % 2 else (first, second)), 0
+
+    def next(self, shape) -> np.ndarray:
+        """The buffer the previous call did not return, as `shape`."""
+        buf = self.bufs[self.turn]
+        self.turn ^= 1
+        return buf.reshape(shape)
 
 
 @lru_cache(maxsize=None)
@@ -345,36 +392,49 @@ def _parity_classes(d: int, split: int) -> tuple:
     return bits, kp % 2, kq % 2, (-1.0) ** (kp // 2 + kq // 2)
 
 
-def _fold(values: np.ndarray, d: int) -> np.ndarray:
-    """Samples (*grid, k) on mirrored axes -> class stack.  Per axis, bit 0
-    holds f(x) + f(-x) and bit 1 holds f(x) - f(-x): 2^d times the parity
-    components, which is what the half matrices integrate against."""
-    X = values[None]
-    for j in range(d):
-        n = X.shape[1 + j] // 2
-        lead = (slice(None),) * (1 + j)
-        pos, neg = X[lead + (slice(n, None),)], X[lead + (slice(n - 1, None, -1),)]
-        out = np.empty((X.shape[0], 2) + pos.shape[1:])
-        np.add(pos, neg, out=out[:, 0])
-        np.subtract(pos, neg, out=out[:, 1])
-        X = out.reshape((-1,) + pos.shape[1:])
+@lru_cache(maxsize=None)
+def _hadamard(d: int) -> np.ndarray:
+    bits = _parity_classes(d, 0)[0]
+    H = (-1.0) ** (bits @ bits.T)
+    H.flags.writeable = False
+    return H
+
+
+@lru_cache(maxsize=None)
+def _orthants(full: tuple) -> tuple:
+    """Per orthant epsilon, the index of its samples in a (*full, ...) array."""
+    halves = [(slice(n // 2, None), slice(n // 2 - 1, None, -1)) for n in full]
+    return tuple(itertools.product(*halves))
+
+
+def _fold(values: np.ndarray, d: int, work: _Work | None = None) -> np.ndarray:
+    """Samples (*grid, k) on mirrored axes (any strides) -> class stack.
+    Per axis, bit 0 holds f(x) + f(-x) and bit 1 holds f(x) - f(-x): 2^d
+    times the parity components, which is what the half matrices
+    integrate against."""
+    work = work or _Work(d, values.size)
+    full = values.shape[:d]
+    Y = work.next((2**d,) + tuple(n // 2 for n in full) + values.shape[d:])
+    for e, index in enumerate(_orthants(full)):
+        Y[e] = values[index]
+    X = work.next(Y.shape)
+    np.matmul(_hadamard(d), Y.reshape(2**d, -1), out=X.reshape(2**d, -1))
     return X
 
 
-def _unfold(X: np.ndarray, d: int) -> np.ndarray:
+def _unfold(X: np.ndarray, d: int, work: _Work | None = None) -> np.ndarray:
     """Class stack of parity components -> values (*grid, k)."""
-    for j in reversed(range(d)):
-        X = X.reshape((-1, 2) + X.shape[1:])
-        n = X.shape[2 + j]
-        lead = (slice(None),) * (1 + j)
-        out = np.empty(X.shape[:1] + X.shape[2:2 + j] + (2 * n,) + X.shape[3 + j:])
-        np.add(X[:, 0], X[:, 1], out=out[lead + (slice(n, None),)])
-        np.subtract(X[:, 0], X[:, 1], out=out[lead + (slice(n - 1, None, -1),)])
-        X = out
-    return X[0]
+    work = work or _Work(d, X.size)
+    Y = work.next(X.shape)
+    np.matmul(_hadamard(d), X.reshape(2**d, -1), out=Y.reshape(2**d, -1))
+    out = work.next(tuple(2 * n for n in X.shape[1:d + 1]) + X.shape[d + 1:])
+    for e, index in enumerate(_orthants(out.shape[:d])):
+        out[index] = Y[e]
+    return out
 
 
-def _contract(X: np.ndarray, plan: TransformPlan, inverse: bool, blades=None) -> np.ndarray:
+def _contract(X: np.ndarray, plan: TransformPlan, inverse: bool, blades,
+              work: _Work) -> np.ndarray:
     """Contract every axis of a class stack with each class's even or odd
     half matrix, x to y (y to x if `inverse`), then the blade axis with the
     (C, k, k') matrices `blades`.  Each step is one batched GEMM that
@@ -386,15 +446,17 @@ def _contract(X: np.ndarray, plan: TransformPlan, inverse: bool, blades=None) ->
     steps = [mats[j][bits[:, j]] for j in range(plan.ms.d)]
     C, shape = X.shape[0], list(X.shape[1:])
     for M in steps if blades is None else steps + [blades]:
-        X = np.matmul(X.reshape(C, M.shape[-2], -1).transpose(0, 2, 1), M)
+        lhs = X.reshape(C, M.shape[-2], -1).transpose(0, 2, 1)
+        X = np.matmul(lhs, M, out=work.next(lhs.shape[:2] + M.shape[-1:]))
         shape = shape[1:] + [M.shape[-1]]
     return X.reshape([C] + shape)
 
 
 def _partial_transform(values: np.ndarray, plan: TransformPlan, inverse: bool,
-                       blades=None) -> np.ndarray:
+                       blades=None, work: _Work | None = None) -> np.ndarray:
     """`_contract` of the folded samples (*grid, k)."""
-    return _contract(_fold(values, plan.ms.d), plan, inverse, blades)
+    work = work or _Work(plan.ms.d, values.size)
+    return _contract(_fold(values, plan.ms.d, work), plan, inverse, blades, work)
 
 
 def _transform(values: np.ndarray, plan: TransformPlan, inverse: bool, cmat,
@@ -402,7 +464,8 @@ def _transform(values: np.ndarray, plan: TransformPlan, inverse: bool, cmat,
     """const * sum over classes sigma of sign(sigma) a^s (class) b^r."""
     _, s, r, sign = _parity_classes(plan.ms.d, plan.ms.split)
     blades = (const * sign)[:, None, None] * cmat[s, r]
-    return _unfold(_partial_transform(values, plan, inverse, blades), plan.ms.d)
+    work = _Work(plan.ms.d, values.size)
+    return _unfold(_partial_transform(values, plan, inverse, blades, work), plan.ms.d, work)
 
 
 def _to_x_grid(H: np.ndarray, plan: TransformPlan) -> np.ndarray:
@@ -410,13 +473,18 @@ def _to_x_grid(H: np.ndarray, plan: TransformPlan) -> np.ndarray:
     parity components, for the scalar operators: values (*grid_x, k).
     The factor 2^d turns components into the fold sums the matrices expect."""
     scale = np.eye(H.shape[-1]) * (_c_squared(plan) * 2.0**plan.ms.d)
-    return _unfold(_contract(H, plan, True, scale[None]), plan.ms.d)
+    work = _Work(plan.ms.d, H.size)
+    return _unfold(_contract(H, plan, True, scale[None], work), plan.ms.d, work)
+
+
+def _result(plan: TransformPlan, grid: TensorGrid, values: np.ndarray) -> SampledField:
+    """An engine result, adopted without the defensive copy."""
+    return SampledField(plan.sig, plan.ms, grid, _Owned(values))
 
 
 def _forward(f, plan: TransformPlan, cmat: np.ndarray) -> SampledField:
     values = _sample_on(f, plan.grid_x, plan.sig, plan.ms)
-    out = _transform(values, plan, False, cmat, plan.mode_scale)
-    return SampledField(plan.sig, plan.ms, plan.grid_y, out)
+    return _result(plan, plan.grid_y, _transform(values, plan, False, cmat, plan.mode_scale))
 
 
 def forward(f, plan: TransformPlan) -> SampledField:
@@ -442,7 +510,7 @@ def inverse(F, plan: TransformPlan) -> SampledField:
     """
     values = _sample_on(F, plan.grid_y, plan.sig, plan.ms)
     out = _transform(values, plan, True, plan.cmat_two, _c_squared(plan) / plan.mode_scale)
-    return SampledField(plan.sig, plan.ms, plan.grid_x, out)
+    return _result(plan, plan.grid_x, out)
 
 
 # -- claims ---------------------------------------------------------------
@@ -700,7 +768,7 @@ def translate_spectral(f, z, plan: TransformPlan) -> SampledField:
         even, odd = G[:, 0], G[:, 1]
         G = np.stack((A * even - B * odd, -(B * even + A * odd)), axis=1)
         G = G.reshape((-1,) + even.shape[2:])
-    return SampledField(plan.sig, plan.ms, plan.grid_x, _to_x_grid(G, plan))
+    return _result(plan, plan.grid_x, _to_x_grid(G, plan))
 
 
 def _branch_table(x: np.ndarray, zj: float, rule) -> tuple:
@@ -723,8 +791,9 @@ def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *, order: int
         (tau f)(x) = 1/2 int f(+Omega) (1 + (x-z)/Omega) psi(t) dt
                    + 1/2 int f(-Omega) (1 - (x-z)/Omega) psi(t) dt
 
-    with the psi_kappa rule of `order` nodes; a kappa_j = 0 coordinate is
-    the exact shift x_j - z_j.  Coordinates enter separately, so tau f sums
+    with the psi_kappa rule of `order` nodes; a kappa_j = 0 coordinate (or
+    one too small to tell from 0, see `zero_limit`) is the exact shift
+    x_j - z_j.  Coordinates enter separately, so tau f sums
     the field over the product of the axes' branch tables, weighted by the
     product of the branch coefficients.  The returned callables flatten
     their broadcast coordinates and walk them in chunks: the axis with the
@@ -739,7 +808,7 @@ def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *, order: int
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.size != ms.d:
         raise ValueError(f"need {ms.d} translation components")
-    rules = [psi_rule(k, order) if k > 0.0 else None for k in ms.kappa]
+    rules = [None if zero_limit(k) else psi_rule(k, order) for k in ms.kappa]
     widths = [1 if r is None else 2 * len(r[0]) for r in rules]
     inner = int(np.argmax(widths))
     outer = [j for j in range(ms.d) if j != inner]
@@ -798,7 +867,7 @@ def convolve(f, g, plan: TransformPlan, *, budget: int | None = None) -> Sampled
         Q = sum(sign[al, al ^ tau] * Phi[al] * Gam[al ^ tau] for al in range(C))
         H[tau] = Q.reshape(nb * nb, -1).T @ S
     H = H.reshape((C,) + half + (nb,))
-    return SampledField(plan.sig, plan.ms, plan.grid_x, _to_x_grid(H, plan))
+    return _result(plan, plan.grid_x, _to_x_grid(H, plan))
 
 
 # -- the claims ledger ----------------------------------------------------

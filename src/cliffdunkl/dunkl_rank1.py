@@ -190,6 +190,17 @@ def kernel_ab_series(table: KernelTable, t) -> tuple:
     return A, B
 
 
+def zero_limit(kappa: float) -> bool:
+    """True when kappa - 1 rounds to -1 (kappa = 0, or 0 < kappa <= 2^-54).
+
+    The Jacobi weight (1 - s^2)^(kappa-1) / m0 is then, to float precision,
+    its kappa -> 0 limit (delta_{-1} + delta_{+1}) / 2: the kernel is
+    (A, B) = (cos t, -sin t), psi_kappa is delta_{+1} and translation is
+    the plain shift x - z.  No Jacobi rule exists for such a kappa.
+    """
+    return kappa - 1.0 == -1.0
+
+
 def kernel_rule_order(t_max: float) -> int:
     """Gauss-Jacobi order resolving cos(t s) on (-1,1) up to |t| = t_max."""
     return max(48, int(0.62 * t_max) + 32)
@@ -198,6 +209,8 @@ def kernel_rule_order(t_max: float) -> int:
 def kernel_ab_integral(kappa: float, t, order: int | None = None) -> tuple:
     """(A, B) from the cosine/sine integral representation; kappa > 0."""
     t = np.asarray(t, dtype=float)
+    if zero_limit(kappa):
+        return np.cos(t), -np.sin(t)
     if order is None:
         tmax = float(np.max(np.abs(t))) if t.size else 1.0
         order = kernel_rule_order(tmax)
@@ -212,16 +225,17 @@ def kernel_ab_integral(kappa: float, t, order: int | None = None) -> tuple:
 def eval_kernel_ab(table: KernelTable, t) -> tuple:
     """(A(t), B(t)) with E(x, -u y) = A + u B, E(x, +u y) = A - u B, t = x y.
 
-    kappa = 0 short-circuits to (cos t, -sin t).  Otherwise the compensated
-    series is used for |t| <= SERIES_RADIUS and the integral representation
-    beyond it (see module docstring for the error analysis).
+    kappa = 0 (and any `zero_limit` kappa) short-circuits to (cos t, -sin t).
+    Otherwise the compensated series is used for |t| <= SERIES_RADIUS and
+    the integral representation beyond it (see module docstring for the
+    error analysis).
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     if np.any(np.abs(t_arr) > table.t_max):
         raise ArgumentOutOfRadius(f"|t| exceeds validity radius {table.t_max}")
-    if table.kappa == 0.0:
+    if zero_limit(table.kappa):
         A, B = np.cos(t_arr), -np.sin(t_arr)
     else:
         A = np.empty_like(t_arr)
@@ -378,9 +392,12 @@ def eval_h(v, x, ms: MultiplicitySplit) -> np.ndarray:
 def psi_rule(kappa: float, order: int = 48):
     """Nodes and weights integrating f against the translation density
     psi_kappa(t) = Gamma(kappa+1/2)/(sqrt(pi) Gamma(kappa)) (1+t)(1-t^2)^(kappa-1),
-    whose total mass is exactly 1."""
+    whose total mass is exactly 1.  A `zero_limit` kappa gets its limit
+    delta_{+1}: the node pair (-1, +1) with weights (0, 1)."""
     if kappa <= 0.0:
         raise ValueError("psi density needs kappa > 0")
+    if zero_limit(kappa):
+        return np.array([-1.0, 1.0]), np.array([0.0, 1.0])
     rule = jacobi_rule(kappa, order)
     # log space: Gamma(kappa + 1/2) alone overflows from kappa ~ 171 on
     const = math.exp(math.lgamma(kappa + 0.5) - math.lgamma(kappa) - 0.5 * math.log(math.pi))

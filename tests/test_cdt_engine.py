@@ -7,7 +7,10 @@ block constants are exercised only through ClaimReport statuses, which are
 allowed to flag.
 """
 
+import itertools
 import json
+import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -50,7 +53,8 @@ from cliffdunkl.cdt_engine import (
     translate_explicit,
     translate_spectral,
 )
-from cliffdunkl.cdt_engine import _coords, _sample_on
+from cliffdunkl.cdt_engine import _coords, _fold, _sample_on, _unfold
+from cliffdunkl.quadrature import build_grid
 
 from conftest import gaussian_field
 
@@ -702,3 +706,173 @@ def test_rel_l2_error_needs_a_reference_scale(sig02, ms_std, plan_std):
     f = _sampled(gaussian_field(sig02, ms_std), plan_std.grid_x, sig02, ms_std)
     with pytest.raises(ZeroNormField):
         rel_l2_error(f, zero)
+
+
+# -- the fold core, sampling and result ownership ------------------------------
+
+
+def _orthant_rows(n2: int, eps: int) -> np.ndarray:
+    n = n2 // 2
+    return np.arange(n, n2) if eps == 0 else np.arange(n - 1, -1, -1)
+
+
+def _literal_fold(v: np.ndarray, d: int) -> np.ndarray:
+    """X[sigma] = sum over orthants eps of (-1)^(sigma.eps) v[orthant eps]."""
+    combos = list(itertools.product((0, 1), repeat=d))
+    out = []
+    for sigma in combos:
+        acc = 0.0
+        for eps in combos:
+            rows = np.ix_(*(_orthant_rows(n2, e) for n2, e in zip(v.shape[:d], eps)))
+            acc = acc + (-1.0) ** np.dot(sigma, eps) * v[rows]
+        out.append(acc)
+    return np.stack(out)
+
+
+def _literal_unfold(X: np.ndarray, d: int) -> np.ndarray:
+    combos = list(itertools.product((0, 1), repeat=d))
+    full = tuple(2 * n for n in X.shape[1:d + 1])
+    out = np.zeros(full + X.shape[d + 1:])
+    for eps in combos:
+        rows = np.ix_(*(_orthant_rows(n2, e) for n2, e in zip(full, eps)))
+        out[rows] = sum((-1.0) ** np.dot(sigma, eps) * X[c] for c, sigma in enumerate(combos))
+    return out
+
+
+def _layouts(v: np.ndarray) -> dict:
+    """The same values as a C-contiguous array, a blade-first view and a
+    view with every stride negative."""
+    return {
+        "c": v,
+        "blade-first": np.moveaxis(np.ascontiguousarray(np.moveaxis(v, -1, 0)), 0, -1),
+        "reversed": np.flip(np.flip(v).copy()),
+    }
+
+
+@pytest.mark.parametrize("shape", [(6, 2), (4, 6, 4), (2, 4, 6, 8), (4, 2, 6, 4, 16)])
+def test_fold_and_unfold_match_the_literal_orthant_sums(shape):
+    d = len(shape) - 1
+    v = np.random.default_rng(len(shape)).standard_normal(shape)
+    want = _literal_fold(v, d)
+    for name, view in _layouts(v).items():
+        np.testing.assert_array_equal(view, v)
+        X = _fold(view, d)
+        assert X.shape == want.shape, name
+        np.testing.assert_allclose(X, want, rtol=0, atol=1e-13, err_msg=name)
+        np.testing.assert_allclose(_unfold(X, d), 2.0**d * v, rtol=0, atol=1e-13, err_msg=name)
+    H = np.random.default_rng(7).standard_normal(want.shape)
+    np.testing.assert_allclose(_unfold(H, d), _literal_unfold(H, d), rtol=0, atol=1e-13)
+
+
+def test_sample_matches_per_node_evaluation(sig02, ms_std):
+    f = AnalyticField(sig02, ms_std, {
+        "1": lambda x1, x2: np.exp(-x1 * x1) * x2,
+        "e12": lambda x1, x2: 2.5,  # a scalar body broadcasts over the grid
+    })
+    grid = build_grid(ms_std, 3.0, panels=1, order=4)
+    got = f.sample(grid)
+    assert got.shape == grid.shape + (4,)
+    for i, x1 in enumerate(grid.axes[0].nodes):
+        for j, x2 in enumerate(grid.axes[1].nodes):
+            assert got[i, j, 0] == pytest.approx(math.exp(-x1 * x1) * x2, rel=1e-15, abs=0)
+            assert got[i, j, 3] == 2.5
+    assert not got[..., 1:3].any()  # missing blades are zero
+
+
+def _engine_results(sig02, ms_std, plan_std):
+    f = AnalyticField(sig02, ms_std, {0: lambda x1, x2: np.exp(-x1 * x1 - x2 * x2),
+                                      3: lambda x1, x2: x1 * np.exp(-x1 * x1 - x2 * x2)})
+    F = forward(f, plan_std)
+    return F, {
+        "forward": F,
+        "forward_left": forward_left(F, plan_std),
+        "inverse": inverse(F, plan_std),
+        "translate_spectral": translate_spectral(F, (0.3, -0.2), plan_std),
+        "convolve": convolve(F, F, plan_std),
+    }
+
+
+def test_engine_results_are_read_only_and_own_their_memory(sig02, ms_std, plan_std):
+    F, results = _engine_results(sig02, ms_std, plan_std)
+    _, again = _engine_results(sig02, ms_std, plan_std)
+    for name, res in results.items():
+        vals = res.values
+        assert not vals.flags.writeable and vals.flags.c_contiguous, name
+        with pytest.raises(ValueError):
+            vals[0, 0, 0] = 1.0
+        # adopted without a copy, but never holding a larger buffer alive
+        assert vals.base is None or vals.base.nbytes == vals.nbytes, name
+        assert name == "forward" or not np.shares_memory(vals, F.values), name
+        assert not np.shares_memory(vals, again[name].values), name
+    for r1, r2 in itertools.combinations(results.values(), 2):
+        assert not np.shares_memory(r1.values, r2.values)
+
+
+def test_sampled_field_copies_the_callers_array(sig02, ms_std, plan_std):
+    arr = np.ones(plan_std.grid_x.shape + (4,))
+    fld = SampledField(sig02, ms_std, plan_std.grid_x, arr)
+    arr[...] = 7.0
+    assert np.all(fld.values == 1.0)
+    assert arr.flags.writeable
+    # a blade-first sample is stored C-contiguous, like every other field
+    sample = gaussian_field(sig02, ms_std, blades=[0, 3]).sample(plan_std.grid_x)
+    assert not sample.flags.c_contiguous
+    assert SampledField(sig02, ms_std, plan_std.grid_x, sample).values.flags.c_contiguous
+
+
+def test_transform_memory_stays_within_two_work_buffers(unit_a, unit_b):
+    # forward of an analytic field holds the samples plus two work buffers,
+    # inverse of a sampled field the two buffers only; the slack covers the
+    # per-class half matrices and other arrays of a few kB
+    sig = Signature(0, 3)
+    ms = MultiplicitySplit((0.3, 0.7, 0.5), 1)
+    a = validate_imaginary(MultiVector.blade(sig, "e1"), "e1")
+    b = validate_imaginary(MultiVector.blade(sig, "e2"), "e2")
+    plan = build_plan(sig, ms, a, b, L_x=5.0, L_y=5.0, order=16)
+    f = gaussian_field(sig, ms, blades=range(8))
+    F = forward(f, plan)
+    field_bytes = F.values.nbytes
+    slack = 128 * 1024
+    for run, budget in ((lambda: forward(f, plan), 3), (lambda: inverse(F, plan), 2)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * field_bytes + slack, (peak, field_bytes)
+
+
+@pytest.mark.parametrize("kappa", [1e-17, 1e-300])
+def test_float_zero_kappa_transforms_like_kappa_zero(sig02, unit_a, unit_b, kappa):
+    # kappa - 1 == -1 in float64: the kernel is the kappa = 0 kernel and
+    # explicit translation is the plain shift
+    f = AnalyticField(sig02, MultiplicitySplit((kappa, 0.5), 1),
+                      {0: lambda x1, x2: (1.0 + x1) * np.exp(-x1 * x1 - 0.5 * x2 * x2)})
+    outs = []
+    for k in (kappa, 0.0):
+        ms = MultiplicitySplit((k, 0.5), 1)
+        fk = AnalyticField(sig02, ms, f.blades)
+        plan = build_plan(sig02, ms, unit_a, unit_b, L_x=6.0, L_y=6.0, order=24,
+                          normalization="mehta")
+        F = forward(fk, plan)
+        back = inverse(F, plan)
+        assert rel_l2_error(back, _sampled(fk, plan.grid_x, sig02, ms)) < 1e-3
+        moved = translate_explicit(fk, (0.6, -0.4), ms, order=24)
+        outs.append((F.values, back.values, moved.sample(plan.grid_x)))
+    for got, want in zip(*outs):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    # kappa_1 -> 0 leaves the classical shift on axis 1 exactly
+    X1 = np.array([0.3, -1.2, 0.6])
+    moved = translate_explicit(AnalyticField(sig02, MultiplicitySplit((kappa, kappa), 1),
+                                             {0: lambda x1, x2: x1 + 0.0 * x2}), (0.6, -0.4),
+                               MultiplicitySplit((kappa, kappa), 1))
+    np.testing.assert_array_equal(moved.blades[0](X1, np.zeros(3)), X1 - 0.6)
+
+
+@pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_plan_and_ledger_reject_a_bad_rtol(sig02, ms_std, unit_a, unit_b, rtol):
+    with pytest.raises(ValueError, match="rtol"):
+        build_plan(sig02, ms_std, unit_a, unit_b, L_x=4.0, rtol=rtol)
+    with pytest.raises(ValueError, match="rtol"):
+        run_claims_ledger({"rtol": rtol})

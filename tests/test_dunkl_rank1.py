@@ -270,3 +270,28 @@ def test_psi_rule_mass_and_mean(kappa):
     want = beta_fn(1.5, kappa) / beta_fn(0.5, kappa)
     assert abs(np.dot(weights, nodes) - want) < 1e-10
     assert abs(want - 1.0 / (2.0 * kappa + 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("kappa", [1e-17, 1e-300])
+def test_kernel_at_float_zero_kappa_is_the_kappa_zero_kernel(kappa):
+    # kappa - 1 == -1 in float64: no Jacobi rule exists, and both routes
+    # give the kappa = 0 kernel (cos t, -sin t) exactly
+    assert kappa - 1.0 == -1.0
+    t = np.linspace(-30.0, 30.0, 601)
+    A0, B0 = eval_kernel_ab(kernel_coefficients(0.0, t_max=31.0), t)
+    A, B = eval_kernel_ab(kernel_coefficients(kappa, t_max=31.0), t)
+    assert np.array_equal(A, A0) and np.array_equal(B, B0)
+    Ai, Bi = kernel_ab_integral(kappa, t)
+    assert np.array_equal(Ai, np.cos(t)) and np.array_equal(Bi, -np.sin(t))
+
+
+@pytest.mark.parametrize("kappa", [1e-17, 1e-300])
+def test_psi_rule_at_float_zero_kappa_is_a_point_mass_at_one(kappa):
+    nodes, weights = psi_rule(kappa)
+    assert np.dot(weights, np.cos(nodes)) == math.cos(1.0)
+    assert np.sum(weights) == 1.0 and np.dot(weights, nodes) == 1.0
+    # just above the threshold the Jacobi rule is used, and it already sits
+    # at the limit to rounding: no jump across the switch
+    assert 2.0**-53 - 1.0 != -1.0
+    nodes, weights = psi_rule(2.0**-53)
+    assert abs(np.sum(weights) - 1.0) < 1e-12 and abs(np.dot(weights, nodes) - 1.0) < 1e-12
