@@ -19,7 +19,7 @@ a = validate_imaginary(MultiVector.blade(sig, "e1"), "e1")
 b = validate_imaginary(MultiVector.blade(sig, "e2"), "e2")
 
 # one plan per normalization; L_x generous enough for the widest input
-# (delta = 1/4 has spread 2), L_y trimmed to where the narrowest image
+# (delta = 1/4 decays on the scale 2), L_y trimmed to where the narrowest image
 # still clears 1e-8
 plans = {
     mode: build_plan(sig, ms, a, b, L_x=10.5, L_y=6.5, normalization=mode)
@@ -31,7 +31,7 @@ print(f"{'delta':>6} {'C raw':>14} {'C mehta':>14} {'shape deviation':>16}")
 for delta in (0.25, 0.5, 1.0, 2.0):
     f = AnalyticField(sig, ms, {
         0: lambda x1, x2, d=delta: np.exp(-d * (x1**2 + x2**2)),
-    }, spread=1.0 / np.sqrt(delta))
+    })
     consts = {}
     for mode, plan in plans.items():
         F = forward(f, plan)
@@ -46,8 +46,7 @@ for delta in (0.25, 0.5, 1.0, 2.0):
 
 # delta = 1/2 is the fixed point: in mehta normalization the transform
 # sends exp(-|x|^2/2) to itself with constant exactly 1
-f = AnalyticField(sig, ms, {0: lambda x1, x2: np.exp(-(x1**2 + x2**2) / 2.0)},
-                  spread=np.sqrt(2.0))
+f = AnalyticField(sig, ms, {0: lambda x1, x2: np.exp(-(x1**2 + x2**2) / 2.0)})
 F = forward(f, plans["mehta"])
 y1, y2 = _coords(plans["mehta"].grid_y)
 dev = np.max(np.abs(F.values[..., 0] - np.exp(-(y1**2 + y2**2) / 2.0)))

@@ -3,8 +3,8 @@
 Modules:
     clifford_core -- Cl(p,q) blade arithmetic, involutions, scalar product
     quadrature    -- weighted Gauss rules, panelled grids, integration
-    dunkl_rank1   -- rank-one Dunkl kernels, weights, Mehta constants,
-                     generalized Hermite family
+    dunkl_rank1   -- rank-one Dunkl kernels, Mehta constants, generalized
+                     Hermite family, translation density
     cdt_engine    -- the transforms, inversion, Plancherel/eigen checks,
                      translation, convolution, claims ledger
     miyachi       -- Miyachi trichotomy checker

@@ -100,14 +100,12 @@ class AnalyticField:
     """Field given per blade as a callable (or expression) over x1..xd.
 
     `blades` maps a blade label (or mask) to a vectorized function of d
-    coordinate arrays; `spread` is the declared decay scale used when a
-    grid has to be sized without further information.
+    coordinate arrays.
     """
 
     sig: Signature
     ms: MultiplicitySplit
     blades: Mapping
-    spread: float = 1.0
 
     def __post_init__(self):
         if self.ms.d != self.sig.d:
@@ -160,9 +158,6 @@ class SampledField:
             raise ValueError(f"values shape {vals.shape}, grid wants {want}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def at(self, *index) -> MultiVector:
-        return MultiVector(self.sig, self.values[index])
 
     def norm2(self) -> float:
         """Weighted L^2 norm squared: integral of the modulus squared."""
@@ -229,8 +224,6 @@ class TransformPlan:
     inv_mats: tuple
     normalization: str
     rtol: float
-    radius: float
-    budget: int
     cmat_two: np.ndarray  # [s, r, A, :] = coeffs of a^s e_A b^r
 
     @cached_property
@@ -285,14 +278,12 @@ def build_plan(
     order: int = 48,
     normalization: str = "raw",
     rtol: float = 1e-6,
-    radius: float = KERNEL_RADIUS_CAP,
-    budget: int = CONVOLVE_BUDGET,
 ) -> TransformPlan:
     """Discretize both sides and tabulate the kernels once.
 
     L_x / L_y are half-widths per coordinate (scalars broadcast).  The plan
-    refuses coordinates with L_x * L_y beyond `radius`: the kernel tables
-    are only trusted up to that argument.  Kernels are tabulated on the
+    refuses coordinates with L_x * L_y beyond KERNEL_RADIUS_CAP: the kernel
+    tables are only trusted up to that argument.  Kernels are tabulated on the
     positive quadrant of each axis; parity gives the rest.
     """
     if sig.d != ms.d:
@@ -308,9 +299,10 @@ def build_plan(
     Lx = np.broadcast_to(np.asarray(L_x, dtype=float), (d,))
     Ly = Lx if L_y is None else np.broadcast_to(np.asarray(L_y, dtype=float), (d,))
     for j in range(d):
-        if Lx[j] * Ly[j] > radius:
+        if Lx[j] * Ly[j] > KERNEL_RADIUS_CAP:
             raise ArgumentOutOfRadius(
-                f"coordinate {j + 1}: L_x*L_y = {Lx[j] * Ly[j]:g} exceeds radius {radius:g}"
+                f"coordinate {j + 1}: L_x*L_y = {Lx[j] * Ly[j]:g} "
+                f"exceeds radius {KERNEL_RADIUS_CAP:g}"
             )
     grid_x = build_grid(ms, Lx, panels=panels, order=order)
     grid_y = build_grid(ms, Ly, panels=panels, order=order)
@@ -340,8 +332,6 @@ def build_plan(
         inv_mats=tuple(inv for _, inv in mats),
         normalization=normalization,
         rtol=rtol,
-        radius=radius,
-        budget=budget,
         cmat_two=_assembly_matrix(sig, a.value, b.value, "two"),
     )
 
@@ -675,6 +665,17 @@ def expand_hermite(f, n_max: int, ms: MultiplicitySplit, grid: TensorGrid | None
     return out
 
 
+def _fit_profile(values: np.ndarray, g: np.ndarray, w: np.ndarray) -> tuple:
+    """Weighted least-squares fit values ~ g C with one coefficient vector C
+    (values (*shape, k), profile g and weights w (*shape)): C and the
+    relative weighted residual."""
+    C = np.einsum("n,nk->k", (w * g).ravel(), values.reshape(-1, values.shape[-1]))
+    C = C / float(np.sum(w * g * g))
+    resid2 = float(np.sum(w[..., None] * (values - g[..., None] * C) ** 2))
+    total2 = float(np.sum(w[..., None] * values**2))
+    return C, math.sqrt(resid2 / total2) if total2 > 0.0 else 0.0
+
+
 def _eigen_fit(v: tuple, u: tuple, plan: TransformPlan) -> dict:
     """Forward a Hermite product and fit F(y) = h(y) * C, C a constant."""
     v = tuple(int(n) for n in v)
@@ -690,11 +691,7 @@ def _eigen_fit(v: tuple, u: tuple, plan: TransformPlan) -> dict:
     F = forward(SampledField(plan.sig, plan.ms, plan.grid_x, vals), plan)
     hy = _hermite_product_grid(plan.grid_y, v + u)
     w = plan.grid_y.total_weights().reshape(plan.grid_y.shape)
-    denom = float(np.sum(w * hy * hy))
-    C = np.einsum("n,nk->k", (w * hy).ravel(), F.values.reshape(-1, plan.sig.n_blades)) / denom
-    resid2 = float(np.sum(w[..., None] * (F.values - hy[..., None] * C) ** 2))
-    total2 = F.norm2()
-    shape_residual = math.sqrt(resid2 / total2) if total2 > 0 else 0.0
+    C, shape_residual = _fit_profile(F.values, hy, w)
     # C should be lam * (-a)^l(v) * (-b)^l(u) with lam real positive
     unit = MultiVector.scalar(plan.sig, 1.0)
     for _ in range(sum(v)):
@@ -718,7 +715,11 @@ def eigencheck(v, u, plan: TransformPlan) -> ClaimReport:
     (scaled by the plan's mode factor); a shape-fit failure flags the
     report regardless of the eigenvalue.
     """
-    fit = _eigen_fit(v, u, plan)
+    return _eigen_report(v, u, _eigen_fit(v, u, plan), plan)
+
+
+def _eigen_report(v, u, fit: dict, plan: TransformPlan) -> ClaimReport:
+    """The eigenvalue ClaimReport of an `_eigen_fit` result."""
     paper = _block_constant(plan.ms) * plan.mode_scale
     report = ClaimReport.make(
         f"eigenvalue-v{'.'.join(map(str, v))}-u{'.'.join(map(str, u))}",
@@ -738,6 +739,16 @@ def eigencheck(v, u, plan: TransformPlan) -> ClaimReport:
 # -- translation and convolution ------------------------------------------
 
 
+def _shift(z, d: int) -> np.ndarray:
+    """The translation vector z as d finite floats."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if z.size != d:
+        raise ValueError(f"need {d} translation components")
+    if not np.isfinite(z).all():
+        raise ValueError(f"translation components must be finite, got {z.tolist()}")
+    return z
+
+
 def translate_spectral(f, z, plan: TransformPlan) -> SampledField:
     """tau_z f = inverse of E_p(z1,-a y1) forward(f)(y) E_q(z2,-b y2).
 
@@ -749,9 +760,7 @@ def translate_spectral(f, z, plan: TransformPlan) -> SampledField:
     offsetting the inverse's negated odd matrices.  tau_0 is the identity
     up to round-trip error.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.size != plan.ms.d:
-        raise ValueError(f"need {plan.ms.d} translation components")
+    z = _shift(z, plan.ms.d)
     for j in range(plan.ms.d):
         if abs(z[j]) * plan.grid_y.axes[j].L > plan.tables[j].t_max:
             raise ArgumentOutOfRadius(
@@ -805,9 +814,7 @@ def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *, order: int
         raise TypeError("explicit translation needs an analytic field")
     if f.ms != ms:
         raise PlanMismatch("field multiplicities differ")
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.size != ms.d:
-        raise ValueError(f"need {ms.d} translation components")
+    z = _shift(z, ms.d)
     rules = [None if zero_limit(k) else psi_rule(k, order) for k in ms.kappa]
     widths = [1 if r is None else 2 * len(r[0]) for r in rules]
     inner = int(np.argmax(widths))
@@ -832,11 +839,10 @@ def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *, order: int
         return out.reshape(X[0].shape)
 
     blades = {mask: partial(translated, fn=fn) for mask, fn in f.blades.items()}
-    spread = f.spread + float(np.max(np.abs(z))) if z.size else f.spread
-    return AnalyticField(f.sig, ms, blades, spread=spread)
+    return AnalyticField(f.sig, ms, blades)
 
 
-def convolve(f, g, plan: TransformPlan, *, budget: int | None = None) -> SampledField:
+def convolve(f, g, plan: TransformPlan) -> SampledField:
     """(f * g)(x) = integral f(z) tau_z g(x) dmu(z), tau_z spectral.
 
     tau_z is scalar, so swapping the z and y integrations leaves pointwise
@@ -846,13 +852,13 @@ def convolve(f, g, plan: TransformPlan, *, budget: int | None = None) -> Sampled
     conjugation leave, with the blade products taken by one GEMM against
     the structure tensor.  One inverse contraction per class follows.  The
     result depends neither on the units nor on the normalization mode.
-    `budget` caps the kernel evaluations per output node (= the y-grid
-    size).
+    CONVOLVE_BUDGET caps the kernel evaluations per output node (= the
+    y-grid size).
     """
-    cap = plan.budget if budget is None else budget
-    if plan.grid_y.n_nodes > cap:
+    if plan.grid_y.n_nodes > CONVOLVE_BUDGET:
         raise NodeBudgetExceeded(
-            f"{plan.grid_y.n_nodes} kernel evaluations per output node exceeds {cap}"
+            f"{plan.grid_y.n_nodes} kernel evaluations per output node "
+            f"exceeds {CONVOLVE_BUDGET}"
         )
     nb = plan.sig.n_blades
     Phi, Gam = (_partial_transform(_sample_on(h, plan.grid_x, plan.sig, plan.ms), plan, False)
@@ -878,7 +884,7 @@ def _gaussian_field(sig, ms, delta: float) -> AnalyticField:
         s = sum(x * x for x in X)
         return np.exp(-delta * s)
 
-    return AnalyticField(sig, ms, {0: body}, spread=1.0 / math.sqrt(2.0 * delta))
+    return AnalyticField(sig, ms, {0: body})
 
 
 LEDGER_DEFAULTS = {
@@ -904,13 +910,24 @@ def run_claims_ledger(config: dict | None = None) -> list:
     Identity claims (round trips, equivalences, bounds) carry an asserted
     value of 0 or 1; constants are compared in both normalization modes.
     A flagged constant is data, not a failure.
+
+    `config` overrides keys of LEDGER_DEFAULTS.  The ledger's fields are
+    two-dimensional with one coordinate per block, so a config with
+    another key, p + q != 2 or split != 1 raises ValueError.
     """
     from .clifford_core import validate_imaginary
 
-    cfg = dict(LEDGER_DEFAULTS)
-    cfg.update(config or {})
+    config = {} if config is None else config
+    if not isinstance(config, Mapping):
+        raise ValueError(f"ledger config must be a mapping, got {type(config).__name__}")
+    unknown = sorted(set(config) - set(LEDGER_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown ledger settings {unknown}")
+    cfg = {**LEDGER_DEFAULTS, **config}
     sig = Signature(int(cfg["p"]), int(cfg["q"]))
     ms = MultiplicitySplit(cfg["kappa"], int(cfg["split"]))
+    if (sig.d, ms.d, ms.split) != (2, 2, 1):
+        raise ValueError("the ledger needs p + q = 2, two multiplicities and split = 1")
     a = validate_imaginary(MultiVector.blade(sig, cfg["a"]), str(cfg["a"]))
     b = validate_imaginary(MultiVector.blade(sig, cfg["b"]), str(cfg["b"]))
     tol = float(cfg["rtol"])
@@ -935,7 +952,6 @@ def run_claims_ledger(config: dict | None = None) -> list:
 
     delta = float(cfg["delta"])
     gauss = _gaussian_field(sig, ms, delta)
-    p_dim, q_dim = ms.split, ms.d - ms.split
     cp, cq = mehta_constant(ms.kappa_p), mehta_constant(ms.kappa_q)
 
     # Gaussian image: shape e^{-|y|^2/(4 delta)}, constant (2 delta)^-(gamma+d/2).
@@ -996,11 +1012,11 @@ def run_claims_ledger(config: dict | None = None) -> list:
         _gaussian_field(sig, ms, 0.5),
         AnalyticField(sig, ms, {3: lambda x1, x2: x2 * np.exp(-(x1**2 + x2**2))}),
     ]
-    ratios = [plancherel_ratio(fld, plans["raw"])[0] for fld in fields]
+    measured = [plancherel_ratio(fld, plans["raw"]) for fld in fields]
+    ratios = [ratio for ratio, _ in measured]
     spread = (max(ratios) - min(ratios)) / ratios[0]
     add("plancherel-constancy", 0.0, spread, "relative spread")
-    _, rep = plancherel_ratio(gauss, plans["raw"])
-    reports.append(rep)
+    reports.append(measured[0][1])  # the Gaussian's, against the asserted constant
     add("plancherel-vs-gaussian-oracle", cp**-2 * cq**-2, ratios[0], "dimensionless")
 
     # Eigenfunctions: shape residual and eigenvalue, raw mode
@@ -1013,7 +1029,7 @@ def run_claims_ledger(config: dict | None = None) -> list:
             max(fit["shape_residual"], fit["unit_residual"]),
             "relative residual",
         )
-        reports.append(eigencheck(v, u, plans["raw"]))
+        reports.append(_eigen_report(v, u, fit, plans["raw"]))
         add(
             f"eigenvalue-oracle-v{'.'.join(map(str, v))}-u{'.'.join(map(str, u))}",
             lam_oracle,

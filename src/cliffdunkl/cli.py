@@ -1,9 +1,11 @@
 """Command line driver.
 
-Exit codes: 0 success, 2 usage error, 3 input/schema error, 4 numerical
-failure (radius/budget/overflow, Mehta-constant quadrature disagreeing
-with its closed form), 5 claims ledger ran but flagged at least
-one claim (data, not a crash -- scripts branch on it).
+Exit codes: 0 success, 2 usage error (including a non-finite or
+out-of-range numeric flag), 3 input/schema error (field file or verify
+config), 4 numerical failure (radius/budget/overflow, kernel truncation,
+Mehta-constant quadrature disagreeing with its closed form), 5 claims
+ledger ran but flagged at least one claim (data, not a crash -- scripts
+branch on it).
 
 Field files are authoritative for signature/kappa/split; the --sig/--kappa
 flags are cross-checks (and required where there is no file to read them
@@ -16,9 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-
-import numpy as np
 
 from .cdt_engine import (
     AnalyticField,
@@ -47,7 +48,9 @@ from .clifford_core import (
 )
 from .dunkl_rank1 import (
     ArgumentOutOfRadius,
+    MultiplicitySplit,
     QuadratureDisagreement,
+    TruncationTooLarge,
     eval_kernel_ab,
     kernel_coefficients,
 )
@@ -68,16 +71,19 @@ _INPUT_ERRORS = (
 )
 _NUMERIC_ERRORS = (
     ArgumentOutOfRadius, NodeBudgetExceeded, NodeCountExceeded,
-    NonFiniteResult, ZeroNormField, QuadratureDisagreement, OverflowError,
-    FloatingPointError,
+    NonFiniteResult, ZeroNormField, QuadratureDisagreement, TruncationTooLarge,
+    OverflowError, FloatingPointError,
 )
 
 
 def _floats(text: str, flag: str):
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise _Usage(f"{flag} wants comma-separated numbers, got {text!r}") from None
+        pass
+    raise _Usage(f"{flag} wants comma-separated finite numbers, got {text!r}")
 
 
 def _ints(text: str, flag: str):
@@ -87,18 +93,22 @@ def _ints(text: str, flag: str):
         raise _Usage(f"{flag} wants comma-separated integers, got {text!r}") from None
 
 
+def _sig_pair(text: str):
+    pq = _ints(text, "--sig")
+    if len(pq) != 2:
+        raise _Usage(f"--sig wants P,Q, got {text!r}")
+    return tuple(pq)
+
+
 def _header_from_flags(args):
     if args.sig is None or args.kappa is None:
         raise _Usage("this command needs --sig and --kappa")
-    p, q = _ints(args.sig, "--sig")
-    sig = Signature(p, q)
     kappa = _floats(args.kappa, "--kappa")
-    if len(kappa) != sig.d:
-        raise _Usage(f"--kappa wants {sig.d} values for --sig {args.sig}")
-    split = sig.d // 2 if args.split is None else args.split
-    from .dunkl_rank1 import MultiplicitySplit
-
     try:
+        sig = Signature(*_sig_pair(args.sig))
+        if len(kappa) != sig.d:
+            raise _Usage(f"--kappa wants {sig.d} values for --sig {args.sig}")
+        split = sig.d // 2 if args.split is None else args.split
         return sig, MultiplicitySplit(tuple(kappa), split)
     except ValueError as e:
         raise _Usage(str(e)) from None
@@ -107,7 +117,7 @@ def _header_from_flags(args):
 def _load(args):
     field = load_field(args.field)
     if args.sig is not None:
-        p, q = _ints(args.sig, "--sig")
+        p, q = _sig_pair(args.sig)
         if (p, q) != (field.sig.p, field.sig.q):
             raise SchemaError("signature", f"field file says ({field.sig.p},{field.sig.q}), --sig says ({p},{q})")
     if args.kappa is not None:
@@ -154,8 +164,7 @@ def _plan(args, sig, ms, *, input_side="x", in_field=None, L_y_override=None):
 
 def _emit(field, args, label):
     save_field(field, args.out)
-    w = field.grid.total_weights().reshape(field.grid.shape)
-    norm = float(np.sqrt(np.sum(w[..., None] * field.values**2)))
+    norm = math.sqrt(field.norm2())
     print(f"{label}: wrote {args.out} ({field.grid.n_nodes} nodes, |.|_2 = {norm:.6g})")
     return 0
 
@@ -263,7 +272,12 @@ def _cmd_verify(args):
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
-    reports = run_claims_ledger(config)
+    try:
+        reports = run_claims_ledger(config)
+    except _NUMERIC_ERRORS:
+        raise
+    except (TypeError, ValueError) as e:  # the config is the only input
+        raise SchemaError("config", str(e)) from e
     text = reports_to_json(reports)
     flagged = [r.claim for r in reports if r.status == "flagged"]
     if args.out:
@@ -277,6 +291,9 @@ def _cmd_verify(args):
 
 
 def _cmd_kernel(args):
+    if not (0.0 <= args.kappa < math.inf and math.isfinite(args.t)):
+        raise _Usage(f"kernel wants a finite --kappa >= 0 and a finite --t, "
+                     f"got {args.kappa!r} and {args.t!r}")
     table = kernel_coefficients(args.kappa, t_max=abs(args.t) + 1.0)
     A, B = eval_kernel_ab(table, args.t)
     print(f"A = {float(A)!r}")

@@ -35,8 +35,7 @@ __all__ = [
     "validate_imaginary",
 ]
 
-_MAX_D = 12          # 2^d coefficient storage stays desk-scale
-_DENSE_TENSOR_D = 6  # einsum path; beyond this the pairwise loop is used
+_MAX_D = 6  # the dense structure tensor (8^d floats) serves every product
 
 
 class SignatureMismatch(ValueError):
@@ -78,12 +77,6 @@ class Signature:
     def neg_mask(self) -> int:
         """Bit mask of the generators with eta_jj = -1 (j > p)."""
         return ((1 << self.d) - 1) ^ ((1 << self.p) - 1)
-
-    def eta(self, j: int) -> int:
-        """Metric sign of generator e_j, 1-based index."""
-        if not 1 <= j <= self.d:
-            raise ValueError(f"generator index {j} out of range 1..{self.d}")
-        return 1 if j <= self.p else -1
 
 
 def blade_label(mask: int) -> str:
@@ -139,46 +132,19 @@ def product_sign(a: int, b: int, neg_mask: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-@lru_cache(maxsize=32)
-def _sign_table(d: int, neg_mask: int) -> np.ndarray:
-    n = 1 << d
-    table = np.empty((n, n), dtype=np.int8)
-    for a in range(n):
-        for b in range(n):
-            table[a, b] = product_sign(a, b, neg_mask)
-    table.flags.writeable = False
-    return table
-
-
 @lru_cache(maxsize=16)
 def structure_tensor(sig: Signature) -> np.ndarray:
     """Dense tensor S with S[i,j,k] = sign such that e_i e_j = S[i,j,i^j] e_(i^j).
 
-    Only built for d <= 6; the product of coefficient arrays is then
-    einsum('...i,...j,ijk->...k', A, B, S).
+    The product of coefficient arrays is einsum('...i,...j,ijk->...k', A, B, S).
     """
-    if sig.d > _DENSE_TENSOR_D:
-        raise ValueError(f"dense structure tensor limited to d <= {_DENSE_TENSOR_D}")
     n = sig.n_blades
-    signs = _sign_table(sig.d, sig.neg_mask)
     S = np.zeros((n, n, n))
-    idx = np.arange(n)
     for a in range(n):
-        S[a, idx, a ^ idx] = signs[a, :]
+        for b in range(n):
+            S[a, b, a ^ b] = product_sign(a, b, sig.neg_mask)
     S.flags.writeable = False
     return S
-
-
-def _gp_coeff(sig: Signature, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geometric product on raw coefficient arrays of shape (..., 2^d)."""
-    if sig.d <= _DENSE_TENSOR_D:
-        return np.einsum("...i,...j,ijk->...k", a, b, structure_tensor(sig))
-    signs = _sign_table(sig.d, sig.neg_mask)
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=float)
-    for i in np.flatnonzero(np.any(a != 0.0, axis=tuple(range(a.ndim - 1)))):
-        for j in np.flatnonzero(np.any(b != 0.0, axis=tuple(range(b.ndim - 1)))):
-            out[..., i ^ j] += signs[i, j] * a[..., i] * b[..., j]
-    return out
 
 
 class MultiVector:
@@ -264,7 +230,8 @@ class MultiVector:
         if isinstance(other, (int, float)):
             return MultiVector(self.sig, self.coeff * other)
         self._check(other)
-        return MultiVector(self.sig, _gp_coeff(self.sig, self.coeff, other.coeff))
+        S = structure_tensor(self.sig)
+        return MultiVector(self.sig, np.einsum("...i,...j,ijk->...k", self.coeff, other.coeff, S))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
@@ -312,9 +279,6 @@ class MultiVector:
 
     def grade(self, k: int) -> "MultiVector":
         return grade(self, k)
-
-    def scalar_part(self) -> float:
-        return float(self.coeff[0])
 
     def modulus(self) -> float:
         return modulus(self)

@@ -1,4 +1,5 @@
-"""Rank-one (Z2) Dunkl machinery and its d-fold products.
+"""Rank-one (Z2) Dunkl machinery: kernel, Mehta constants, generalized
+Hermite recurrences and the translation density psi_kappa.
 
 The one-dimensional Dunkl operator T f = f' + kappa (f(x) - f(-x))/x acts
 on monomials as T x^n = n x^(n-1) for even n and (n + 2 kappa) x^(n-1) for
@@ -28,8 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford_core import ImaginaryUnit, MultiVector
-from .quadrature import build_axis, jacobi_rule, legendre_rule, power_rule, stieltjes
+from .quadrature import build_axis, jacobi_rule, stieltjes
 
 __all__ = [
     "MultiplicitySplit",
@@ -41,12 +41,9 @@ __all__ = [
     "eval_kernel_ab",
     "kernel_ab_series",
     "kernel_ab_integral",
-    "eval_kernel_block",
-    "weight",
     "mehta_constant",
     "hermite_basis",
     "eval_orthonormal",
-    "eval_h",
     "psi_rule",
     "SERIES_RADIUS",
     "kernel_rule_order",
@@ -124,12 +121,12 @@ class KernelTable:
     t_max: float
 
 
-def kernel_coefficients(kappa: float, tol: float = 1e-16, t_max: float = 30.0) -> KernelTable:
-    """Coefficients c_0..c_N with the tail |c_N t_max^N| below tol."""
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
-    if tol <= 0.0 or t_max <= 0.0:
-        raise ValueError("tol and t_max must be positive")
+def kernel_coefficients(kappa: float, t_max: float = 30.0) -> KernelTable:
+    """Coefficients c_0..c_N with the tail |c_N t_max^N| below 1e-16."""
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError("kappa must be finite and nonnegative")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be finite and positive")
     coeffs = [1.0]
     scale = 1.0  # c_n * t_max^n
     quiet = 0
@@ -141,7 +138,7 @@ def kernel_coefficients(kappa: float, tol: float = 1e-16, t_max: float = 30.0) -
         divisor = n + (2.0 * kappa if n % 2 == 1 else 0.0)
         coeffs.append(coeffs[-1] / divisor)
         scale = scale * t_max / divisor
-        quiet = quiet + 1 if scale < tol else 0
+        quiet = quiet + 1 if scale < 1e-16 else 0
     arr = np.array(coeffs)
     arr.flags.writeable = False
     return KernelTable(kappa=float(kappa), coeffs=arr, N=n, t_max=float(t_max))
@@ -251,41 +248,6 @@ def eval_kernel_ab(table: KernelTable, t) -> tuple:
     return A, B
 
 
-def eval_kernel_block(
-    tables, x_block, y_block, unit: ImaginaryUnit, conj: bool = False
-) -> MultiVector:
-    """prod_j (A_j + u B_j) over a coordinate block, embedded in span{1, u}.
-
-    The factors commute (they live in the plane span{1, u}), so the product
-    is complex arithmetic with u playing i; conj=True selects the inverse
-    kernel E(x, +u y) = A - u B.
-    """
-    x_block = np.atleast_1d(np.asarray(x_block, dtype=float))
-    y_block = np.atleast_1d(np.asarray(y_block, dtype=float))
-    if len(tables) != x_block.size or x_block.size != y_block.size:
-        raise ValueError("block length mismatch")
-    z = complex(1.0, 0.0)
-    for table, xj, yj in zip(tables, x_block, y_block):
-        A, B = eval_kernel_ab(table, xj * yj)
-        z *= complex(A, -B if conj else B)
-    sig = unit.sig
-    return MultiVector.scalar(sig, z.real) + z.imag * unit.value
-
-
-def weight(ms: MultiplicitySplit, x) -> np.ndarray | float:
-    """w_k(x) = prod_j |x_j|^(2 kappa_j), vectorized over rows of x."""
-    x = np.asarray(x, dtype=float)
-    scalar_in = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[-1] != ms.d:
-        raise ValueError(f"expected {ms.d} coordinates, got {pts.shape[-1]}")
-    out = np.ones(pts.shape[0])
-    for j, k in enumerate(ms.kappa):
-        if k > 0.0:
-            out *= np.abs(pts[:, j]) ** (2.0 * k)
-    return float(out[0]) if scalar_in else out
-
-
 def _mehta_factor_quadrature(kappa: float) -> float:
     # e^(-s^2/2) |s|^(2 kappa) tail at L=13 is ~1e-36; unit panels suffice
     axis = build_axis(kappa, L=13.0, panels=13, order=16)
@@ -327,31 +289,16 @@ HERMITE_N_CAP = 64
 def hermite_basis(kappa: float, n_max: int):
     """Monic recurrence (alpha, beta) for the weight |s|^(2 kappa) e^(-s^2).
 
-    Built by the discretized Stieltjes procedure on a composite quadrature
-    whose inner panel absorbs the |s|^(2 kappa) factor exactly.  Returns
-    read-only arrays of length n_max + 1.
+    Built by the discretized Stieltjes procedure on the `build_axis` grid of
+    (-14, 14) (unit panels of 60 nodes), whose inner panel absorbs the
+    |s|^(2 kappa) factor exactly.  Returns read-only arrays of length
+    n_max + 1.
     """
     if not 0 <= n_max <= HERMITE_N_CAP:
         raise ValueError(f"n_max must be within 0..{HERMITE_N_CAP}")
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
-    xs = []
-    ws = []
-    L, order = 14.0, 60
-    for lo in range(int(L)):
-        if lo == 0 and kappa > 0.0:
-            n, w = power_rule(2.0 * kappa, 0.0, 1.0, order)
-        else:
-            t, w0 = legendre_rule(order)
-            n = lo + 0.5 * (t + 1.0)
-            w = 0.5 * w0 * n ** (2.0 * kappa)
-        xs.append(n)
-        ws.append(w * np.exp(-n * n))
-    pos = np.concatenate(xs)
-    wpos = np.concatenate(ws)
-    nodes = np.concatenate([-pos[::-1], pos])
-    weights = np.concatenate([wpos[::-1], wpos])
-    alpha, beta = stieltjes(nodes, weights, n_max + 1)
+    axis = build_axis(kappa, 14.0, panels=14, order=60)
+    weights = axis.weights * axis.wk * np.exp(-axis.nodes**2)
+    alpha, beta = stieltjes(axis.nodes, weights, n_max + 1)
     alpha.flags.writeable = False
     beta.flags.writeable = False
     return alpha, beta
@@ -366,27 +313,6 @@ def eval_orthonormal(alpha: np.ndarray, beta: np.ndarray, n: int, s) -> np.ndarr
         p_next = ((s - alpha[k]) * p - math.sqrt(beta[k]) * p_prev) / math.sqrt(beta[k + 1])
         p_prev, p = p, p_next
     return p
-
-
-def eval_h(v, x, ms: MultiplicitySplit) -> np.ndarray:
-    """Generalized Hermite function h_v(x) = prod_j p_(v_j)(x_j) e^(-x_j^2/2).
-
-    Orthonormal against w_k(x) dx; x is one point or an (n, d) array.
-    """
-    v = tuple(int(n) for n in v)
-    x = np.asarray(x, dtype=float)
-    scalar_in = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if len(v) != ms.d or pts.shape[-1] != ms.d:
-        raise ValueError("index/coordinate length mismatch")
-    out = np.ones(pts.shape[0])
-    for j, (nj, kj) in enumerate(zip(v, ms.kappa)):
-        if not 0 <= nj <= HERMITE_N_CAP:
-            raise ValueError(f"index {nj} outside 0..{HERMITE_N_CAP}")
-        alpha, beta = hermite_basis(kj, HERMITE_N_CAP)
-        s = pts[:, j]
-        out *= eval_orthonormal(alpha, beta, nj, s) * np.exp(-0.5 * s * s)
-    return float(out[0]) if scalar_in else out
 
 
 def psi_rule(kappa: float, order: int = 48):

@@ -318,5 +318,4 @@ def compile_expr(text: str, d: int):
         return eval_expr(ast, xs)
 
     body.expr_text = text
-    body.expr_ast = ast
     return body

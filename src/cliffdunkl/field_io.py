@@ -1,9 +1,9 @@
 """Field file serialization (JSON) and grid export (CSV).
 
-A field file is a JSON object with `signature` [p, q], `kappa` (one value
-per coordinate), `split`, and a nonempty `blades` map keyed by blade label.
-Analytic files map labels to expression strings (see field_expr) and may
-carry a `spread` hint; sampled files instead carry a `grid` object
+A field file is a JSON object with `signature` [p, q] (1 <= p + q <= 6),
+`kappa` (one value per coordinate), `split`, and a nonempty `blades` map
+keyed by blade label.  Analytic files map labels to expression strings
+(see field_expr); sampled files instead carry a `grid` object
 {L, panels, order} and map labels to nested value arrays of the grid's
 shape.  Floats are emitted via Python's shortest-repr (<= 17 significant
 digits), so save/load round-trips every value bit-exactly.
@@ -49,7 +49,10 @@ def _parse_header(doc: dict):
     sig_pair = _require(doc, "signature", list, "")
     if len(sig_pair) != 2 or not all(isinstance(v, int) and v >= 0 for v in sig_pair):
         raise SchemaError("signature", "expected [p, q] with nonnegative integers")
-    sig = Signature(*sig_pair)
+    try:
+        sig = Signature(*sig_pair)
+    except ValueError as e:
+        raise SchemaError("signature", str(e)) from e
     kappa = _require(doc, "kappa", list, "")
     if len(kappa) != sig.d or not all(isinstance(v, (int, float)) for v in kappa):
         raise SchemaError("kappa", f"expected {sig.d} numbers")
@@ -97,10 +100,7 @@ def load_field(path):
                 bodies[masks[label]] = compile_expr(text, sig.d)
             except ValueError as e:
                 raise SchemaError(f"blades.{label}", str(e)) from e
-        spread = doc.get("spread", 1.0)
-        if not isinstance(spread, (int, float)) or not spread > 0:
-            raise SchemaError("spread", "expected a positive number")
-        return AnalyticField(sig, ms, bodies, spread=float(spread))
+        return AnalyticField(sig, ms, bodies)
 
     grid_doc = _require(doc, "grid", dict, "")
     Ls = _require(grid_doc, "L", list, "grid.")
@@ -141,7 +141,6 @@ def save_field(field, path):
                     "only expression-backed analytic fields serialize"
                 )
             blades[blade_label(mask)] = text
-        doc["spread"] = field.spread
         doc["blades"] = blades
     else:
         axes = field.grid.axes

@@ -31,6 +31,7 @@ from .cdt_engine import (
     SampledField,
     TransformPlan,
     _coords,
+    _fit_profile,
     _sample_on,
     build_plan,
     forward,
@@ -59,6 +60,8 @@ class MiyachiConfig:
         if not self.exponent >= 1.0:
             raise ValueError("exponent must be in [1, inf]")
         ladder = tuple(float(L) for L in self.ladder)
+        if not all(0.0 < L < math.inf for L in ladder):
+            raise ValueError(f"ladder rungs must be finite and positive, got {ladder}")
         if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ValueError("ladder must be strictly increasing with >= 3 rungs")
         object.__setattr__(self, "ladder", ladder)
@@ -236,21 +239,14 @@ def verdict(f, config: MiyachiConfig, plan: TransformPlan) -> MiyachiVerdict:
             order=plan.grid_x.axes[0].order,
             normalization=plan.normalization,
             rtol=plan.rtol,
-            radius=plan.radius,
         )
         rung_fields.append(forward(f, rung_plan))
     cond2 = check_log(rung_fields, config.beta, config.lam, config.ladder)
     C = residual = lam_ok = None
     if case == "boundary" and cond1.status == "finite" and cond2.status == "finite":
         vals = _sample_on(f, plan.grid_x, f.sig, f.ms)
-        xs = _coords(plan.grid_x)
-        g = np.exp(-config.alpha * sum(x * x for x in xs))
-        W = g  # fit weight; keeps the far tail from dominating
-        denom = float(np.sum(W * g * g))
-        coeff = np.einsum("n,nk->k", (W * g).ravel(), vals.reshape(-1, f.sig.n_blades)) / denom
-        resid2 = float(np.sum(W[..., None] * (vals - g[..., None] * coeff) ** 2))
-        total2 = float(np.sum(W[..., None] * vals**2))
+        g = np.exp(-config.alpha * sum(x * x for x in _coords(plan.grid_x)))
+        coeff, residual = _fit_profile(vals, g, g)  # weight g: the far tail cannot dominate
         C = MultiVector(f.sig, coeff)
-        residual = math.sqrt(resid2 / total2) if total2 > 0.0 else 0.0
         lam_ok = bool(modulus(C) <= config.lam)
     return MiyachiVerdict(case, cond1, cond2, C, residual, lam_ok)

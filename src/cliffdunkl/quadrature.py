@@ -144,29 +144,18 @@ def jacobi_rule(kappa: float, order: int) -> JacobiRule:
     return JacobiRule(kappa=kappa, order=order, nodes=nodes, weights=weights)
 
 
-def power_rule(two_kappa: float, lo: float, hi: float, order: int):
-    """Gauss rule for the measure x^(two_kappa) dx on [lo, hi], lo >= 0.
-
-    Only the lo = 0 case carries the singular factor; it maps the Jacobi
-    (0, two_kappa) rule from (-1, 1).  For lo > 0 the weight is smooth and
-    a plain Gauss-Legendre rule folds it in.
-    """
+def power_rule(two_kappa: float, hi: float, order: int):
+    """Gauss rule for the measure x^(two_kappa) dx on [0, hi]: the Jacobi
+    (0, two_kappa) rule mapped from (-1, 1), so the singular factor at 0
+    is integrated exactly."""
     if two_kappa < 0.0:
         raise ValueError("exponent must be nonnegative")
-    if not 0.0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
-    if lo == 0.0:
-        alpha, beta = jacobi_recurrence(order, 0.0, two_kappa)
-        t, w = gauss_from_recurrence(alpha, beta, order)
-        half = hi / 2.0
-        nodes = half * (t + 1.0)
-        weights = half ** (two_kappa + 1.0) * w
-        return nodes, weights
-    t, w = legendre_rule(order)
-    half = (hi - lo) / 2.0
-    nodes = lo + half * (t + 1.0)
-    weights = half * w * nodes**two_kappa
-    return nodes, weights
+    if not hi > 0.0:
+        raise ValueError("need hi > 0")
+    alpha, beta = jacobi_recurrence(order, 0.0, two_kappa)
+    t, w = gauss_from_recurrence(alpha, beta, order)
+    half = hi / 2.0
+    return half * (t + 1.0), half ** (two_kappa + 1.0) * w
 
 
 def stieltjes(nodes, weights, n: int):
@@ -228,7 +217,7 @@ def build_axis(kappa: float, L: float, panels: int, order: int) -> Grid1D:
     for i in range(panels):
         lo, hi = i * h, (i + 1) * h
         if i == 0 and kappa > 0.0:
-            n, w = power_rule(2.0 * kappa, 0.0, hi, order)
+            n, w = power_rule(2.0 * kappa, hi, order)
             w = w / n ** (2.0 * kappa)
         else:
             t, w0 = legendre_rule(order)
@@ -274,10 +263,6 @@ class TensorGrid:
         mesh = np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def weight_values(self) -> np.ndarray:
-        """Cached w_k values per node (no quadrature weights)."""
-        return self._outer(tuple(ax.wk for ax in self.axes))
-
     def quad_weights(self) -> np.ndarray:
         """Plain dx quadrature weight per node."""
         return self._outer(tuple(ax.weights for ax in self.axes))
@@ -316,22 +301,13 @@ def build_grid(ms, L, panels: int = 4, order: int = 12) -> TensorGrid:
 def integrate(values, grid: TensorGrid):
     """sum values * (quadrature weight * cached w_k) in fixed node order.
 
-    `values` is an array whose first axis runs over grid nodes (extra axes,
-    e.g. blade coefficients, ride along), or a sequence of MultiVector.
+    The first axis of `values` runs over grid nodes; extra axes (e.g. blade
+    coefficients) ride along.
     """
-    from .clifford_core import MultiVector
-
-    w = grid.total_weights()
-    if isinstance(values, (list, tuple)) and len(values) > 0 and isinstance(values[0], MultiVector):
-        sig = values[0].sig
-        stack = np.stack([v.coeff for v in values])
-        if stack.shape[0] != grid.n_nodes:
-            raise ValueError(f"expected {grid.n_nodes} values, got {stack.shape[0]}")
-        return MultiVector(sig, np.einsum("n,nk->k", w, stack))
     arr = np.asarray(values, dtype=float)
     if arr.shape[0] != grid.n_nodes:
         raise ValueError(f"expected {grid.n_nodes} values, got {arr.shape[0]}")
-    return np.einsum("n,n...->...", w, arr)
+    return np.einsum("n,n...->...", grid.total_weights(), arr)
 
 
 def parse_grid_spec(text: str):

@@ -41,4 +41,4 @@ def plan_std_mehta(sig02, ms_std, unit_a, unit_b):
 def gaussian_field(sig, ms, delta=1.0, blades=None):
     body = lambda *xs: np.exp(-delta * sum(x * x for x in xs))
     masks = blades if blades is not None else [0]
-    return AnalyticField(sig, ms, {m: body for m in masks}, spread=1.0 / np.sqrt(delta))
+    return AnalyticField(sig, ms, {m: body for m in masks})

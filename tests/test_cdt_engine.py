@@ -25,7 +25,6 @@ from cliffdunkl.clifford_core import (
 from cliffdunkl.dunkl_rank1 import (
     ArgumentOutOfRadius,
     MultiplicitySplit,
-    eval_kernel_block,
     eval_orthonormal,
     hermite_basis,
     mehta_constant,
@@ -54,9 +53,11 @@ from cliffdunkl.cdt_engine import (
     translate_spectral,
 )
 from cliffdunkl.cdt_engine import _coords, _fold, _sample_on, _unfold
+from cliffdunkl import cdt_engine
 from cliffdunkl.quadrature import build_grid
 
 from conftest import gaussian_field
+from oracles import eval_kernel_block
 
 
 def _unit(sig, spec):
@@ -380,7 +381,7 @@ def test_expand_hermite_picks_out_single_modes(sig02, ms_std):
         return (eval_orthonormal(a1, b1, 2, x1) * eval_orthonormal(a2, b2, 1, x2)
                 * np.exp(-(x1**2 + x2**2) / 2.0))
 
-    f = AnalyticField(sig02, ms_std, {0: body}, spread=3.0)
+    f = AnalyticField(sig02, ms_std, {0: body})
     coeffs = expand_hermite(f, 4, ms_std)
     for (v, u), mv in coeffs.items():
         want = 1.0 if (v, u) == ((2,), (1,)) else 0.0
@@ -501,6 +502,15 @@ def test_translation_rejects_out_of_radius_z(sig02, ms_std, unit_a, unit_b):
         translate_spectral(gaussian_field(sig02, ms_std), (5.0, 0.0), plan)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_translation_rejects_a_non_finite_z(sig02, ms_std, plan_std, bad):
+    f = gaussian_field(sig02, ms_std)
+    with pytest.raises(ValueError, match="finite"):
+        translate_spectral(f, (bad, 0.0), plan_std)
+    with pytest.raises(ValueError, match="finite"):
+        translate_explicit(f, (0.0, bad), ms_std)
+
+
 def test_translate_explicit_needs_an_analytic_field(sig02, ms_std, plan_std):
     f = _sampled(gaussian_field(sig02, ms_std), plan_std.grid_x, sig02, ms_std)
     with pytest.raises(TypeError):
@@ -563,11 +573,12 @@ def test_convolution_is_bilinear_in_the_left_slot(sig02, ms_std, unit_a, unit_b)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_convolution_budget_is_enforced(sig02, ms_std, unit_a, unit_b):
+def test_convolution_budget_is_enforced(sig02, ms_std, unit_a, unit_b, monkeypatch):
     plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=5.0, L_y=5.0, order=12)
     f = gaussian_field(sig02, ms_std)
+    monkeypatch.setattr(cdt_engine, "CONVOLVE_BUDGET", plan.grid_y.n_nodes - 1)
     with pytest.raises(NodeBudgetExceeded):
-        convolve(f, f, plan, budget=plan.grid_y.n_nodes - 1)
+        convolve(f, f, plan)
 
 
 # -- constants ------------------------------------------------------------------
@@ -685,7 +696,7 @@ def test_plan_rejects_mismatched_pieces(sig02, ms_std, unit_a, unit_b):
     with pytest.raises(ValueError):
         build_plan(sig02, ms_std, unit_a, unit_b, L_x=4.0, normalization="unitary")
     with pytest.raises(ArgumentOutOfRadius):
-        build_plan(sig02, ms_std, unit_a, unit_b, L_x=4.0, L_y=4.0, radius=10.0)
+        build_plan(sig02, ms_std, unit_a, unit_b, L_x=9.0, L_y=9.0)  # 81 > KERNEL_RADIUS_CAP
 
 
 def test_transform_rejects_foreign_fields(sig02, ms_std, unit_a, unit_b, plan_std):

@@ -280,4 +280,61 @@ def test_miyachi_bad_ladder_exits_2(tmp_path, gauss_file, capsys):
                "--alpha", "1", "--beta", "1", "--lambda", "1",
                "--ladder", "5,4,3,2"])
     assert rc == 2
+    rc = main(["miyachi", "--field", str(gauss_file),
+               "--alpha", "1", "--beta", "1", "--lambda", "1", "--ladder", "1,2,nan"])
+    assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("config,code", [
+    ({"rtol": -1}, 3),
+    ({"kappa": [-1, 0]}, 3),
+    ({"p": 0, "q": 3, "kappa": [0.3, 0.7, 0.5]}, 3),  # the ledger's fields are 2-D
+    ({"split": 0}, 3),
+    ([1, 2], 3),
+    ({"kapa": [0.5, 0.5]}, 3),  # a misspelt key is not silently ignored
+    ({"L_x": 10.0, "L_y": 10.0}, 4),  # beyond the kernel radius
+])
+def test_verify_config_errors(tmp_path, capsys, config, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert ("input error" if code == 3 else "numerical failure") in err
+
+
+def test_signature_beyond_six_generators(tmp_path, capsys):
+    path = tmp_path / "d7.json"
+    path.write_text(json.dumps(dict(_gauss_doc(), signature=[0, 7])))
+    rc = main(["roundtrip", "--field", str(path)])
+    assert rc == 3
+    assert "input error: signature" in capsys.readouterr().err
+    rc = main(["eigencheck", "--sig", "0,7", "--kappa", ",".join(["0.5"] * 7),
+               "--v", "0,0,0", "--u", "0,0,0,0"])
+    assert rc == 2
+    rc = main(["eigencheck", "--sig", "2", "--kappa", "0.5,0.5", "--v", "0", "--u", "0"])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["kernel", "--kappa", "-1", "--t", "1"], 2),
+    (["kernel", "--kappa", "nan", "--t", "1"], 2),
+    (["kernel", "--kappa", "inf", "--t", "1"], 2),
+    (["kernel", "--kappa", "0.5", "--t", "nan"], 2),
+    (["kernel", "--kappa", "0.5", "--t", "1e300"], 4),  # kernel series truncation
+])
+def test_kernel_flag_domain(capsys, argv, code):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert ("usage error" if code == 2 else "numerical failure") in err
+
+
+def test_non_finite_translation_exits_2(tmp_path, gauss_file, capsys):
+    for method in ("spectral", "explicit"):
+        rc = main(["translate", "--field", str(gauss_file), "--z", "nan,0",
+                   "--method", method, "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+    assert not (tmp_path / "o.json").exists()
+    assert "usage error" in capsys.readouterr().err

@@ -252,3 +252,10 @@ def test_product_laws_hypothesis(coeffs, p):
     # distributivity is exact on integers too
     assert np.array_equal((m * (n + r)).coeff, (m * n + m * r).coeff)
     assert scalar_product(m, m) == float(np.dot(m.coeff, m.coeff))
+
+
+def test_signature_caps_at_six_generators():
+    assert Signature(2, 4).n_blades == 64
+    for p, q in ((0, 7), (7, 0), (3, 4), (0, 13)):
+        with pytest.raises(ValueError):
+            Signature(p, q)

@@ -181,7 +181,6 @@ def _analytic_doc():
         "signature": [0, 2],
         "kappa": [0.1 + 0.2, 1.0 / 3.0],
         "split": 1,
-        "spread": 2.5,
         "blades": {
             "1": "exp(-(x1^2+x2^2))",
             "e12": "0.1*x1*exp(-(x1^2+x2^2))",
@@ -194,7 +193,6 @@ def test_analytic_roundtrip_is_bit_exact(tmp_path):
     f = load_field(path)
     assert isinstance(f, AnalyticField)
     assert f.ms.kappa == (0.1 + 0.2, 1.0 / 3.0)  # floats survive exactly
-    assert f.spread == 2.5
     assert f.blades[0].expr_text == "exp(-(x1^2+x2^2))"
     out = tmp_path / "g.json"
     save_field(f, out)
@@ -265,7 +263,7 @@ def test_opaque_callables_do_not_serialize(tmp_path, sig02, ms_std):
     (lambda d: d.update(blades={"1": 3.5}), "blades.1"),
     (lambda d: d.update(blades={"1": "1+"}), "blades.1"),
     (lambda d: d.update(blades={"1": "x5"}), "blades.1"),
-    (lambda d: d.update(spread=-1.0), "spread"),
+    (lambda d: d.update(signature=[0, 7]), "signature"),
 ])
 def test_analytic_schema_rejections(tmp_path, mutate, path):
     doc = _analytic_doc()

@@ -70,6 +70,9 @@ def test_config_validation():
         MiyachiConfig(1.0, 1.0, 1.0, ladder=(2.0, 3.0))
     with pytest.raises(ValueError):
         MiyachiConfig(1.0, 1.0, 1.0, ladder=(2.0, 2.0, 3.0))
+    for ladder in ((1.0, 2.0, math.nan), (1.0, 2.0, math.inf), (0.0, 1.0, 2.0)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            MiyachiConfig(1.0, 1.0, 1.0, ladder=ladder)
 
 
 # -- growth condition ---------------------------------------------------------
