@@ -47,6 +47,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache, partial
 from typing import Mapping, NamedTuple
@@ -63,7 +64,6 @@ from .clifford_core import (
 from .dunkl_rank1 import (
     HERMITE_N_CAP,
     ArgumentOutOfRadius,
-    KernelTable,
     MultiplicitySplit,
     eval_kernel_ab,
     eval_orthonormal,
@@ -75,7 +75,6 @@ from .dunkl_rank1 import (
 )
 from .quadrature import TensorGrid, build_grid
 
-KERNEL_RADIUS_CAP = 80.0  # max |x_j|*|y_j| a plan will accept per coordinate
 CONVOLVE_BUDGET = 1 << 20  # kernel evaluations per output node (= y-grid size)
 _EXPLICIT_CHUNK = 1 << 15  # field values per call in translate_explicit
 
@@ -241,10 +240,17 @@ class TransformPlan:
 
 
 def _c_squared(plan: TransformPlan) -> float:
-    """(c_{k_p} c_{k_q})^2, the constant of the unnormalized inverse."""
+    """(c_{k_p} c_{k_q})^2, the constant of the unnormalized inverse.
+
+    Raises OverflowError when it underflows to a subnormal or zero.
+    """
     if plan.normalization == "mehta":
-        return plan.mode_scale**2
-    return (mehta_constant(plan.ms.kappa_p) * mehta_constant(plan.ms.kappa_q)) ** 2
+        c2 = plan.mode_scale**2
+    else:
+        c2 = (mehta_constant(plan.ms.kappa_p) * mehta_constant(plan.ms.kappa_q)) ** 2
+    if not c2 >= sys.float_info.min:
+        raise OverflowError(f"(c_p c_q)^2 underflows for kappa = {plan.ms.kappa} ({c2!r})")
+    return c2
 
 
 def _assembly_matrix(sig: Signature, a: MultiVector, b: MultiVector, order: str) -> np.ndarray:
@@ -282,9 +288,9 @@ def build_plan(
     """Discretize both sides and tabulate the kernels once.
 
     L_x / L_y are half-widths per coordinate (scalars broadcast).  The plan
-    refuses coordinates with L_x * L_y beyond KERNEL_RADIUS_CAP: the kernel
-    tables are only trusted up to that argument.  Kernels are tabulated on the
-    positive quadrant of each axis; parity gives the rest.
+    refuses coordinates with L_x * L_y beyond the kernel radius
+    (ArgumentOutOfRadius from `kernel_coefficients`).  Kernels are tabulated
+    on the positive quadrant of each axis; parity gives the rest.
     """
     if sig.d != ms.d:
         raise PlanMismatch(f"{ms.d} multiplicities for d={sig.d}")
@@ -298,18 +304,9 @@ def build_plan(
     d = ms.d
     Lx = np.broadcast_to(np.asarray(L_x, dtype=float), (d,))
     Ly = Lx if L_y is None else np.broadcast_to(np.asarray(L_y, dtype=float), (d,))
-    for j in range(d):
-        if Lx[j] * Ly[j] > KERNEL_RADIUS_CAP:
-            raise ArgumentOutOfRadius(
-                f"coordinate {j + 1}: L_x*L_y = {Lx[j] * Ly[j]:g} "
-                f"exceeds radius {KERNEL_RADIUS_CAP:g}"
-            )
+    tables = tuple(kernel_coefficients(ms.kappa[j], t_max=float(Lx[j] * Ly[j])) for j in range(d))
     grid_x = build_grid(ms, Lx, panels=panels, order=order)
     grid_y = build_grid(ms, Ly, panels=panels, order=order)
-    tables = tuple(
-        kernel_coefficients(ms.kappa[j], t_max=float(Lx[j] * Ly[j]) + 1e-9)
-        for j in range(d)
-    )
     mats = []
     for table, ax, ay in zip(tables, grid_x.axes, grid_y.axes):
         n, m = len(ax) // 2, len(ay) // 2

@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 2 usage error (including a non-finite or
 out-of-range numeric flag), 3 input/schema error (field file or verify
-config), 4 numerical failure (radius/budget/overflow, kernel truncation,
-Mehta-constant quadrature disagreeing with its closed form), 5 claims
-ledger ran but flagged at least one claim (data, not a crash -- scripts
-branch on it).
+config), 4 numerical failure (kernel radius, node budget, a Mehta
+constant that underflows, other overflow), 5 claims ledger ran but
+flagged at least one claim (data, not a crash -- scripts branch on it).
 
 Field files are authoritative for signature/kappa/split; the --sig/--kappa
 flags are cross-checks (and required where there is no file to read them
@@ -49,8 +48,6 @@ from .clifford_core import (
 from .dunkl_rank1 import (
     ArgumentOutOfRadius,
     MultiplicitySplit,
-    QuadratureDisagreement,
-    TruncationTooLarge,
     eval_kernel_ab,
     kernel_coefficients,
 )
@@ -71,8 +68,7 @@ _INPUT_ERRORS = (
 )
 _NUMERIC_ERRORS = (
     ArgumentOutOfRadius, NodeBudgetExceeded, NodeCountExceeded,
-    NonFiniteResult, ZeroNormField, QuadratureDisagreement, TruncationTooLarge,
-    OverflowError, FloatingPointError,
+    NonFiniteResult, ZeroNormField, OverflowError, FloatingPointError,
 )
 
 
@@ -294,7 +290,7 @@ def _cmd_kernel(args):
     if not (0.0 <= args.kappa < math.inf and math.isfinite(args.t)):
         raise _Usage(f"kernel wants a finite --kappa >= 0 and a finite --t, "
                      f"got {args.kappa!r} and {args.t!r}")
-    table = kernel_coefficients(args.kappa, t_max=abs(args.t) + 1.0)
+    table = kernel_coefficients(args.kappa, t_max=max(abs(args.t), 1.0))
     A, B = eval_kernel_ab(table, args.t)
     print(f"A = {float(A)!r}")
     print(f"B = {float(B)!r}")

@@ -7,23 +7,27 @@ odd n.  The kernel E(x, y) = sum_n c_n (x y)^n is the unique solution of
 T_x E = y E with E(0, y) = 1, which pins the coefficient recurrence
 c_n = c_(n-1) / (n + 2 kappa [n odd]).
 
-Splitting E(x, -u y) = A(t) + u B(t) (t = x y, u any square root of -1)
-gives the even/odd series implemented here.  Away from small |t| the
-alternating series cancels catastrophically in float64 (the error floor is
-eps * e^|t|), so evaluation switches to the equivalent integral form
+Splitting E(x, -u y) = A(t) + u B(t) (t = x y, u any square root of -1),
+the kernel is evaluated from Poisson's integral (Rosler, LNM 1817),
 
-    A(t) = (1/m0) int_{-1}^{1} cos(t s) (1 - s^2)^(kappa-1) ds,
+    A(t) = 1 - (1/m0) int_{-1}^{1} 2 sin^2(t s / 2) (1 - s^2)^(kappa-1) ds,
     B(t) = -(1/m0) int_{-1}^{1} s sin(t s) (1 - s^2)^(kappa-1) ds,
 
-m0 = B(1/2, kappa), evaluated with the package's Gauss-Jacobi rules; the
-two routes agree to ~1e-13 where both are valid, which is tested.  The
-integral form also keeps A^2 + B^2 <= 1 structurally (Cauchy-Schwarz with
-respect to the probability measure (1-s^2)^(kappa-1) ds / m0).
+m0 = B(1/2, kappa), with the package's Gauss-Jacobi rules.  The power
+series above cancels catastrophically in float64 (its error floor is
+eps * e^|t|), so it only serves the tests as an oracle.  Writing
+cos(t s) = 1 - 2 sin^2(t s / 2) makes E(0) = (1, 0) exact, where the
+cosine sum would round A(0) to 1 + O(eps).  The integral form also keeps
+A^2 + B^2 <= 1 structurally (Cauchy-Schwarz with respect to the
+probability measure (1-s^2)^(kappa-1) ds / m0).  It is tested against
+mpmath and scipy up to |t| = KERNEL_RADIUS_CAP, which is the radius a
+kernel table accepts.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,34 +38,22 @@ from .quadrature import build_axis, jacobi_rule, stieltjes
 __all__ = [
     "MultiplicitySplit",
     "KernelTable",
-    "TruncationTooLarge",
     "ArgumentOutOfRadius",
-    "QuadratureDisagreement",
+    "KERNEL_RADIUS_CAP",
     "kernel_coefficients",
     "eval_kernel_ab",
-    "kernel_ab_series",
     "kernel_ab_integral",
     "mehta_constant",
     "hermite_basis",
     "eval_orthonormal",
     "psi_rule",
-    "SERIES_RADIUS",
     "kernel_rule_order",
 ]
 
-COEFF_CAP = 400
-SERIES_RADIUS = 4.0  # series error floor eps*e^|t| stays below ~1e-13 here
-
-
-class TruncationTooLarge(ValueError):
-    pass
+KERNEL_RADIUS_CAP = 300.0  # max |x y| a kernel table accepts; tested to there against mpmath
 
 
 class ArgumentOutOfRadius(ValueError):
-    pass
-
-
-class QuadratureDisagreement(ArithmeticError):
     pass
 
 
@@ -113,78 +105,28 @@ class MultiplicitySplit:
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Truncated kernel series for one coordinate: E = sum c_n (xy)^n."""
+    """Validated radius record for one coordinate's kernel: multiplicity
+    kappa, arguments |t| <= t_max."""
 
     kappa: float
-    coeffs: np.ndarray
-    N: int
     t_max: float
 
 
 def kernel_coefficients(kappa: float, t_max: float = 30.0) -> KernelTable:
-    """Coefficients c_0..c_N with the tail |c_N t_max^N| below 1e-16."""
+    """The kernel record for kappa on |t| <= t_max.
+
+    Raises ArgumentOutOfRadius beyond KERNEL_RADIUS_CAP, the range the
+    kernel is tested to.
+    """
     if not 0.0 <= kappa < math.inf:
         raise ValueError("kappa must be finite and nonnegative")
-    if not 0.0 < t_max < math.inf:
-        raise ValueError("t_max must be finite and positive")
-    coeffs = [1.0]
-    scale = 1.0  # c_n * t_max^n
-    quiet = 0
-    n = 0
-    while quiet < 2:
-        n += 1
-        if n > COEFF_CAP:
-            raise TruncationTooLarge(f"needs more than {COEFF_CAP} coefficients")
-        divisor = n + (2.0 * kappa if n % 2 == 1 else 0.0)
-        coeffs.append(coeffs[-1] / divisor)
-        scale = scale * t_max / divisor
-        quiet = quiet + 1 if scale < 1e-16 else 0
-    arr = np.array(coeffs)
-    arr.flags.writeable = False
-    return KernelTable(kappa=float(kappa), coeffs=arr, N=n, t_max=float(t_max))
-
-
-def _kahan_poly(coeff_signed: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Compensated sum of coeff[k] * powers[k] in fixed ascending order."""
-    s = np.zeros_like(powers[0])
-    c = np.zeros_like(s)
-    for a, p in zip(coeff_signed, powers):
-        y = a * p - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
-
-
-@lru_cache(maxsize=256)
-def _series_terms(kappa: float) -> int:
-    """Degree a table keeps for |t| <= SERIES_RADIUS (tail below 1e-16)."""
-    return kernel_coefficients(kappa, t_max=SERIES_RADIUS).N
-
-
-def kernel_ab_series(table: KernelTable, t) -> tuple:
-    """(A, B) by compensated ascending-degree summation of the series.
-
-    Within SERIES_RADIUS only the degrees that radius needs are summed;
-    beyond it the whole table is.
-    """
-    t = np.asarray(t, dtype=float)
-    N = table.N
-    if t.size and np.max(np.abs(t)) <= SERIES_RADIUS:
-        N = min(N, _series_terms(table.kappa))
-    n_even = (N // 2) + 1
-    n_odd = (N + 1) // 2
-    t2 = t * t
-    even_pows = np.empty((n_even,) + t.shape)
-    even_pows[0] = 1.0
-    for m in range(1, n_even):
-        even_pows[m] = even_pows[m - 1] * t2
-    even_coeff = table.coeffs[0 : 2 * n_even : 2] * np.where(np.arange(n_even) % 2, -1.0, 1.0)
-    A = _kahan_poly(even_coeff, even_pows)
-    odd_pows = even_pows[:n_odd] * t
-    odd_coeff = table.coeffs[1 : 2 * n_odd : 2] * np.where(np.arange(n_odd) % 2, 1.0, -1.0)
-    B = _kahan_poly(odd_coeff, odd_pows)
-    return A, B
+    if not t_max > 0.0:
+        raise ValueError("t_max must be positive")
+    if t_max > KERNEL_RADIUS_CAP:
+        raise ArgumentOutOfRadius(
+            f"kernel argument |t| up to {t_max:g} exceeds the radius {KERNEL_RADIUS_CAP:g}"
+        )
+    return KernelTable(kappa=float(kappa), t_max=float(t_max))
 
 
 def zero_limit(kappa: float) -> bool:
@@ -203,81 +145,58 @@ def kernel_rule_order(t_max: float) -> int:
     return max(48, int(0.62 * t_max) + 32)
 
 
-def kernel_ab_integral(kappa: float, t, order: int | None = None) -> tuple:
-    """(A, B) from the cosine/sine integral representation; kappa > 0."""
+def kernel_ab_integral(kappa: float, t, order: int) -> tuple:
+    """(A, B) from the integral representation with an `order`-node
+    Gauss-Jacobi rule; a `zero_limit` kappa gives (cos t, -sin t)."""
     t = np.asarray(t, dtype=float)
     if zero_limit(kappa):
         return np.cos(t), -np.sin(t)
-    if order is None:
-        tmax = float(np.max(np.abs(t))) if t.size else 1.0
-        order = kernel_rule_order(tmax)
     rule = jacobi_rule(kappa, order)
     phase = np.multiply.outer(t, rule.nodes)
     m0 = rule.mass
-    A = np.cos(phase) @ rule.weights / m0
-    B = -(np.sin(phase) @ (rule.weights * rule.nodes)) / m0
+    half = np.multiply(phase, 0.5)  # in place from here: two (t, node) arrays at most
+    np.sin(half, out=half)
+    half *= half
+    A = 1.0 - half @ (2.0 * rule.weights) / m0
+    B = np.sin(phase, out=phase) @ -(rule.weights * rule.nodes) / m0
     return A, B
 
 
 def eval_kernel_ab(table: KernelTable, t) -> tuple:
     """(A(t), B(t)) with E(x, -u y) = A + u B, E(x, +u y) = A - u B, t = x y.
 
-    kappa = 0 (and any `zero_limit` kappa) short-circuits to (cos t, -sin t).
-    Otherwise the compensated series is used for |t| <= SERIES_RADIUS and
-    the integral representation beyond it (see module docstring for the
-    error analysis).
+    Raises ArgumentOutOfRadius for |t| beyond the table's t_max.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    if np.any(np.abs(t_arr) > table.t_max):
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > table.t_max):
         raise ArgumentOutOfRadius(f"|t| exceeds validity radius {table.t_max}")
-    if zero_limit(table.kappa):
-        A, B = np.cos(t_arr), -np.sin(t_arr)
-    else:
-        A = np.empty_like(t_arr)
-        B = np.empty_like(t_arr)
-        near = np.abs(t_arr) <= SERIES_RADIUS
-        if np.any(near):
-            A[near], B[near] = kernel_ab_series(table, t_arr[near])
-        if np.any(~near):
-            order = kernel_rule_order(table.t_max)
-            A[~near], B[~near] = kernel_ab_integral(table.kappa, t_arr[~near], order)
-    if scalar:
-        return float(A[0]), float(B[0])
+    A, B = kernel_ab_integral(table.kappa, t, kernel_rule_order(table.t_max))
+    if t.ndim == 0:
+        return float(A), float(B)
     return A, B
 
 
-def _mehta_factor_quadrature(kappa: float) -> float:
-    # e^(-s^2/2) |s|^(2 kappa) tail at L=13 is ~1e-36; unit panels suffice
-    axis = build_axis(kappa, L=13.0, panels=13, order=16)
-    return float(np.sum(axis.weights * axis.wk * np.exp(-0.5 * axis.nodes**2)))
-
-
-def mehta_factor_gamma(kappa: float) -> float:
-    """Closed form of int e^(-s^2/2) |s|^(2 kappa) ds (cross-check only)."""
-    return 2.0 ** (kappa + 0.5) * math.gamma(kappa + 0.5)
-
-
 def mehta_constant(kappa_block) -> float:
-    """c_k = (int e^(-|x|^2/2) w_k dx)^(-1) over the block's coordinates.
+    """c_k = (int e^(-|x|^2/2) w_k dx)^(-1) over the block's coordinates,
+    in closed form: prod_j 1 / (2^(k_j+1/2) Gamma(k_j+1/2)).
 
-    Computed by quadrature per coordinate and cross-checked against the
-    gamma closed form at 1e-10 relative.
+    Raises OverflowError when c_k is not a normal float (a block whose
+    multiplicities add up to about 150 or more): a zero or subnormal
+    constant would turn into NaN or a division by zero downstream.
     """
     total = 1.0
     for k in kappa_block:
         k = float(k)
-        if k < 0.0:
-            raise ValueError("multiplicities must be nonnegative")
-        q = _mehta_factor_quadrature(k)
-        g = mehta_factor_gamma(k)
-        if abs(q / g - 1.0) > 1e-10:
-            raise QuadratureDisagreement(
-                f"kappa={k}: quadrature {q!r} vs gamma form {g!r}"
-            )
-        total *= q
-    return 1.0 / total
+        if not 0.0 <= k < math.inf:
+            raise ValueError("multiplicities must be finite and nonnegative")
+        try:
+            total *= 2.0 ** (k + 0.5) * math.gamma(k + 0.5)
+        except OverflowError:
+            total = math.inf
+    c = 1.0 / total
+    if not c >= sys.float_info.min:
+        raise OverflowError(f"Mehta constant of kappa = {tuple(kappa_block)} underflows ({c!r})")
+    return c
 
 
 # -- generalized Hermite family ---------------------------------------------

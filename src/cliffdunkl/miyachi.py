@@ -53,9 +53,9 @@ class MiyachiConfig:
     ladder: tuple = (2.0, 3.0, 4.0, 5.0)
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
+        if not (self.alpha > 0.0 and self.beta > 0.0):  # NaN fails too
             raise ValueError("alpha and beta must be positive")
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:
             raise ValueError("lambda must be positive")
         if not self.exponent >= 1.0:
             raise ValueError("exponent must be in [1, inf]")
@@ -115,7 +115,7 @@ def verdict_to_json(v: MiyachiVerdict) -> str:
 
 def classify(alpha: float, beta: float) -> str:
     """vanishing / boundary / subcritical by alpha*beta against 1/4."""
-    if alpha <= 0.0 or beta <= 0.0:
+    if not (alpha > 0.0 and beta > 0.0):  # NaN fails too
         raise ValueError("alpha and beta must be positive")
     prod = alpha * beta
     if abs(prod - 0.25) <= BOUNDARY_TOL:

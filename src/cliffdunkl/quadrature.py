@@ -324,5 +324,7 @@ def parse_grid_spec(text: str):
         if not (lo == -hi and hi > 0.0):
             raise ValueError(f"grid spec {part!r} must be symmetric about 0")
         panels, order = int(pieces[2]), int(pieces[3])
+        if panels < 1 or order < 1:
+            raise ValueError(f"grid spec {part!r} needs panels >= 1 and order >= 1")
         specs.append((hi, panels, order))
     return specs

@@ -1,6 +1,7 @@
-"""Pointwise references for the tests: the kernel as a multivector, the
-weight w_k and the generalized Hermite functions, each evaluated one
-point (or one row of points) at a time, apart from the engine's tables."""
+"""References for the tests, computed apart from the library's routes:
+the kernel's defining power series, the Mehta integral by quadrature, the
+kernel as a multivector, the weight w_k and the generalized Hermite
+functions, each evaluated one point (or one row of points) at a time."""
 
 import numpy as np
 
@@ -12,6 +13,71 @@ from cliffdunkl.dunkl_rank1 import (
     eval_orthonormal,
     hermite_basis,
 )
+from cliffdunkl.quadrature import build_axis
+
+COEFF_CAP = 400
+SERIES_RADIUS = 4.0  # series error floor eps*e^|t| stays below ~1e-13 here
+
+
+def series_coefficients(kappa: float, t_max: float = SERIES_RADIUS) -> np.ndarray:
+    """c_0..c_N of E = sum c_n t^n, c_n = c_(n-1) / (n + 2 kappa [n odd]),
+    with the tail |c_N t_max^N| below 1e-16."""
+    coeffs = [1.0]
+    scale = 1.0  # c_n * t_max^n
+    quiet = 0
+    while quiet < 2:
+        n = len(coeffs)
+        if n > COEFF_CAP:
+            raise ValueError(f"the series needs more than {COEFF_CAP} coefficients")
+        divisor = n + (2.0 * kappa if n % 2 == 1 else 0.0)
+        coeffs.append(coeffs[-1] / divisor)
+        scale = scale * t_max / divisor
+        quiet = quiet + 1 if scale < 1e-16 else 0
+    return np.array(coeffs)
+
+
+def _kahan_poly(coeff_signed: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Compensated sum of coeff[k] * powers[k] in fixed ascending order."""
+    s = np.zeros_like(powers[0])
+    c = np.zeros_like(s)
+    for a, p in zip(coeff_signed, powers):
+        y = a * p - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s
+
+
+def kernel_ab_series(kappa: float, t) -> tuple:
+    """(A, B) of E(x, -u y) = A + u B by compensated ascending-degree
+    summation of the series, for |t| <= SERIES_RADIUS."""
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > SERIES_RADIUS):
+        raise ValueError(f"the series oracle is trusted for |t| <= {SERIES_RADIUS} only")
+    c = series_coefficients(kappa)
+    N = len(c) - 1
+    n_even = (N // 2) + 1
+    n_odd = (N + 1) // 2
+    t2 = t * t
+    even_pows = np.empty((n_even,) + t.shape)
+    even_pows[0] = 1.0
+    for m in range(1, n_even):
+        even_pows[m] = even_pows[m - 1] * t2
+    even_coeff = c[0 : 2 * n_even : 2] * np.where(np.arange(n_even) % 2, -1.0, 1.0)
+    A = _kahan_poly(even_coeff, even_pows)
+    odd_pows = even_pows[:n_odd] * t
+    odd_coeff = c[1 : 2 * n_odd : 2] * np.where(np.arange(n_odd) % 2, 1.0, -1.0)
+    B = _kahan_poly(odd_coeff, odd_pows)
+    return A, B
+
+
+def mehta_factor_quadrature(kappa: float) -> float:
+    """int e^(-s^2/2) |s|^(2 kappa) ds by panelled quadrature, the inverse
+    of the one-coordinate Mehta constant; accurate for small kappa only
+    (the peak at sqrt(2 kappa) outgrows the panels from kappa ~ 45)."""
+    # e^(-s^2/2) |s|^(2 kappa) tail at L=13 is ~1e-36; unit panels suffice
+    axis = build_axis(kappa, L=13.0, panels=13, order=16)
+    return float(np.sum(axis.weights * axis.wk * np.exp(-0.5 * axis.nodes**2)))
 
 
 def eval_kernel_block(

@@ -603,12 +603,27 @@ def test_mehta_plan_evaluates_its_constant_at_most_once(sig02, ms_std, unit_a, u
 
 
 def test_forward_only_raw_plan_never_evaluates_the_mehta_constant(sig02, unit_a, unit_b):
-    # mehta_constant raises QuadratureDisagreement at kappa = 60; a raw
+    # mehta_constant underflows at kappa = 200 (OverflowError); a raw
     # forward transform does not need it
-    ms = MultiplicitySplit((60.0, 0.5), 1)
+    ms = MultiplicitySplit((200.0, 0.5), 1)
     plan = build_plan(sig02, ms, unit_a, unit_b, L_x=4.0, L_y=4.0, order=8)
     F = forward(gaussian_field(sig02, ms), plan)
     assert np.all(np.isfinite(F.values))
+
+
+def test_underflowing_constants_raise_instead_of_nan(sig02, unit_a, unit_b):
+    # raw inverse: (c_p c_q)^2 underflows to 0 although c_p, c_q are normal
+    ms = MultiplicitySplit((100.0, 0.5), 1)
+    plan = build_plan(sig02, ms, unit_a, unit_b, L_x=4.0, L_y=4.0, order=8)
+    F = forward(gaussian_field(sig02, ms), plan)
+    with pytest.raises(OverflowError, match="underflows"):
+        inverse(F, plan)
+    # mehta plan: c_p itself underflows
+    ms = MultiplicitySplit((200.0, 0.5), 1)
+    plan = build_plan(sig02, ms, unit_a, unit_b, L_x=4.0, L_y=4.0, order=8,
+                      normalization="mehta")
+    with pytest.raises(OverflowError, match="underflows"):
+        forward(gaussian_field(sig02, ms), plan)
 
 
 # -- reports and the ledger ---------------------------------------------------
@@ -696,7 +711,7 @@ def test_plan_rejects_mismatched_pieces(sig02, ms_std, unit_a, unit_b):
     with pytest.raises(ValueError):
         build_plan(sig02, ms_std, unit_a, unit_b, L_x=4.0, normalization="unitary")
     with pytest.raises(ArgumentOutOfRadius):
-        build_plan(sig02, ms_std, unit_a, unit_b, L_x=9.0, L_y=9.0)  # 81 > KERNEL_RADIUS_CAP
+        build_plan(sig02, ms_std, unit_a, unit_b, L_x=18.0, L_y=18.0)  # 324 > KERNEL_RADIUS_CAP
 
 
 def test_transform_rejects_foreign_fields(sig02, ms_std, unit_a, unit_b, plan_std):

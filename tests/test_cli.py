@@ -235,26 +235,32 @@ def test_input_errors_exit_3(tmp_path, gauss_file, capsys):
 
 def test_numerical_failures_exit_4(tmp_path, gauss_file, capsys):
     rc = main(["transform", "--field", str(gauss_file),
-               "--in-grid", "-12:12:1:16", "--out-grid", "-12:12:1:16",
+               "--in-grid", "-18:18:1:16", "--out-grid", "-18:18:1:16",
                "--out", str(tmp_path / "o.json")])
     assert rc == 4  # kernel argument beyond the trusted radius
     capsys.readouterr()
 
 
-def test_mehta_quadrature_disagreement_exits_4(tmp_path, capsys):
-    # kappa = 60: the Mehta constant's quadrature drifts from its gamma
-    # closed form, which is reported as a numerical failure, not a traceback
-    doc = dict(_gauss_doc(), kappa=[60.0, 0.5])
-    path = tmp_path / "k60.json"
-    path.write_text(json.dumps(doc))
-    rc = main(["roundtrip", "--field", str(path),
-               "--in-grid", "-4:4:1:8", "--out-grid", "-4:4:1:8"])
-    assert rc == 4
-    assert "numerical failure" in capsys.readouterr().err
+def test_large_kappa_roundtrip_until_the_constant_underflows(tmp_path, capsys):
+    # kappa = 60 has a normal Mehta constant, so the command runs (the
+    # residual is ~1: the weighted mass sits near |x| = sqrt(2 kappa),
+    # outside this grid); at kappa = 100 (c_p c_q)^2 underflows, which is
+    # a numerical failure instead of a NaN residual
+    for kappa, code in ((60.0, 0), (100.0, 4)):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(dict(_gauss_doc(), kappa=[kappa, 0.5])))
+        rc = main(["roundtrip", "--field", str(path),
+                   "--in-grid", "-4:4:1:8", "--out-grid", "-4:4:1:8"])
+        out, err = capsys.readouterr()
+        assert rc == code
+        if code == 0:
+            assert math.isfinite(float(re.search(r"error: (\S+)", out).group(1)))
+        else:
+            assert "numerical failure" in err and "Traceback" not in err
 
 
 def test_non_finite_kappa_is_an_input_error(tmp_path, capsys):
-    # a NaN multiplicity used to surface much later as a TruncationTooLarge traceback
+    # a NaN multiplicity is refused when the file is read, not deep in a plan
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(dict(_gauss_doc(), kappa=[math.nan, 0.5])))
     rc = main(["translate", "--field", str(path), "--z", "0.1,0.2",
@@ -280,6 +286,11 @@ def test_miyachi_bad_ladder_exits_2(tmp_path, gauss_file, capsys):
                "--alpha", "1", "--beta", "1", "--lambda", "1",
                "--ladder", "5,4,3,2"])
     assert rc == 2
+    for flag in ("--alpha", "--beta", "--lambda"):
+        values = {"--alpha": "1", "--beta": "1", "--lambda": "1", flag: "nan"}
+        rc = main(["miyachi", "--field", str(gauss_file),
+                   *(x for kv in values.items() for x in kv)])
+        assert rc == 2
     rc = main(["miyachi", "--field", str(gauss_file),
                "--alpha", "1", "--beta", "1", "--lambda", "1", "--ladder", "1,2,nan"])
     assert rc == 2
@@ -293,7 +304,7 @@ def test_miyachi_bad_ladder_exits_2(tmp_path, gauss_file, capsys):
     ({"split": 0}, 3),
     ([1, 2], 3),
     ({"kapa": [0.5, 0.5]}, 3),  # a misspelt key is not silently ignored
-    ({"L_x": 10.0, "L_y": 10.0}, 4),  # beyond the kernel radius
+    ({"L_x": 18.0, "L_y": 18.0}, 4),  # beyond the kernel radius
 ])
 def test_verify_config_errors(tmp_path, capsys, config, code):
     cfg = tmp_path / "cfg.json"
@@ -323,7 +334,7 @@ def test_signature_beyond_six_generators(tmp_path, capsys):
     (["kernel", "--kappa", "nan", "--t", "1"], 2),
     (["kernel", "--kappa", "inf", "--t", "1"], 2),
     (["kernel", "--kappa", "0.5", "--t", "nan"], 2),
-    (["kernel", "--kappa", "0.5", "--t", "1e300"], 4),  # kernel series truncation
+    (["kernel", "--kappa", "0.5", "--t", "1e300"], 4),  # beyond the kernel radius
 ])
 def test_kernel_flag_domain(capsys, argv, code):
     assert main(argv) == code
@@ -338,3 +349,11 @@ def test_non_finite_translation_exits_2(tmp_path, gauss_file, capsys):
         assert rc == 2
     assert not (tmp_path / "o.json").exists()
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["-6:6:0:8", "-6:6:1:0", "-6:6:-1:8"])
+def test_grid_spec_needs_a_panel_and_a_node(gauss_file, capsys, spec):
+    rc = main(["roundtrip", "--field", str(gauss_file), "--in-grid", spec, "--out-grid", spec])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "usage error" in err and "Traceback" not in err

@@ -9,23 +9,38 @@ from scipy.special import gammaln, jv
 from cliffdunkl.clifford_core import MultiVector, Signature, modulus, validate_imaginary
 from cliffdunkl.dunkl_rank1 import (
     HERMITE_N_CAP,
-    SERIES_RADIUS,
+    KERNEL_RADIUS_CAP,
     ArgumentOutOfRadius,
     MultiplicitySplit,
-    TruncationTooLarge,
     eval_kernel_ab,
     eval_orthonormal,
     hermite_basis,
     kernel_ab_integral,
-    kernel_ab_series,
     kernel_coefficients,
+    kernel_rule_order,
     mehta_constant,
-    mehta_factor_gamma,
     psi_rule,
 )
 from cliffdunkl.quadrature import build_grid, integrate
 
-from oracles import eval_h, eval_kernel_block, weight
+from oracles import (
+    SERIES_RADIUS,
+    eval_h,
+    eval_kernel_block,
+    kernel_ab_series,
+    mehta_factor_quadrature,
+    series_coefficients,
+    weight,
+)
+
+_T_SERIES = np.linspace(-SERIES_RADIUS, SERIES_RADIUS, 801)
+
+
+def _assert_matches_series(kappa, t_max, tol):
+    A, B = eval_kernel_ab(kernel_coefficients(kappa, t_max=t_max), _T_SERIES)
+    As, Bs = kernel_ab_series(kappa, _T_SERIES)
+    assert np.max(np.abs(A - As)) <= tol
+    assert np.max(np.abs(B - Bs)) <= tol
 
 
 def test_split_bookkeeping():
@@ -46,39 +61,45 @@ def test_split_rejects_non_finite_multiplicities(bad):
 
 
 def test_coefficients_k0_are_inverse_factorials():
-    table = kernel_coefficients(0.0)
-    for n in range(min(21, len(table.coeffs))):
-        assert table.coeffs[n] == pytest.approx(1.0 / math.factorial(n), rel=1e-14)
+    coeffs = series_coefficients(0.0, t_max=30.0)
+    for n in range(min(21, len(coeffs))):
+        assert coeffs[n] == pytest.approx(1.0 / math.factorial(n), rel=1e-14)
+    # kappa = 0 is (cos t, -sin t), which the series sums to the same values
+    _assert_matches_series(0.0, 30.0, 1e-14)
 
 
 def test_coefficients_k1_first_values():
-    table = kernel_coefficients(1.0)
-    assert table.coeffs[0] == 1.0
-    assert table.coeffs[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert table.coeffs[2] == pytest.approx(1.0 / 6.0, rel=1e-15)
-    assert table.coeffs[3] == pytest.approx(1.0 / 30.0, rel=1e-15)
+    coeffs = series_coefficients(1.0, t_max=30.0)
+    assert coeffs[0] == 1.0
+    assert coeffs[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert coeffs[2] == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert coeffs[3] == pytest.approx(1.0 / 30.0, rel=1e-15)
+    _assert_matches_series(1.0, 30.0, 1e-14)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.25, 0.7, 1.0, 2.3])
 def test_coefficient_recurrence_and_normalization(kappa):
-    table = kernel_coefficients(kappa)
-    assert table.coeffs[0] == 1.0
-    for n in range(1, len(table.coeffs)):
+    coeffs = series_coefficients(kappa, t_max=30.0)
+    assert coeffs[0] == 1.0
+    for n in range(1, len(coeffs)):
         denom = n + (2.0 * kappa if n % 2 == 1 else 0.0)
-        assert table.coeffs[n] == pytest.approx(table.coeffs[n - 1] / denom, rel=1e-15)
+        assert coeffs[n] == pytest.approx(coeffs[n - 1] / denom, rel=1e-15)
+    _assert_matches_series(kappa, 30.0, 1e-14)
 
 
 def test_truncation_cap():
-    with pytest.raises(TruncationTooLarge):
+    with pytest.raises(ArgumentOutOfRadius):
         kernel_coefficients(0.5, t_max=2000.0)
+    with pytest.raises(ArgumentOutOfRadius):
+        kernel_coefficients(0.5, t_max=math.inf)
+    assert kernel_coefficients(0.5, t_max=KERNEL_RADIUS_CAP).t_max == KERNEL_RADIUS_CAP
 
 
 def test_eigen_equation_residual():
     # T_x E(x,y) = y E(x,y) for the rank-one operator
     # T f = f' + kappa*(f(x)-f(-x))/x, applied to the truncated series
     kappa = 0.8
-    table = kernel_coefficients(kappa, t_max=12.0)
-    c = np.asarray(table.coeffs)
+    c = series_coefficients(kappa, t_max=12.0)
     rng = np.random.default_rng(9)
     for _ in range(20):
         x = rng.uniform(-3.0, 3.0)
@@ -89,6 +110,8 @@ def test_eigen_equation_residual():
         fmx = float(np.sum(c * (-x * y) ** n))
         T = dfx + kappa * (fx - fmx) / x
         assert abs(T - y * fx) < 1e-9 * max(1.0, abs(y * fx))
+    # and the library's kernel is that series
+    _assert_matches_series(kappa, 12.0, 1e-14)
 
 
 def test_kernel_t0_and_k0_closed_form():
@@ -118,15 +141,16 @@ def test_kernel_against_hypergeometric(kappa):
 
 
 def test_series_and_integral_routes_agree():
-    # overlap region around the switch radius; the series loses digits as
-    # e^|t| beyond it, which is the reason for the switch
-    kappa = 0.6
-    table = kernel_coefficients(kappa, t_max=26.0)
-    for t in (0.5, 1.0, 2.0, 3.0, 3.9, 4.1, 5.0, 6.0):
-        As, Bs = kernel_ab_series(table, t)
-        Ai, Bi = kernel_ab_integral(kappa, t)
-        assert abs(float(As) - float(Ai)) < 1e-12
-        assert abs(float(Bs) - float(Bi)) < 1e-12
+    # the series oracle loses digits as e^|t| beyond SERIES_RADIUS, so it
+    # is compared there only; the table's radius sets the rule order
+    for kappa in (1e-6, 0.6, 7.5, 100.0):
+        table = kernel_coefficients(kappa, t_max=26.0)
+        for t in (0.5, 1.0, 2.0, 3.0, 3.9, 4.0, -2.5):
+            As, Bs = kernel_ab_series(kappa, t)
+            A, B = eval_kernel_ab(table, t)
+            assert abs(float(As) - A) < 1e-12
+            assert abs(float(Bs) - B) < 1e-12
+        _assert_matches_series(kappa, KERNEL_RADIUS_CAP, 1e-14)
 
 
 def _bessel_ab(kappa, t):
@@ -139,15 +163,32 @@ def _bessel_ab(kappa, t):
 
 @pytest.mark.parametrize("kappa", [1e-6, 1e-3, 0.05, 0.3, 0.5, 1.0, 2.7, 7.5, 15.0, 30.0])
 def test_kernel_against_scipy_bessel(kappa):
-    # both routes: the series within SERIES_RADIUS, the integral beyond
     table = kernel_coefficients(kappa, t_max=80.0)
     t = np.concatenate([np.linspace(-80.0, 80.0, 2001), np.linspace(-4.0, 4.0, 801)])
     t = t[t != 0.0]
-    assert np.any(np.abs(t) <= SERIES_RADIUS) and np.any(np.abs(t) > SERIES_RADIUS)
     A, B = eval_kernel_ab(table, t)
     A_ref, B_ref = _bessel_ab(kappa, t)
     assert np.max(np.abs(A - A_ref)) <= 8e-14
     assert np.max(np.abs(B - B_ref)) <= 8e-14
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1e-3, 0.3, 0.7, 2.7, 30.0, 60.0])
+def test_kernel_to_the_radius_cap(kappa):
+    # the floor is the eps*|t| argument reduction of cos(t s) and sin(t s)
+    table = kernel_coefficients(kappa, t_max=KERNEL_RADIUS_CAP)
+    t = np.linspace(-KERNEL_RADIUS_CAP, KERNEL_RADIUS_CAP, 6001)
+    t = t[t != 0.0]
+    A, B = eval_kernel_ab(table, t)
+    A_ref, B_ref = _bessel_ab(kappa, t)
+    assert np.max(np.abs(A - A_ref)) <= 2e-13
+    assert np.max(np.abs(B - B_ref)) <= 2e-13
+    mpmath.mp.dps = 30
+    ts = np.linspace(-KERNEL_RADIUS_CAP, KERNEL_RADIUS_CAP, 61)
+    A, B = eval_kernel_ab(table, ts)
+    for t, a, b in zip(ts, A, B):
+        z = -0.25 * t * t
+        assert abs(a - float(mpmath.hyp0f1(kappa + 0.5, z))) <= 2e-13
+        assert abs(b + t / (2.0 * kappa + 1.0) * float(mpmath.hyp0f1(kappa + 1.5, z))) <= 2e-13
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.25, 0.5, 1.0, 2.0])
@@ -214,7 +255,23 @@ def test_mehta_constant_values():
 def test_mehta_gamma_factor_matches_quadrature():
     for kappa in (0.0, 0.3, 0.7, 1.5):
         got = mehta_constant((kappa,))
-        assert got == pytest.approx(1.0 / mehta_factor_gamma(kappa), rel=1e-10)
+        assert got == pytest.approx(1.0 / mehta_factor_quadrature(kappa), rel=1e-10)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3, 0.7, 1.5, 45.0, 60.0, 100.0, 150.0])
+def test_mehta_constant_against_mpmath(kappa):
+    mpmath.mp.dps = 30
+    k = mpmath.mpf(kappa)
+    want = 1 / (mpmath.mpf(2) ** (k + 0.5) * mpmath.gamma(k + 0.5))
+    got = mehta_constant((kappa,))
+    assert abs(got / want - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("block", [(155.0,), (160.0,), (200.0,), (1e4,), (100.0, 100.0)])
+def test_mehta_constant_refuses_what_is_not_a_normal_float(block):
+    # (155,) is subnormal, the rest underflow to 0 (or overflow Gamma)
+    with pytest.raises(OverflowError, match="underflows"):
+        mehta_constant(block)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.35, 1.0])
@@ -273,14 +330,14 @@ def test_psi_rule_mass_and_mean(kappa):
 
 @pytest.mark.parametrize("kappa", [1e-17, 1e-300])
 def test_kernel_at_float_zero_kappa_is_the_kappa_zero_kernel(kappa):
-    # kappa - 1 == -1 in float64: no Jacobi rule exists, and both routes
-    # give the kappa = 0 kernel (cos t, -sin t) exactly
+    # kappa - 1 == -1 in float64: no Jacobi rule exists, and the kernel
+    # is the kappa = 0 kernel (cos t, -sin t) exactly
     assert kappa - 1.0 == -1.0
     t = np.linspace(-30.0, 30.0, 601)
     A0, B0 = eval_kernel_ab(kernel_coefficients(0.0, t_max=31.0), t)
     A, B = eval_kernel_ab(kernel_coefficients(kappa, t_max=31.0), t)
     assert np.array_equal(A, A0) and np.array_equal(B, B0)
-    Ai, Bi = kernel_ab_integral(kappa, t)
+    Ai, Bi = kernel_ab_integral(kappa, t, kernel_rule_order(31.0))
     assert np.array_equal(Ai, np.cos(t)) and np.array_equal(Bi, -np.sin(t))
 
 

@@ -51,6 +51,9 @@ def test_classify_rejects_nonpositive_parameters():
         classify(0.0, 1.0)
     with pytest.raises(ValueError):
         classify(1.0, -0.2)
+    for alpha, beta in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            classify(alpha, beta)
 
 
 def test_config_validation():
@@ -70,6 +73,9 @@ def test_config_validation():
         MiyachiConfig(1.0, 1.0, 1.0, ladder=(2.0, 3.0))
     with pytest.raises(ValueError):
         MiyachiConfig(1.0, 1.0, 1.0, ladder=(2.0, 2.0, 3.0))
+    for params in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+        with pytest.raises(ValueError, match="positive"):
+            MiyachiConfig(*params)
     for ladder in ((1.0, 2.0, math.nan), (1.0, 2.0, math.inf), (0.0, 1.0, 2.0)):
         with pytest.raises(ValueError, match="finite and positive"):
             MiyachiConfig(1.0, 1.0, 1.0, ladder=ladder)

@@ -174,3 +174,6 @@ def test_parse_grid_spec():
         parse_grid_spec("-6:6:1")
     with pytest.raises(ValueError):
         parse_grid_spec("-6:5:1:48")
+    for spec in ("-6:6:0:48", "-6:6:1:0"):
+        with pytest.raises(ValueError, match=">= 1"):
+            parse_grid_spec(spec)
