@@ -77,6 +77,9 @@ from .quadrature import TensorGrid, build_grid
 
 CONVOLVE_BUDGET = 1 << 20  # kernel evaluations per output node (= y-grid size)
 _EXPLICIT_CHUNK = 1 << 15  # field values per call in translate_explicit
+_PSI_ORDERS = (8, 16, 32, 64)  # psi orders the adaptive translate_explicit tries, in turn
+_PSI_RTOL = 1e-14  # agreement of two successive orders, relative max norm
+_PROBE_STRIDE = 16  # every k-th requested point joins the order probe
 
 
 class PlanMismatch(ValueError):
@@ -572,17 +575,29 @@ def _grid_meta(plan: TransformPlan) -> dict:
 
 
 def _block_constant(ms: MultiplicitySplit) -> float:
-    """The asserted eigenvalue factor c_p^-2 c_q^-2 2^(g_p+p/2) 2^(g_q+q/2)."""
+    """The asserted eigenvalue factor c_p^-2 c_q^-2 2^(g_p+p/2) 2^(g_q+q/2).
+
+    Raises OverflowError when it is not a finite float (c_p c_q below about
+    1e-154, as for kappa = (100, 0.5)).
+    """
     cp = mehta_constant(ms.kappa_p)
     cq = mehta_constant(ms.kappa_q)
     p = ms.split
     q = ms.d - ms.split
-    return (
-        cp ** (-2.0)
-        * cq ** (-2.0)
-        * 2.0 ** (ms.gamma_p + p / 2.0)
-        * 2.0 ** (ms.gamma_q + q / 2.0)
-    )
+    try:
+        value = (
+            cp ** (-2.0)
+            * cq ** (-2.0)
+            * 2.0 ** (ms.gamma_p + p / 2.0)
+            * 2.0 ** (ms.gamma_q + q / 2.0)
+        )
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(
+            f"block constant c_p^-2 c_q^-2 2^(gamma+d/2) overflows for kappa = {ms.kappa}"
+        )
+    return value
 
 
 def plancherel_ratio(f, plan: TransformPlan) -> tuple:
@@ -591,13 +606,16 @@ def plancherel_ratio(f, plan: TransformPlan) -> tuple:
     The asserted constant is stated for the unnormalized transform; for a
     mehta-mode plan it is rescaled by (c_p c_q)^2 before comparison.
     """
+    block, scale = _block_constant(plan.ms), plan.mode_scale  # before any transform
+    paper = (block * block) * (scale * scale)
+    if not math.isfinite(paper):
+        raise OverflowError(f"squared block constant overflows for kappa = {plan.ms.kappa}")
     values = _sample_on(f, plan.grid_x, plan.sig, plan.ms)
     fin = SampledField(plan.sig, plan.ms, plan.grid_x, values)
     n_in = fin.norm2()
     if n_in == 0.0:
         raise ZeroNormField("cannot form a Plancherel ratio for the zero field")
     ratio = forward(fin, plan).norm2() / n_in
-    paper = _block_constant(plan.ms) ** 2 * plan.mode_scale**2
     report = ClaimReport.make(
         "plancherel-constant",
         paper,
@@ -789,7 +807,72 @@ def _branch_table(x: np.ndarray, zj: float, rule) -> tuple:
     return np.hstack((om, -om)), 0.5 * np.hstack((w * (1.0 + ratio), w * (1.0 - ratio)))
 
 
-def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *, order: int = 48) -> AnalyticField:
+def _psi_rules(kappa, order: int) -> list:
+    """One psi rule of `order` nodes per axis, None for an exact shift."""
+    return [None if zero_limit(k) else psi_rule(k, order) for k in kappa]
+
+
+def _explicit_pass(fn, pts: list, z: np.ndarray, rules: list) -> np.ndarray:
+    """tau_z fn at the flattened points `pts`, one psi rule per axis.
+
+    The axis with the most branches rides along as a trailing array axis;
+    Python loops over the other axes' branches only, one field call of at
+    most `_EXPLICIT_CHUNK` values each, and accumulates in place.
+    """
+    widths = [1 if r is None else 2 * len(r[0]) for r in rules]
+    inner = int(np.argmax(widths))
+    outer = [j for j in range(len(pts)) if j != inner]
+    step = max(1, _EXPLICIT_CHUNK // widths[inner])
+    out = np.empty(pts[0].size)
+    coef, term = np.empty(min(step, out.size)), np.empty(min(step, out.size))
+    for lo in range(0, out.size, step):
+        tabs = [_branch_table(x[lo:lo + step], z[j], rules[j]) for j, x in enumerate(pts)]
+        args, acc = [c for c, _ in tabs], out[lo:lo + step]
+        m = acc.size
+        acc.fill(0.0)
+        for branch in itertools.product(*(range(widths[j]) for j in outer)):
+            c = None
+            for j, b in zip(outer, branch):
+                args[j], col = tabs[j][0][:, b:b + 1], tabs[j][1][:, b]
+                c = col if c is None else np.multiply(c, col, out=coef[:m])
+            vals = np.broadcast_to(np.asarray(fn(*args), dtype=float), tabs[inner][0].shape)
+            t = np.einsum("ij,ij->i", vals, tabs[inner][1], out=term[:m])
+            if c is not None:
+                t *= c
+            acc += t
+    return out
+
+
+def _psi_order(fn, pts: list, z: np.ndarray, kappa) -> tuple:
+    """(order, estimate): the psi order for tau_z fn at `pts`, and the error
+    estimate behind it.
+
+    A probe of every `_PROBE_STRIDE`-th point, plus the point of largest
+    |x_j| on each axis (where |x_j z_j|, and so the integrand's variation,
+    peaks), runs at the orders of `_PSI_ORDERS` in turn until two successive
+    results agree to `_PSI_RTOL` in relative max norm; the lower order of
+    that pair is returned with their difference.  Without agreement the
+    last order is returned with the last difference.  Exact shifts on every
+    axis, or no points, need no probe: (first order, 0.0).
+    """
+    if pts[0].size == 0 or all(zero_limit(k) for k in kappa):
+        return _PSI_ORDERS[0], 0.0
+    idx = np.unique(np.concatenate(
+        [np.arange(0, pts[0].size, _PROBE_STRIDE)] + [[np.argmax(np.abs(x))] for x in pts]))
+    probe = [x[idx] for x in pts]
+    prev = _explicit_pass(fn, probe, z, _psi_rules(kappa, _PSI_ORDERS[0]))
+    for low, high in zip(_PSI_ORDERS, _PSI_ORDERS[1:]):
+        cur = _explicit_pass(fn, probe, z, _psi_rules(kappa, high))
+        diff, scale = np.max(np.abs(cur - prev)), np.max(np.abs(cur))
+        est = float(diff / scale) if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
+        if est <= _PSI_RTOL:
+            return low, est
+        prev = cur
+    return high, est
+
+
+def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *,
+                       order: int | None = None) -> AnalyticField:
     """Rank-one (Roesler) translation of an analytic field, blade by blade.
 
     A kappa_j > 0 coordinate applies the one-dimensional formula
@@ -797,43 +880,33 @@ def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *, order: int
         (tau f)(x) = 1/2 int f(+Omega) (1 + (x-z)/Omega) psi(t) dt
                    + 1/2 int f(-Omega) (1 - (x-z)/Omega) psi(t) dt
 
-    with the psi_kappa rule of `order` nodes; a kappa_j = 0 coordinate (or
+    with a Gauss-Jacobi rule for psi_kappa; a kappa_j = 0 coordinate (or
     one too small to tell from 0, see `zero_limit`) is the exact shift
-    x_j - z_j.  Coordinates enter separately, so tau f sums
-    the field over the product of the axes' branch tables, weighted by the
-    product of the branch coefficients.  The returned callables flatten
-    their broadcast coordinates and walk them in chunks: the axis with the
-    most branches rides along as a trailing array axis, and Python loops
-    over the other axes' branches only, one field call of at most
-    `_EXPLICIT_CHUNK` values each, so temporaries stay bounded.
+    x_j - z_j.  Coordinates enter separately, so tau f sums the field over
+    the product of the axes' branch tables, weighted by the product of the
+    branch coefficients, in chunks of at most `_EXPLICIT_CHUNK` field values.
+
+    The psi order is chosen per call of a returned blade callable: a probe
+    of the requested points runs at orders 8, 16, 32 and 64 until two
+    successive orders agree to 1e-14 (relative, max norm), and every point
+    then runs at the lower order of that pair, or at 64 if no pair agrees.
+    The integrand is entire in t for an entire field, so the rule converges
+    spectrally.  `order` fixes the psi order instead, for every call.
     """
     if not isinstance(f, AnalyticField):
         raise TypeError("explicit translation needs an analytic field")
     if f.ms != ms:
         raise PlanMismatch("field multiplicities differ")
     z = _shift(z, ms.d)
-    rules = [None if zero_limit(k) else psi_rule(k, order) for k in ms.kappa]
-    widths = [1 if r is None else 2 * len(r[0]) for r in rules]
-    inner = int(np.argmax(widths))
-    outer = [j for j in range(ms.d) if j != inner]
-    step = max(1, _EXPLICIT_CHUNK // widths[inner])
+    fixed = None if order is None else _psi_rules(ms.kappa, order)
 
     def translated(*X, fn):
         X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
         pts = [x.ravel() for x in X]
-        out = np.empty(pts[0].size)
-        for lo in range(0, out.size, step):
-            tabs = [_branch_table(x[lo:lo + step], z[j], rules[j]) for j, x in enumerate(pts)]
-            args, acc = [c for c, _ in tabs], 0.0
-            for branch in itertools.product(*(range(widths[j]) for j in outer)):
-                coef = 1.0
-                for j, b in zip(outer, branch):
-                    args[j] = tabs[j][0][:, b:b + 1]
-                    coef = coef * tabs[j][1][:, b]
-                vals = np.broadcast_to(np.asarray(fn(*args), dtype=float), tabs[inner][0].shape)
-                acc = acc + coef * np.einsum("ij,ij->i", vals, tabs[inner][1])
-            out[lo:lo + step] = acc
-        return out.reshape(X[0].shape)
+        rules = fixed
+        if rules is None:
+            rules = _psi_rules(ms.kappa, _psi_order(fn, pts, z, ms.kappa)[0])
+        return _explicit_pass(fn, pts, z, rules).reshape(X[0].shape)
 
     blades = {mask: partial(translated, fn=fn) for mask, fn in f.blades.items()}
     return AnalyticField(f.sig, ms, blades)
@@ -937,6 +1010,7 @@ def run_claims_ledger(config: dict | None = None) -> list:
         )
         for mode in ("raw", "mehta")
     }
+    _c_squared(plans["raw"])  # an underflowing (c_p c_q)^2 stops the ledger before any transform
     meta = _grid_meta(plans["raw"])
     reports = []
 

@@ -234,7 +234,7 @@ def eval_orthonormal(alpha: np.ndarray, beta: np.ndarray, n: int, s) -> np.ndarr
     return p
 
 
-def psi_rule(kappa: float, order: int = 48):
+def psi_rule(kappa: float, order: int):
     """Nodes and weights integrating f against the translation density
     psi_kappa(t) = Gamma(kappa+1/2)/(sqrt(pi) Gamma(kappa)) (1+t)(1-t^2)^(kappa-1),
     whose total mass is exactly 1.  A `zero_limit` kappa gets its limit

@@ -206,7 +206,12 @@ class Grid1D:
 
 def build_axis(kappa: float, L: float, panels: int, order: int) -> Grid1D:
     """Uniform panels per side, split at 0; singular inner panel gets the
-    x^(2 kappa)-weighted Gauss rule (exposed as effective dx weights)."""
+    x^(2 kappa)-weighted Gauss rule (exposed as effective dx weights).
+
+    Raises OverflowError when a weight factor is not a finite float: the
+    inner panel's x^(2 kappa) rule or |L|^(2 kappa) itself overflows
+    once 2 kappa ln L nears 709 (kappa = 200 at L = 6).
+    """
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
     if L <= 0.0 or panels < 1 or order < 1:
@@ -214,22 +219,27 @@ def build_axis(kappa: float, L: float, panels: int, order: int) -> Grid1D:
     h = L / panels
     xs = []
     ws = []
-    for i in range(panels):
-        lo, hi = i * h, (i + 1) * h
-        if i == 0 and kappa > 0.0:
-            n, w = power_rule(2.0 * kappa, hi, order)
-            w = w / n ** (2.0 * kappa)
-        else:
-            t, w0 = legendre_rule(order)
-            n = lo + (hi - lo) / 2.0 * (t + 1.0)
-            w = (hi - lo) / 2.0 * w0
-        xs.append(n)
-        ws.append(w)
-    pos = np.concatenate(xs)
-    wpos = np.concatenate(ws)
-    nodes = np.concatenate([-pos[::-1], pos])
-    weights = np.concatenate([wpos[::-1], wpos])
-    wk = np.abs(nodes) ** (2.0 * kappa) if kappa > 0.0 else np.ones_like(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(panels):
+            lo, hi = i * h, (i + 1) * h
+            if i == 0 and kappa > 0.0:
+                n, w = power_rule(2.0 * kappa, hi, order)
+                w = w / n ** (2.0 * kappa)
+            else:
+                t, w0 = legendre_rule(order)
+                n = lo + (hi - lo) / 2.0 * (t + 1.0)
+                w = (hi - lo) / 2.0 * w0
+            xs.append(n)
+            ws.append(w)
+        pos = np.concatenate(xs)
+        wpos = np.concatenate(ws)
+        nodes = np.concatenate([-pos[::-1], pos])
+        weights = np.concatenate([wpos[::-1], wpos])
+        wk = np.abs(nodes) ** (2.0 * kappa) if kappa > 0.0 else np.ones_like(nodes)
+    if not (np.isfinite(weights).all() and np.isfinite(wk).all()):
+        raise OverflowError(
+            f"quadrature weights overflow for kappa = {kappa!r} on (-{L!r}, {L!r})"
+        )
     for arr in (nodes, weights, wk):
         arr.flags.writeable = False
     return Grid1D(

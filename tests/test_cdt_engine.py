@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -624,6 +625,28 @@ def test_underflowing_constants_raise_instead_of_nan(sig02, unit_a, unit_b):
                       normalization="mehta")
     with pytest.raises(OverflowError, match="underflows"):
         forward(gaussian_field(sig02, ms), plan)
+
+
+def test_overflowing_block_constant_is_named(sig02, unit_a, unit_b):
+    # c_p^-2 at kappa = 100 exceeds the float range: the error names the
+    # constant and kappa instead of "(34, 'Numerical result out of range')"
+    ms = MultiplicitySplit((100.0, 0.5), 1)
+    plan = build_plan(sig02, ms, unit_a, unit_b, L_x=4.0, L_y=4.0, order=8)
+    with pytest.raises(OverflowError, match=r"block constant .* kappa = \(100.0, 0.5\)"):
+        eigencheck((0,), (0,), plan)
+    # at kappa = 60 the constant is finite but its square, the Plancherel
+    # constant, is not; both are checked before any transform runs
+    ms = MultiplicitySplit((60.0, 0.5), 1)
+    plan = build_plan(sig02, ms, unit_a, unit_b, L_x=4.0, L_y=4.0, order=8)
+    with pytest.raises(OverflowError, match=r"squared block constant .* kappa = \(60.0, 0.5\)"):
+        plancherel_ratio(gaussian_field(sig02, ms), plan)
+
+
+def test_ledger_stops_on_the_constant_before_any_transform():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="underflows"):
+            run_claims_ledger({"kappa": (100.0, 0.5)})
 
 
 # -- reports and the ledger ---------------------------------------------------

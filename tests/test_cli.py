@@ -10,6 +10,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,31 @@ def test_large_kappa_roundtrip_until_the_constant_underflows(tmp_path, capsys):
             assert math.isfinite(float(re.search(r"error: (\S+)", out).group(1)))
         else:
             assert "numerical failure" in err and "Traceback" not in err
+
+
+def test_overflowing_grid_weights_exit_4(tmp_path, capsys):
+    # kappa = 200 on the default -6:6 grid: |x|^400 overflows, which used
+    # to write a field with |.|_2 = nan and exit 0
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(dict(_gauss_doc(), kappa=[200.0, 0.3])))
+    out = tmp_path / "F.json"
+    rc = main(["transform", "--field", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 4 and not out.exists()
+    assert "numerical failure: quadrature weights overflow for kappa = 200.0" in err
+
+
+def test_overflowing_constants_exit_4_without_warnings(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kappa": [100, 0.5]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["eigencheck", "--sig", "0,2", "--kappa", "100,0.5", "--v", "0", "--u", "0"])
+        err = capsys.readouterr().err
+        assert rc == 4 and "block constant" in err and "kappa = (100.0, 0.5)" in err
+        rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == 4 and "(c_p c_q)^2 underflows" in err
 
 
 def test_non_finite_kappa_is_an_input_error(tmp_path, capsys):

@@ -318,7 +318,7 @@ def test_hermite_cap():
 
 @pytest.mark.parametrize("kappa", [0.2, 0.5, 1.0, 3.0, 200.0])
 def test_psi_rule_mass_and_mean(kappa):
-    nodes, weights = psi_rule(kappa)
+    nodes, weights = psi_rule(kappa, 48)
     assert np.all(np.abs(nodes) < 1.0)
     assert np.all(weights >= 0.0)
     assert abs(np.sum(weights) - 1.0) < 1e-12
@@ -343,11 +343,11 @@ def test_kernel_at_float_zero_kappa_is_the_kappa_zero_kernel(kappa):
 
 @pytest.mark.parametrize("kappa", [1e-17, 1e-300])
 def test_psi_rule_at_float_zero_kappa_is_a_point_mass_at_one(kappa):
-    nodes, weights = psi_rule(kappa)
+    nodes, weights = psi_rule(kappa, 48)
     assert np.dot(weights, np.cos(nodes)) == math.cos(1.0)
     assert np.sum(weights) == 1.0 and np.dot(weights, nodes) == 1.0
     # just above the threshold the Jacobi rule is used, and it already sits
     # at the limit to rounding: no jump across the switch
     assert 2.0**-53 - 1.0 != -1.0
-    nodes, weights = psi_rule(2.0**-53)
+    nodes, weights = psi_rule(2.0**-53, 48)
     assert abs(np.sum(weights) - 1.0) < 1e-12 and abs(np.dot(weights, nodes) - 1.0) < 1e-12

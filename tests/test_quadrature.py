@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ def test_cached_weights_match_weight_function():
 def test_node_cap():
     with pytest.raises(NodeCountExceeded):
         build_grid(MultiplicitySplit((0.0, 0.0), 1), 5.0, panels=100, order=24)
+
+
+@pytest.mark.parametrize("L,panels", [(8.0, 1), (6.0, 1), (8.0, 4)])
+def test_overflowing_weights_raise(L, panels):
+    # |x|^(2 kappa) or the inner panel's x^(2 kappa) rule is not a float
+    # any more: a named OverflowError instead of NaN weights and a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=rf"kappa = 200.0 on \(-{L}, {L}\)"):
+            build_axis(200.0, L, panels, 48)
+
+
+@pytest.mark.parametrize("L,panels", [(5.0, 1), (4.0, 2), (2.0, 1)])
+def test_large_kappa_weights_stay_finite_up_to_L_5(L, panels):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ax = build_axis(200.0, L, panels, 48)
+    w = ax.weights * ax.wk
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0) and w.max() > 0.0
 
 
 def test_empty_block_grid():

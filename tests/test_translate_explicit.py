@@ -1,16 +1,31 @@
 """Explicit (Roesler) translation: the chunked branch-table evaluation in
 `translate_explicit` against the nested-closure formulation it replaced,
-kept here as the reference implementation, plus closed forms."""
+kept here as the reference implementation, plus closed forms, and the
+adaptive psi order against fixed orders."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import hyp0f1
 
-from cliffdunkl.cdt_engine import _EXPLICIT_CHUNK, AnalyticField, translate_explicit
-from cliffdunkl.clifford_core import Signature
-from cliffdunkl.dunkl_rank1 import MultiplicitySplit, psi_rule
+from cliffdunkl.cdt_engine import (
+    _EXPLICIT_CHUNK,
+    LEDGER_DEFAULTS,
+    AnalyticField,
+    SampledField,
+    _branch_table,
+    _gaussian_field,
+    _psi_order,
+    build_plan,
+    rel_l2_error,
+    run_claims_ledger,
+    translate_explicit,
+    translate_spectral,
+)
+from cliffdunkl.clifford_core import MultiVector, Signature, validate_imaginary
+from cliffdunkl.dunkl_rank1 import MultiplicitySplit, psi_rule, zero_limit
 from cliffdunkl.quadrature import build_grid
 
 
@@ -111,7 +126,8 @@ def test_explicit_accepts_a_field_returning_a_scalar():
 
 
 def test_explicit_field_calls_are_few_and_bounded():
-    # a 96^2 sample at order 48 used to call the field (2 * 48)^2 = 9216 times
+    # a 96^2 sample at order 48 used to call the field (2 * 48)^2 = 9216 times;
+    # the counts below are those of that fixed order
     calls, sizes = [], []
 
     def body(x1, x2):
@@ -123,7 +139,7 @@ def test_explicit_field_calls_are_few_and_bounded():
     f = AnalyticField(Signature(0, 2), ms, {0: body})
     grid = build_grid(ms, 8.0, panels=1, order=48)
     assert grid.shape == (96, 96)
-    translate_explicit(f, (0.6, -0.4), ms).sample(grid)
+    translate_explicit(f, (0.6, -0.4), ms, order=48).sample(grid)
     assert len(calls) < 9216 / 3
     assert max(sizes) <= _EXPLICIT_CHUNK
     # a kappa = 0 axis has one branch, so the other axis's 96 ride along:
@@ -131,7 +147,7 @@ def test_explicit_field_calls_are_few_and_bounded():
     calls.clear()
     ms = MultiplicitySplit((0.0, 0.7), 1)
     f = AnalyticField(Signature(0, 2), ms, {0: body})
-    translate_explicit(f, (0.6, -0.4), ms).sample(build_grid(ms, 8.0, panels=1, order=48))
+    translate_explicit(f, (0.6, -0.4), ms, order=48).sample(build_grid(ms, 8.0, panels=1, order=48))
     assert len(calls) == math.ceil(9216 / (_EXPLICIT_CHUNK // 96))
 
 
@@ -148,3 +164,152 @@ def test_explicit_gaussian_closed_form_at_large_kappa():
     E = hyp0f1(kappa + 0.5, t * t / 4.0) + t / (2.0 * kappa + 1.0) * hyp0f1(kappa + 1.5, t * t / 4.0)
     want = np.exp(-s * (x * x + z * z)) * E
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+# -- the adaptive psi order -------------------------------------------------------
+
+
+def _fixed_order_loop(fn, z, kappa, order, X):
+    """The fixed-order chunked loop as it was before the adaptive order, with
+    fresh temporaries per branch: the reference for bit-identical output."""
+    rules = [None if zero_limit(k) else psi_rule(k, order) for k in kappa]
+    widths = [1 if r is None else 2 * len(r[0]) for r in rules]
+    inner = int(np.argmax(widths))
+    outer = [j for j in range(len(kappa)) if j != inner]
+    step = max(1, _EXPLICIT_CHUNK // widths[inner])
+    X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
+    pts = [x.ravel() for x in X]
+    out = np.empty(pts[0].size)
+    for lo in range(0, out.size, step):
+        tabs = [_branch_table(x[lo:lo + step], z[j], rules[j]) for j, x in enumerate(pts)]
+        args, acc = [c for c, _ in tabs], 0.0
+        for branch in itertools.product(*(range(widths[j]) for j in outer)):
+            coef = 1.0
+            for j, b in zip(outer, branch):
+                args[j] = tabs[j][0][:, b:b + 1]
+                coef = coef * tabs[j][1][:, b]
+            vals = np.broadcast_to(np.asarray(fn(*args), dtype=float), tabs[inner][0].shape)
+            acc = acc + coef * np.einsum("ij,ij->i", vals, tabs[inner][1])
+        out[lo:lo + step] = acc
+    return out.reshape(X[0].shape)
+
+
+def _translated(body, kappa, z, **kw):
+    ms = MultiplicitySplit(kappa, len(kappa) // 2)
+    f = AnalyticField(Signature(0, len(kappa)), ms, {0: body})
+    return translate_explicit(f, z, ms, **kw).blades[0]
+
+
+def _wavy(*X):
+    # does not decay: cos(3 x1) (1 + x_d^2)
+    return np.cos(3.0 * X[0]) * (1.0 + X[-1] * X[-1])
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 0.3, 200.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_adaptive_order_matches_order_64(kappa, d):
+    # grid nodes and scattered points in one call: at d = 3 a pass costs
+    # (2 order)^2 field calls whatever the number of points
+    rng = np.random.default_rng(d)
+    z = (0.7, -0.9, 0.5)[:d]
+    n = {1: 200, 2: 16, 3: 3}[d]
+    grid = np.meshgrid(*(np.linspace(-4.0, 4.0, n),) * d, indexing="ij")
+    X = [np.concatenate((g.ravel(), rng.uniform(-5.0, 5.0, 6 if d == 3 else 150))) for g in grid]
+    for body in (_body, _wavy):
+        got = _translated(body, (kappa,) * d, z)(*X)
+        want = _translated(body, (kappa,) * d, z, order=64)(*X)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kappa,z,X,order", [
+    ((0.4,), (0.7,), (np.linspace(-4.0, 4.0, 1000),), 48),
+    ((0.3, 0.7), (0.6, -0.4), _mesh(2, 24), 48),
+    ((0.0, 0.7), (0.6, -0.4), _mesh(2, 24), 48),
+    ((0.3, 0.0, 0.7), (0.5, -0.3, 0.2), _mesh(3, 10), 6),
+])
+def test_fixed_order_output_is_bit_identical_to_the_fixed_order_loop(kappa, z, X, order):
+    got = _translated(_body, kappa, z, order=order)(*X)
+    assert np.array_equal(got, _fixed_order_loop(_body, z, kappa, order, X))
+
+
+def test_unconverged_field_runs_at_the_cap():
+    # cos(60 x) varies by ~60 |z| radians across the psi interval: no pair of
+    # orders up to 64 agrees, so every point runs at 64
+    def body(x):
+        return np.cos(60.0 * x)
+
+    x = np.linspace(-8.0, 8.0, 300)
+    order, estimate = _psi_order(body, [x], np.array([2.0]), (0.5,))
+    assert order == 64 and estimate > 1e-14
+    got = _translated(body, (0.5,), (2.0,))(x)
+    assert np.array_equal(got, _translated(body, (0.5,), (2.0,), order=64)(x))
+
+
+def test_exact_shifts_and_the_zero_field_settle_at_once():
+    ms = MultiplicitySplit((0.0, 1e-300), 1)  # both zero_limit: exact shifts
+    calls = []
+
+    def body(x1, x2):
+        calls.append(1)
+        return np.exp(-(x1 * x1 + x2 * x2))
+
+    assert _psi_order(body, [np.linspace(-1.0, 1.0, 5)] * 2, np.array([0.6, -0.4]), ms.kappa) == (8, 0.0)
+    assert calls == []
+    grid = build_grid(ms, 8.0, panels=1, order=48)
+    got = translate_explicit(AnalyticField(Signature(0, 2), ms, {0: body}), (0.6, -0.4), ms).sample(grid)
+    assert len(calls) == 1  # the final pass only: 9216 points, one branch each
+    X = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
+    assert np.array_equal(got[..., 0], body(X[0] - 0.6, X[1] + 0.4))
+    # a zero field agrees with itself at the first pair of orders
+    def zero(x1, x2):
+        return np.zeros(np.broadcast(x1, x2).shape)
+
+    pts = [x.ravel() for x in _mesh(2, 12)]
+    assert _psi_order(zero, pts, np.array([0.6, -0.4]), (0.3, 0.7)) == (8, 0.0)
+    assert not np.any(_translated(zero, (0.3, 0.7), (0.6, -0.4))(*_mesh(2, 12)))
+
+
+def test_adaptive_field_calls_stay_within_the_fixed_order_count():
+    counts = {}
+    for order in (48, None):
+        calls, sizes = [], []
+
+        def body(x1, x2):
+            calls.append(1)
+            sizes.append(np.broadcast(x1, x2).size)
+            return np.exp(-(x1 * x1 + x2 * x2))
+
+        for kappa in ((0.3, 0.7), (0.0, 0.7)):
+            ms = MultiplicitySplit(kappa, 1)
+            f = AnalyticField(Signature(0, 2), ms, {0: body})
+            grid = build_grid(ms, 8.0, panels=1, order=48)
+            translate_explicit(f, (0.6, -0.4), ms, order=order).sample(grid)
+        counts[order] = len(calls)
+        assert max(sizes) <= _EXPLICIT_CHUNK
+    assert counts[None] <= counts[48]
+
+
+def test_ledger_translation_claim_matches_order_64():
+    sig, ms = Signature(0, 2), MultiplicitySplit(LEDGER_DEFAULTS["kappa"], 1)
+    a, b = (validate_imaginary(MultiVector.blade(sig, e), e) for e in ("e1", "e2"))
+    plan = build_plan(sig, ms, a, b, L_x=LEDGER_DEFAULTS["L_x"], L_y=LEDGER_DEFAULTS["L_y"],
+                      order=LEDGER_DEFAULTS["order"])
+    gauss = _gaussian_field(sig, ms, LEDGER_DEFAULTS["delta"])
+    z = LEDGER_DEFAULTS["z"]
+    expl = translate_explicit(gauss, z, ms, order=64)
+    want = rel_l2_error(SampledField(sig, ms, plan.grid_x, expl.sample(plan.grid_x)),
+                        translate_spectral(gauss, z, plan))
+    got = {r.claim: r for r in run_claims_ledger()}["translation-explicit-vs-spectral"]
+    assert abs(got.measured_value - want) <= 1e-14
+
+
+def test_probe_includes_the_largest_coordinates():
+    # one far point, off the probe stride: its integrand varies most, and
+    # the order must resolve it, not just the near points
+    def body(x):
+        return np.cos(10.0 * x)
+
+    x = np.concatenate((np.linspace(-1.0, 1.0, 100), [8.0], np.linspace(-1.0, 1.0, 20)))
+    got = _translated(body, (0.5,), (1.5,))(x)
+    want = _translated(body, (0.5,), (1.5,), order=64)(x)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
