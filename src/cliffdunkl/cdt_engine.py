@@ -58,6 +58,7 @@ from .clifford_core import (
     ImaginaryUnit,
     MultiVector,
     Signature,
+    blade_label,
     parse_blade,
     structure_tensor,
 )
@@ -73,7 +74,7 @@ from .dunkl_rank1 import (
     psi_rule,
     zero_limit,
 )
-from .quadrature import TensorGrid, build_grid
+from .quadrature import NODE_CAP, NodeCountExceeded, TensorGrid, build_grid
 
 CONVOLVE_BUDGET = 1 << 20  # kernel evaluations per output node (= y-grid size)
 _EXPLICIT_CHUNK = 1 << 15  # field values per call in translate_explicit
@@ -101,8 +102,11 @@ class NodeBudgetExceeded(RuntimeError):
 class AnalyticField:
     """Field given per blade as a callable (or expression) over x1..xd.
 
-    `blades` maps a blade label (or mask) to a vectorized function of d
-    coordinate arrays.
+    `blades` maps a blade label (or mask) to a function of d coordinate
+    arrays.  The arrays are open (`_coords`): x_j has shape (1, ..., n_j,
+    ..., 1), so a body must be elementwise numpy that broadcasts them, as
+    expression fields and `translate_explicit` output are.  Its result is
+    broadcast to the grid; one that does not broadcast raises ValueError.
     """
 
     sig: Signature
@@ -130,7 +134,13 @@ class AnalyticField:
         coords = _coords(grid)
         out = np.zeros((self.sig.n_blades,) + grid.shape)
         for mask, fn in self.blades.items():
-            out[mask] = fn(*coords)
+            try:
+                out[mask] = fn(*coords)
+            except ValueError as exc:
+                raise ValueError(
+                    f"blade {blade_label(mask)} body does not broadcast open coordinates "
+                    f"{tuple(x.shape for x in coords)} to the grid {grid.shape}: {exc}"
+                ) from exc
         if not np.isfinite(out).all():
             raise ValueError("field evaluated to a non-finite value on the grid")
         return np.moveaxis(out, 0, -1)
@@ -168,7 +178,8 @@ class SampledField:
 
 
 def _coords(grid: TensorGrid) -> tuple:
-    return tuple(np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij"))
+    """Open coordinates: axis j's nodes as an array of shape (1, ..., n_j, ..., 1)."""
+    return np.ix_(*(ax.nodes for ax in grid.axes))
 
 
 def _same_grid(g1: TensorGrid, g2: TensorGrid) -> bool:
@@ -292,8 +303,10 @@ def build_plan(
 
     L_x / L_y are half-widths per coordinate (scalars broadcast).  The plan
     refuses coordinates with L_x * L_y beyond the kernel radius
-    (ArgumentOutOfRadius from `kernel_coefficients`).  Kernels are tabulated
-    on the positive quadrant of each axis; parity gives the rest.
+    (ArgumentOutOfRadius from `kernel_coefficients`) and grids holding more
+    than NODE_CAP values, nodes times blades (NodeCountExceeded).  Kernels
+    are tabulated on the positive quadrant of each axis; parity gives the
+    rest.
     """
     if sig.d != ms.d:
         raise PlanMismatch(f"{ms.d} multiplicities for d={sig.d}")
@@ -310,6 +323,12 @@ def build_plan(
     tables = tuple(kernel_coefficients(ms.kappa[j], t_max=float(Lx[j] * Ly[j])) for j in range(d))
     grid_x = build_grid(ms, Lx, panels=panels, order=order)
     grid_y = build_grid(ms, Ly, panels=panels, order=order)
+    n_values = grid_x.n_nodes * sig.n_blades  # both grids have (2 panels order)^d nodes
+    if n_values > NODE_CAP:
+        raise NodeCountExceeded(
+            f"{grid_x.n_nodes} nodes x {sig.n_blades} blades = {n_values} values "
+            f"exceeds cap {NODE_CAP}"
+        )
     mats = []
     for table, ax, ay in zip(tables, grid_x.axes, grid_y.axes):
         n, m = len(ax) // 2, len(ay) // 2

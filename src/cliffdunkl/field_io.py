@@ -175,7 +175,7 @@ def save_grid_csv(field, path, grid=None):
         blades = [m for m in range(field.sig.n_blades) if np.any(values[..., m])] or [0]
     else:
         raise TypeError(f"not a field: {field!r}")
-    coords = [c.ravel() for c in _coords(grid)]
+    coords = [c.ravel() for c in np.broadcast_arrays(*_coords(grid))]
     columns = [values[..., m].ravel() for m in blades]
     header = [f"x{j + 1}" for j in range(len(coords))] + [blade_label(m) for m in blades]
     with open(path, "w") as fh:

@@ -42,7 +42,7 @@ __all__ = [
     "NODE_CAP",
 ]
 
-NODE_CAP = 1 << 24
+NODE_CAP = 1 << 24  # nodes per grid; `build_plan` also caps nodes x blades
 
 
 class RecurrenceBreakdown(ArithmeticError):

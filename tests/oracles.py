@@ -1,7 +1,8 @@
 """References for the tests, computed apart from the library's routes:
 the kernel's defining power series, the Mehta integral by quadrature, the
-kernel as a multivector, the weight w_k and the generalized Hermite
-functions, each evaluated one point (or one row of points) at a time."""
+kernel as a multivector, the weight w_k, the generalized Hermite
+functions, each evaluated one point (or one row of points) at a time, and
+field sampling on dense coordinate arrays."""
 
 import numpy as np
 
@@ -127,3 +128,14 @@ def eval_h(v, x, ms: MultiplicitySplit):
         s = pts[:, j]
         out *= eval_orthonormal(alpha, beta, nj, s) * np.exp(-0.5 * s * s)
     return float(out[0]) if x.ndim == 1 else out
+
+
+def sample_dense(field, grid) -> np.ndarray:
+    """(*grid.shape, 2^d) samples of an AnalyticField, each blade body
+    called on the dense `meshgrid` of the grid's nodes: every coordinate
+    array has the full grid shape."""
+    X = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
+    out = np.zeros(grid.shape + (field.sig.n_blades,))
+    for mask, fn in field.blades.items():
+        out[..., mask] = fn(*X)
+    return out

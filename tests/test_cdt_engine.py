@@ -178,7 +178,7 @@ def test_multi_axis_blocks_match_multivector_loop(q, split, transform):
     plan = build_plan(sig, ms, a, b, L_x=4.0, L_y=3.5, order=3)
     coef = np.random.default_rng(q + split).uniform(-1.0, 1.0, (sig.n_blades, q))
     f = AnalyticField(sig, ms, {
-        m: (lambda c: lambda *X: np.prod([cj + xj for cj, xj in zip(c, X)], axis=0)
+        m: (lambda c: lambda *X: math.prod(cj + xj for cj, xj in zip(c, X))
             * np.exp(-sum(x * x for x in X)))(coef[m])
         for m in range(sig.n_blades)
     })

@@ -272,6 +272,22 @@ def test_overflowing_grid_weights_exit_4(tmp_path, capsys):
     assert "numerical failure: quadrature weights overflow for kappa = 200.0" in err
 
 
+def test_grid_of_too_many_values_exits_4(tmp_path, capsys):
+    # Cl(0,4) at order 24: 48^4 nodes pass the node cap, but with 16 blades
+    # each array would hold 84934656 values (648 MiB)
+    path = tmp_path / "g4.json"
+    path.write_text(json.dumps({
+        "signature": [0, 4], "kappa": [0.3, 0.7, 0.5, 0.2], "split": 2,
+        "blades": {"1": "exp(-(x1^2+x2^2+x3^2+x4^2))"},
+    }))
+    out = tmp_path / "F.json"
+    rc = main(["transform", "--field", str(path), "--in-grid", "-3:3:1:24",
+               "--out-grid", "-3:3:1:24", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 4 and not out.exists()
+    assert "numerical failure: 5308416 nodes x 16 blades = 84934656 values exceeds cap" in err
+
+
 def test_overflowing_constants_exit_4_without_warnings(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kappa": [100, 0.5]}))
