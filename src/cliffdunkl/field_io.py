@@ -5,8 +5,10 @@ A field file is a JSON object with `signature` [p, q] (1 <= p + q <= 6),
 keyed by blade label.  Analytic files map labels to expression strings
 (see field_expr); sampled files instead carry a `grid` object
 {L, panels, order} and map labels to nested value arrays of the grid's
-shape.  Floats are emitted via Python's shortest-repr (<= 17 significant
-digits), so save/load round-trips every value bit-exactly.
+shape.  Files are compact single-line JSON, written blade by blade
+through the C encoder, so only one blade's values exist as Python floats
+and text at a time.  Floats are emitted via Python's shortest-repr (<= 17
+significant digits), so save/load round-trips every value bit-exactly.
 
 CSV is the plotting boundary: one row per node, coordinates first, then
 one column per blade (declared blades for analytic fields, blades with any
@@ -124,15 +126,17 @@ def load_field(path):
 
 
 def save_field(field, path):
+    """Write `field` as one strict JSON document: the header, then each
+    blade's expression or nested values, one blade at a time."""
     if not isinstance(field, (AnalyticField, SampledField)):
         raise TypeError(f"not a field: {field!r}")
-    doc = {
+    header = {
         "signature": [field.sig.p, field.sig.q],
         "kappa": list(field.ms.kappa),
         "split": field.ms.split,
     }
     if isinstance(field, AnalyticField):
-        blades = {}
+        blades = []
         for mask, body in sorted(field.blades.items()):
             text = getattr(body, "expr_text", None)
             if text is None:
@@ -140,24 +144,26 @@ def save_field(field, path):
                     f"blade {blade_label(mask)} has an opaque callable; "
                     "only expression-backed analytic fields serialize"
                 )
-            blades[blade_label(mask)] = text
-        doc["blades"] = blades
+            blades.append((blade_label(mask), text))
     else:
         axes = field.grid.axes
         if any(ax.panels != axes[0].panels or ax.order != axes[0].order for ax in axes):
             raise ValueError("sampled grids must share panels/order across axes")
-        doc["grid"] = {
+        header["grid"] = {
             "L": [ax.L for ax in axes],
             "panels": axes[0].panels,
             "order": axes[0].order,
         }
         nonzero = [m for m in range(field.sig.n_blades) if np.any(field.values[..., m])]
-        if not nonzero:
-            nonzero = [0]
-        doc["blades"] = {blade_label(m): field.values[..., m].tolist() for m in nonzero}
+        blades = [(blade_label(m), field.values[..., m]) for m in nonzero or [0]]
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(header)[:-1] + ', "blades": {')
+        for i, (label, body) in enumerate(blades):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(label) + ": ")
+            fh.write(json.dumps(body if isinstance(body, str) else body.tolist()))
+        fh.write("}}\n")
 
 
 def save_grid_csv(field, path, grid=None):

@@ -37,6 +37,7 @@ __all__ = [
     "TensorGrid",
     "build_axis",
     "build_grid",
+    "node_count",
     "integrate",
     "parse_grid_spec",
     "NODE_CAP",
@@ -144,16 +145,25 @@ def jacobi_rule(kappa: float, order: int) -> JacobiRule:
     return JacobiRule(kappa=kappa, order=order, nodes=nodes, weights=weights)
 
 
+@lru_cache(maxsize=64)
+def _unit_power_rule(two_kappa: float, order: int):
+    """Gauss-Jacobi (0, two_kappa) nodes/weights on (-1, 1); read-only arrays."""
+    alpha, beta = jacobi_recurrence(order, 0.0, two_kappa)
+    nodes, weights = gauss_from_recurrence(alpha, beta, order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def power_rule(two_kappa: float, hi: float, order: int):
     """Gauss rule for the measure x^(two_kappa) dx on [0, hi]: the Jacobi
     (0, two_kappa) rule mapped from (-1, 1), so the singular factor at 0
-    is integrated exactly."""
+    is integrated exactly.  Returns fresh arrays."""
     if two_kappa < 0.0:
         raise ValueError("exponent must be nonnegative")
     if not hi > 0.0:
         raise ValueError("need hi > 0")
-    alpha, beta = jacobi_recurrence(order, 0.0, two_kappa)
-    t, w = gauss_from_recurrence(alpha, beta, order)
+    t, w = _unit_power_rule(two_kappa, order)
     half = hi / 2.0
     return half * (t + 1.0), half ** (two_kappa + 1.0) * w
 
@@ -291,6 +301,14 @@ class TensorGrid:
         return out.ravel()
 
 
+def node_count(d: int, panels: int, order: int) -> int:
+    """(2 panels order)^d, the node count of a d-axis `build_grid`, from
+    the spec alone, so oversized grids are refused before any eigen-solve."""
+    if panels < 1 or order < 1:
+        raise ValueError("need L > 0, panels >= 1, order >= 1")
+    return (2 * panels * order) ** d
+
+
 def build_grid(ms, L, panels: int = 4, order: int = 12) -> TensorGrid:
     """TensorGrid for a multiplicity vector (or anything with a .kappa).
 
@@ -298,14 +316,14 @@ def build_grid(ms, L, panels: int = 4, order: int = 12) -> TensorGrid:
     """
     kappas = tuple(getattr(ms, "kappa", ms))
     d = len(kappas)
+    n_nodes = node_count(d, panels, order)
+    if n_nodes > NODE_CAP:
+        raise NodeCountExceeded(f"{n_nodes} nodes exceeds cap {NODE_CAP}")
     Ls = np.broadcast_to(np.asarray(L, dtype=float), (d,))
     axes = tuple(
         build_axis(kappas[j], float(Ls[j]), panels, order) for j in range(d)
     )
-    grid = TensorGrid(axes=axes)
-    if grid.n_nodes > NODE_CAP:
-        raise NodeCountExceeded(f"{grid.n_nodes} nodes exceeds cap {NODE_CAP}")
-    return grid
+    return TensorGrid(axes=axes)
 
 
 def integrate(values, grid: TensorGrid):

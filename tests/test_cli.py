@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cliffdunkl import quadrature
 from cliffdunkl.cdt_engine import rel_l2_error, reports_from_json
 from cliffdunkl.cli import main
 from cliffdunkl.field_io import load_field
@@ -286,6 +287,20 @@ def test_grid_of_too_many_values_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 4 and not out.exists()
     assert "numerical failure: 5308416 nodes x 16 blades = 84934656 values exceeds cap" in err
+
+
+def test_oversized_grid_spec_exits_4_before_any_eigen_solve(tmp_path, gauss_file, capsys,
+                                                            monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("Golub-Welsch solve before the cap")
+
+    monkeypatch.setattr(quadrature, "gauss_from_recurrence", no_solve)
+    out = tmp_path / "F.json"
+    rc = main(["transform", "--field", str(gauss_file), "--in-grid", "-3:3:1:1500",
+               "--out-grid", "-3:3:1:1500", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 4 and not out.exists()
+    assert "numerical failure: 9000000 nodes x 4 blades = 36000000 values exceeds cap" in err
 
 
 def test_overflowing_constants_exit_4_without_warnings(tmp_path, capsys):

@@ -221,12 +221,64 @@ def test_sampled_roundtrip_is_bit_exact(tmp_path, sig02, ms_std, unit_a, unit_b)
 def test_sampled_roundtrip_preserves_adversarial_values(tmp_path, sig02, ms_std):
     grid = build_grid(ms_std, 2.0, panels=1, order=2)
     values = np.zeros(grid.shape + (4,))
-    specials = [1e-300, -1e300, 0.1 + 0.2, 2.0**-1074, np.pi]
+    specials = [1e-300, -1e300, 0.1 + 0.2, 2.0**-1074, np.pi,
+                -0.0, 5e-324, 1.7976931348623157e308]
     for i, v in enumerate(specials):
         values[i % 4, i // 4, 0] = v
     f = SampledField(sig02, ms_std, grid, values)
     path = tmp_path / "adv.json"
     save_field(f, path)
+    back = load_field(path).values
+    assert np.array_equal(back, values)
+    assert np.array_equal(np.signbit(back), np.signbit(values))  # -0.0 stays negative
+
+
+def _doc_of(field, grid=None):
+    """The whole field file as one dict, for comparison with the writer."""
+    doc = {
+        "signature": [field.sig.p, field.sig.q],
+        "kappa": list(field.ms.kappa),
+        "split": field.ms.split,
+    }
+    if grid is None:
+        doc["blades"] = {"1": field.blades[0].expr_text, "e12": field.blades[3].expr_text}
+    else:
+        doc["grid"] = {"L": [ax.L for ax in grid.axes], "panels": grid.axes[0].panels,
+                       "order": grid.axes[0].order}
+        doc["blades"] = {"1": field.values[..., 0].tolist(), "e2": field.values[..., 2].tolist()}
+    return doc
+
+
+def test_files_are_one_strict_json_document(tmp_path, sig02, ms_std):
+    analytic = AnalyticField(sig02, ms_std, {
+        3: compile_expr("0.1*x1*exp(-(x1^2+x2^2))", 2),
+        0: compile_expr("exp(-(x1^2+x2^2))", 2),
+    })
+    path = tmp_path / "a.json"
+    save_field(analytic, path)
+    assert path.read_text() == json.dumps(_doc_of(analytic)) + "\n"
+
+    grid = build_grid(ms_std, 2.0, panels=1, order=2)
+    values = np.zeros(grid.shape + (4,))
+    values[..., 0] = np.arange(16.0).reshape(grid.shape) / 3.0
+    values[1, 2, 2] = -1e-300
+    sampled = SampledField(sig02, ms_std, grid, values)
+    path = tmp_path / "s.json"
+    save_field(sampled, path)
+    assert path.read_text() == json.dumps(_doc_of(sampled, grid)) + "\n"
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+def test_save_field_never_takes_the_pure_python_encoder(tmp_path, sig02, ms_std, monkeypatch):
+    def pure_python(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python)
+    grid = build_grid(ms_std, 2.0, panels=1, order=2)
+    values = np.full(grid.shape + (4,), 0.1 + 0.2)
+    path = tmp_path / "s.json"
+    save_field(SampledField(sig02, ms_std, grid, values), path)
+    monkeypatch.undo()
     assert np.array_equal(load_field(path).values, values)
 
 

@@ -1,12 +1,17 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+from cliffdunkl import quadrature
+from cliffdunkl.cdt_engine import SampledField
+from cliffdunkl.cli import main
 from cliffdunkl.clifford_core import Signature
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit
+from cliffdunkl.field_io import save_field
 from cliffdunkl.quadrature import (
     NODE_CAP,
     NodeCountExceeded,
@@ -19,6 +24,7 @@ from cliffdunkl.quadrature import (
     jacobi_rule,
     legendre_rule,
     parse_grid_spec,
+    power_rule,
 )
 
 from oracles import weight
@@ -197,3 +203,56 @@ def test_parse_grid_spec():
     for spec in ("-6:6:0:48", "-6:6:1:0"):
         with pytest.raises(ValueError, match=">= 1"):
             parse_grid_spec(spec)
+
+
+# -- the rule caches ----------------------------------------------------------
+
+
+def test_power_rule_returns_fresh_arrays():
+    nodes, weights = power_rule(0.6, 2.0, 12)
+    want = nodes.copy(), weights.copy()
+    nodes[:] = 7.0
+    weights *= 2.0
+    again = power_rule(0.6, 2.0, 12)
+    assert np.array_equal(again[0], want[0]) and np.array_equal(again[1], want[1])
+
+
+@pytest.mark.parametrize("two_kappa,order", [(0.6, 12), (1.4, 48), (0.0, 5)])
+def test_unit_power_rule_is_read_only_and_exact(two_kappa, order):
+    nodes, weights = quadrature._unit_power_rule(two_kappa, order)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    fresh = gauss_from_recurrence(*jacobi_recurrence(order, 0.0, two_kappa), order)
+    assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
+
+
+def _clear_rule_caches():
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.startswith("cliffdunkl"):
+            for value in vars(mod).values():
+                if hasattr(value, "cache_info"):
+                    value.cache_clear()
+
+
+def test_cli_inverse_solves_each_rule_once(tmp_path, monkeypatch, capsys):
+    ms = MultiplicitySplit((0.3, 0.7), 1)
+    grid = build_grid(ms, 4.0, panels=1, order=8)
+    values = np.zeros(grid.shape + (4,))
+    values[..., 0] = np.exp(-np.add.outer(grid.axes[0].nodes**2, grid.axes[1].nodes**2))
+    path = tmp_path / "F.json"
+    save_field(SampledField(Signature(0, 2), ms, grid, values), path)
+
+    solves = []
+    solve = quadrature.gauss_from_recurrence
+
+    def counted(*args):
+        solves.append(args[-1])
+        return solve(*args)
+
+    _clear_rule_caches()
+    monkeypatch.setattr(quadrature, "gauss_from_recurrence", counted)
+    rc = main(["inverse", "--field", str(path), "--in-grid", "-4:4:1:8",
+               "--out-grid", "-3:3:1:8", "--out", str(tmp_path / "f.json")])
+    assert rc == 0, capsys.readouterr().err
+    # two x^(2 kappa) inner panels (read back, then reused by the plan)
+    # and one kernel rule per axis
+    assert len(solves) <= 4

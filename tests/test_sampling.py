@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffdunkl import cdt_engine
+from cliffdunkl import cdt_engine, quadrature
 from cliffdunkl.cdt_engine import AnalyticField, build_plan, translate_explicit
 from cliffdunkl.clifford_core import MultiVector, Signature, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit
@@ -181,6 +181,23 @@ def test_value_cap_boundary(monkeypatch, sig02, ms_std, unit_a, unit_b):
     monkeypatch.setattr(cdt_engine, "NODE_CAP", n_values - 1)
     with pytest.raises(NodeCountExceeded, match=f"= {n_values} values"):
         build_plan(sig02, ms_std, unit_a, unit_b, L_x=3.0, order=3)
+
+
+def test_oversized_grids_are_refused_before_any_eigen_solve(monkeypatch, sig02, ms_std,
+                                                            unit_a, unit_b):
+    def no_solve(*args):
+        raise AssertionError("Golub-Welsch solve before the cap")
+
+    monkeypatch.setattr(quadrature, "gauss_from_recurrence", no_solve)
+    # 3000^2 nodes pass the node cap; times 4 blades they do not
+    with pytest.raises(NodeCountExceeded,
+                       match=f"9000000 nodes x 4 blades = 36000000 values exceeds cap {NODE_CAP}"):
+        build_plan(sig02, ms_std, unit_a, unit_b, L_x=3.0, order=1500)
+    with pytest.raises(NodeCountExceeded, match=f"36000000 nodes exceeds cap {NODE_CAP}"):
+        build_grid(ms_std, 3.0, panels=2, order=1500)
+    for panels, order in ((0, 1500), (-5, 1500), (1, 0)):
+        with pytest.raises(ValueError, match="panels >= 1, order >= 1"):
+            build_grid(ms_std, 3.0, panels=panels, order=order)
 
 
 @pytest.mark.parametrize("d,order,Lx,Ly", [(2, 48, 8.0, 8.0), (3, 32, 6.0, 10.0), (4, 12, 5.0, 5.0)])
