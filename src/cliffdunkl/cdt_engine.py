@@ -728,11 +728,7 @@ def _eigen_fit(v: tuple, u: tuple, plan: TransformPlan) -> dict:
     w = plan.grid_y.total_weights().reshape(plan.grid_y.shape)
     C, shape_residual = _fit_profile(F.values, hy, w)
     # C should be lam * (-a)^l(v) * (-b)^l(u) with lam real positive
-    unit = MultiVector.scalar(plan.sig, 1.0)
-    for _ in range(sum(v)):
-        unit = unit * (-plan.a.value)
-    for _ in range(sum(u)):
-        unit = unit * (-plan.b.value)
+    unit = (-plan.a.value) ** sum(v) * (-plan.b.value) ** sum(u)
     lam = float(np.dot(C, unit.coeff) / np.dot(unit.coeff, unit.coeff))
     unit_residual = float(np.linalg.norm(C - lam * unit.coeff) / np.linalg.norm(C))
     return {

@@ -6,16 +6,19 @@ config), 4 numerical failure (kernel radius, node budget, a Mehta
 constant that underflows, other overflow), 5 claims ledger ran but
 flagged at least one claim (data, not a crash -- scripts branch on it).
 
-Field files are authoritative for signature/kappa/split; the --sig/--kappa
-flags are cross-checks (and required where there is no file to read them
-from).  Grid SPEC syntax is "-L:L:panels:order" per coordinate, separated
-by ";"; one spec broadcasts to all coordinates.  The input and output
-specs must agree on panels and order (one plan covers both sides).
+Field files are authoritative for signature/kappa/split; the
+--sig/--kappa/--split flags are cross-checks (--sig and --kappa are
+required where there is no file to read them from).  A command accepts
+only the flags it reads, spelled in full.  Grid SPEC syntax is
+"-L:L:panels:order" per coordinate, separated by ";"; one spec
+broadcasts to all coordinates.  The input and output specs must agree
+on panels and order (one plan covers both sides).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -120,6 +123,8 @@ def _load(args):
         kappa = _floats(args.kappa, "--kappa")
         if tuple(kappa) != field.ms.kappa:
             raise SchemaError("kappa", f"field file says {field.ms.kappa}, --kappa says {tuple(kappa)}")
+    if args.split is not None and args.split != field.ms.split:
+        raise SchemaError("split", f"field file says {field.ms.split}, --split says {args.split}")
     return field
 
 
@@ -140,15 +145,16 @@ def _plan(args, sig, ms, *, input_side="x", in_field=None, L_y_override=None):
     in_specs = _grid_triples(args.in_grid, d, "--in-grid")
     if isinstance(in_field, SampledField):
         in_specs = [(ax.L, ax.panels, ax.order) for ax in in_field.grid.axes]
-    out_specs = _grid_triples(args.out_grid, d, "--out-grid")
+    if L_y_override is None:
+        out_specs = _grid_triples(args.out_grid, d, "--out-grid")
+    else:  # half-widths from the caller (miyachi's rungs), panels and order from the input
+        out_specs = [(L, p, o) for L, (_, p, o) in zip(L_y_override, in_specs)]
     panels_orders = {(p, o) for (_, p, o) in in_specs} | {(p, o) for (_, p, o) in out_specs}
     if len(panels_orders) != 1:
         raise _Usage("--in-grid and --out-grid must agree on panels and order")
     (panels, order), = panels_orders
     L_in = [L for (L, _, _) in in_specs]
     L_out = [L for (L, _, _) in out_specs]
-    if L_y_override is not None:
-        L_out = L_y_override
     L_x, L_y = (L_in, L_out) if input_side == "x" else (L_out, L_in)
     a = validate_imaginary(MultiVector.blade(sig, args.a), args.a)
     b = validate_imaginary(MultiVector.blade(sig, args.b), args.b)
@@ -250,7 +256,6 @@ def _cmd_miyachi(args):
         )
     except ValueError as e:
         raise _Usage(str(e)) from None
-    args.out_grid = args.in_grid  # rungs supply the output half-widths
     plan = _plan(args, f.sig, f.ms, input_side="x", in_field=f,
                  L_y_override=[cfg.ladder[-1]] * f.sig.d)
     text = verdict_to_json(verdict(f, cfg, plan))
@@ -297,7 +302,7 @@ def _cmd_kernel(args):
     return 0
 
 
-def _add_common(sp, *, field=True, out_required=False):
+def _add_common(sp, *, field=True, out=True, out_required=False, out_grid=True):
     if field:
         sp.add_argument("--field", required=True, help="field file (JSON)")
     sp.add_argument("--sig", help="P,Q (cross-check when --field is given)")
@@ -306,17 +311,23 @@ def _add_common(sp, *, field=True, out_required=False):
     sp.add_argument("--a", default="e1", help="left unit blade (default e1)")
     sp.add_argument("--b", default="e2", help="right unit blade (default e2)")
     sp.add_argument("--in-grid", default="-6:6:1:48", help="-L:L:panels:order[;...]")
-    sp.add_argument("--out-grid", default="-6:6:1:48", help="-L:L:panels:order[;...]")
+    if out_grid:
+        sp.add_argument("--out-grid", default="-6:6:1:48", help="-L:L:panels:order[;...]")
     sp.add_argument("--norm", choices=("raw", "mehta"), default="raw")
-    sp.add_argument("--out", required=out_required, help="output field file")
+    if out:
+        sp.add_argument("--out", required=out_required, help="output field file")
 
 
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="cliffdunkl",
         description="Two-sided Clifford Dunkl transform: compute, invert, and verify.",
+        allow_abbrev=False,
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    # no prefix matching: --out would otherwise be read as --out-grid where
+    # a command has no --out
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     sp = sub.add_parser("transform", help="forward transform of a field file")
     _add_common(sp, out_required=True)
@@ -331,11 +342,11 @@ def _build_parser():
     sp.set_defaults(func=_cmd_roundtrip)
 
     sp = sub.add_parser("plancherel", help="squared-norm ratio and claim comparison")
-    _add_common(sp)
+    _add_common(sp, out=False)
     sp.set_defaults(func=_cmd_plancherel)
 
     sp = sub.add_parser("eigencheck", help="Hermite eigenfunction check")
-    _add_common(sp, field=False)
+    _add_common(sp, field=False, out=False)
     sp.add_argument("--v", required=True, help="first-block Hermite indices")
     sp.add_argument("--u", required=True, help="second-block Hermite indices")
     sp.set_defaults(func=_cmd_eigencheck)
@@ -352,7 +363,7 @@ def _build_parser():
     sp.set_defaults(func=_cmd_convolve)
 
     sp = sub.add_parser("miyachi", help="uncertainty trichotomy verdict (JSON)")
-    _add_common(sp)
+    _add_common(sp, out_grid=False)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)

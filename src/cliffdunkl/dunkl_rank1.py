@@ -29,11 +29,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import build_axis, jacobi_rule, stieltjes
+from .quadrature import jacobi_rule
 
 __all__ = [
     "MultiplicitySplit",
@@ -151,14 +150,14 @@ def kernel_ab_integral(kappa: float, t, order: int) -> tuple:
     t = np.asarray(t, dtype=float)
     if zero_limit(kappa):
         return np.cos(t), -np.sin(t)
-    rule = jacobi_rule(kappa, order)
-    phase = np.multiply.outer(t, rule.nodes)
-    m0 = rule.mass
+    nodes, weights = jacobi_rule(kappa - 1.0, kappa - 1.0, order)
+    phase = np.multiply.outer(t, nodes)
+    m0 = float(weights.sum())
     half = np.multiply(phase, 0.5)  # in place from here: two (t, node) arrays at most
     np.sin(half, out=half)
     half *= half
-    A = 1.0 - half @ (2.0 * rule.weights) / m0
-    B = np.sin(phase, out=phase) @ -(rule.weights * rule.nodes) / m0
+    A = 1.0 - half @ (2.0 * weights) / m0
+    B = np.sin(phase, out=phase) @ -(weights * nodes) / m0
     return A, B
 
 
@@ -201,26 +200,33 @@ def mehta_constant(kappa_block) -> float:
 
 # -- generalized Hermite family ---------------------------------------------
 
-HERMITE_N_CAP = 64
+HERMITE_N_CAP = 64  # highest degree served; bounds the work, the recurrence is exact
 
 
-@lru_cache(maxsize=64)
 def hermite_basis(kappa: float, n_max: int):
-    """Monic recurrence (alpha, beta) for the weight |s|^(2 kappa) e^(-s^2).
+    """Monic recurrence (alpha, beta) for the weight |s|^(2 kappa) e^(-s^2),
+    in closed form (Rosenblum, "Generalized Hermite polynomials and the
+    Bose-like oscillator calculus", 1994):
 
-    Built by the discretized Stieltjes procedure on the `build_axis` grid of
-    (-14, 14) (unit panels of 60 nodes), whose inner panel absorbs the
-    |s|^(2 kappa) factor exactly.  Returns read-only arrays of length
-    n_max + 1.
+        alpha_n = 0,  beta_0 = Gamma(kappa + 1/2),
+        beta_n = (n + 2 kappa [n odd]) / 2.
+
+    Returns arrays of length n_max + 1.  Raises OverflowError once
+    Gamma(kappa + 1/2), the total mass, is not a finite float (kappa
+    about 171 and up).
     """
     if not 0 <= n_max <= HERMITE_N_CAP:
         raise ValueError(f"n_max must be within 0..{HERMITE_N_CAP}")
-    axis = build_axis(kappa, 14.0, panels=14, order=60)
-    weights = axis.weights * axis.wk * np.exp(-axis.nodes**2)
-    alpha, beta = stieltjes(axis.nodes, weights, n_max + 1)
-    alpha.flags.writeable = False
-    beta.flags.writeable = False
-    return alpha, beta
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError("kappa must be finite and nonnegative")
+    try:
+        mass = math.gamma(kappa + 0.5)
+    except OverflowError:
+        raise OverflowError(f"Hermite weight mass Gamma(kappa + 1/2) overflows for kappa = {kappa!r}") from None
+    n = np.arange(n_max + 1)
+    beta = (n + 2.0 * kappa * (n % 2)) / 2.0
+    beta[0] = mass
+    return np.zeros(n_max + 1), beta
 
 
 def eval_orthonormal(alpha: np.ndarray, beta: np.ndarray, n: int, s) -> np.ndarray:
@@ -243,8 +249,8 @@ def psi_rule(kappa: float, order: int):
         raise ValueError("psi density needs kappa > 0")
     if zero_limit(kappa):
         return np.array([-1.0, 1.0]), np.array([0.0, 1.0])
-    rule = jacobi_rule(kappa, order)
+    nodes, weights = jacobi_rule(kappa - 1.0, kappa - 1.0, order)
     # log space: Gamma(kappa + 1/2) alone overflows from kappa ~ 171 on
     const = math.exp(math.lgamma(kappa + 0.5) - math.lgamma(kappa) - 0.5 * math.log(math.pi))
-    w = const * rule.weights * (1.0 + rule.nodes)
-    return rule.nodes, w
+    w = const * weights * (1.0 + nodes)
+    return nodes, w

@@ -1,18 +1,17 @@
 """Weighted quadrature for the product measures w_k(x) dx = prod |x_j|^(2 k_j) dx.
 
-Three rule families, all driven by one Golub-Welsch eigen-solve:
+One cached Gauss-Jacobi rule, `jacobi_rule(a, b, order)` for the weight
+(1 - t)^a (1 + t)^b on (-1, 1), serves every quadrature in the package:
 
-* Gauss-Jacobi on (-1, 1) for the weight (1 - t^2)^(kappa - 1) (the psi
-  density and the kernel integral representation live here),
-* Gauss rules for x^(2 kappa) dx on a subinterval [0, b] (used for the
-  innermost panel of every axis so the |x|^(2 kappa) singularity at 0
-  never meets a plain Gauss-Legendre rule),
-* plain Gauss-Legendre panels elsewhere.
+* (kappa - 1, kappa - 1): the psi density and the kernel integral
+  representation,
+* (0, 2 kappa), mapped to [0, h]: the x^(2 kappa) dx rule of the innermost
+  panel of every axis, so the |x|^(2 kappa) singularity at 0 never meets
+  a plain Gauss-Legendre rule,
+* (0, 0): the Gauss-Legendre panels elsewhere.
 
-Recurrence coefficients for the Jacobi-type weights are the classical
-closed forms; measures with no closed form (the generalized Hermite weight
-in dunkl_rank1) go through the discretized Stieltjes procedure below and
-share the same eigen-solve.
+Its recurrence coefficients are the classical closed forms, and the nodes
+and weights come from one Golub-Welsch eigen-solve.
 """
 
 from __future__ import annotations
@@ -28,11 +27,8 @@ __all__ = [
     "NodeCountExceeded",
     "gauss_from_recurrence",
     "jacobi_recurrence",
-    "legendre_rule",
-    "JacobiRule",
     "jacobi_rule",
     "power_rule",
-    "stieltjes",
     "Grid1D",
     "TensorGrid",
     "build_axis",
@@ -109,46 +105,11 @@ def jacobi_recurrence(n: int, a: float, b: float):
     return alpha, beta
 
 
-@lru_cache(maxsize=64)
-def legendre_rule(order: int):
-    """Gauss-Legendre nodes/weights on (-1, 1); read-only arrays."""
-    alpha, beta = jacobi_recurrence(order, 0.0, 0.0)
-    nodes, weights = gauss_from_recurrence(alpha, beta, order)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-@dataclass(frozen=True)
-class JacobiRule:
-    """Gauss rule on (-1, 1) for the weight (1 - t^2)^(kappa - 1), kappa > 0."""
-
-    kappa: float
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def mass(self) -> float:
-        """sum of weights = B(1/2, kappa)."""
-        return float(np.sum(self.weights))
-
-
 @lru_cache(maxsize=256)
-def jacobi_rule(kappa: float, order: int) -> JacobiRule:
-    if kappa <= 0.0:
-        raise ValueError("jacobi_rule needs kappa > 0")
-    alpha, beta = jacobi_recurrence(order, kappa - 1.0, kappa - 1.0)
-    nodes, weights = gauss_from_recurrence(alpha, beta, order)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return JacobiRule(kappa=kappa, order=order, nodes=nodes, weights=weights)
-
-
-@lru_cache(maxsize=64)
-def _unit_power_rule(two_kappa: float, order: int):
-    """Gauss-Jacobi (0, two_kappa) nodes/weights on (-1, 1); read-only arrays."""
-    alpha, beta = jacobi_recurrence(order, 0.0, two_kappa)
+def jacobi_rule(a: float, b: float, order: int):
+    """Gauss-Jacobi nodes/weights on (-1, 1) for the weight (1-t)^a (1+t)^b;
+    read-only arrays."""
+    alpha, beta = jacobi_recurrence(order, a, b)
     nodes, weights = gauss_from_recurrence(alpha, beta, order)
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -163,34 +124,9 @@ def power_rule(two_kappa: float, hi: float, order: int):
         raise ValueError("exponent must be nonnegative")
     if not hi > 0.0:
         raise ValueError("need hi > 0")
-    t, w = _unit_power_rule(two_kappa, order)
+    t, w = jacobi_rule(0.0, two_kappa, order)
     half = hi / 2.0
     return half * (t + 1.0), half ** (two_kappa + 1.0) * w
-
-
-def stieltjes(nodes, weights, n: int):
-    """Monic recurrence coefficients of the discrete measure sum w_i delta(x_i).
-
-    The discretization must integrate polynomials of degree 2n against the
-    target measure accurately; the returned (alpha, beta) then feed
-    gauss_from_recurrence.
-    """
-    x = np.asarray(nodes, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    alpha = np.zeros(n)
-    beta = np.zeros(n)
-    p_prev = np.zeros_like(x)
-    p = np.ones_like(x)
-    norm_prev = 1.0
-    for k in range(n):
-        norm = float(w @ (p * p))
-        if not np.isfinite(norm) or norm <= 0.0:
-            raise RecurrenceBreakdown(f"norm {norm} at degree {k}")
-        alpha[k] = float(w @ (x * p * p)) / norm
-        beta[k] = w.sum() if k == 0 else norm / norm_prev
-        p_next = (x - alpha[k]) * p - (beta[k] if k > 0 else 0.0) * p_prev
-        p_prev, p, norm_prev = p, p_next, norm
-    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -236,7 +172,7 @@ def build_axis(kappa: float, L: float, panels: int, order: int) -> Grid1D:
                 n, w = power_rule(2.0 * kappa, hi, order)
                 w = w / n ** (2.0 * kappa)
             else:
-                t, w0 = legendre_rule(order)
+                t, w0 = jacobi_rule(0.0, 0.0, order)
                 n = lo + (hi - lo) / 2.0 * (t + 1.0)
                 w = (hi - lo) / 2.0 * w0
             xs.append(n)

@@ -1,9 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
+import cliffdunkl
 from cliffdunkl.cdt_engine import AnalyticField, build_plan
 from cliffdunkl.clifford_core import MultiVector, Signature, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit
+
+# subprocesses import the package this process imported, also when src/ is
+# on the path only through pytest's `pythonpath` setting
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(cliffdunkl.__file__)), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -119,7 +119,7 @@ def test_miyachi_boundary_verdict(tmp_path, capsys):
     rc = main(["miyachi", "--field", str(f),
                "--alpha", "1", "--beta", "0.25", "--lambda", "3",
                "--exponent", "inf",
-               "--in-grid", "-8:8:1:32", "--out-grid", "-8:8:1:32"])
+               "--in-grid", "-8:8:1:32"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["case"] == "boundary"
@@ -135,7 +135,7 @@ def test_miyachi_ladder_flag(tmp_path, capsys):
     rc = main(["miyachi", "--field", str(f),
                "--alpha", "1", "--beta", "1", "--lambda", "1",
                "--ladder", "2,2.5,3,3.5",
-               "--in-grid", "-8:8:1:32", "--out-grid", "-8:8:1:32"])
+               "--in-grid", "-8:8:1:32"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["case"] == "vanishing"
@@ -217,6 +217,32 @@ def test_argparse_rejections_exit_2(tmp_path, capsys):
         main(["transform", "--field", "f.json"])  # --out is required
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("split", ["0", "2", "7"])
+def test_split_is_cross_checked_against_the_field_file(tmp_path, gauss_file, capsys, split):
+    out = tmp_path / "x.json"
+    rc = main(["transform", "--field", str(gauss_file), "--split", split,
+               "--in-grid", "-4:4:1:8", "--out-grid", "-4:4:1:8", "--out", str(out)])
+    assert rc == 3
+    assert "split: field file says 1" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["transform", "--field", str(gauss_file), "--split", "1",
+               "--in-grid", "-4:4:1:8", "--out-grid", "-4:4:1:8", "--out", str(out)])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["plancherel", "--field", "F", "--out", "p.json"],
+    ["eigencheck", "--sig", "0,2", "--kappa", "0.3,0.7", "--v", "0", "--u", "0", "--out", "e.json"],
+    ["miyachi", "--field", "F", "--alpha", "1", "--beta", "1", "--lambda", "1",
+     "--out-grid", "-8:8:1:32"],
+], ids=["plancherel-out", "eigencheck-out", "miyachi-out-grid"])
+def test_flags_a_command_never_reads_exit_2(gauss_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([str(gauss_file) if tok == "F" else tok for tok in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_input_errors_exit_3(tmp_path, gauss_file, capsys):

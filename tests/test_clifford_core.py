@@ -259,3 +259,13 @@ def test_signature_caps_at_six_generators():
     for p, q in ((0, 7), (7, 0), (3, 4), (0, 13)):
         with pytest.raises(ValueError):
             Signature(p, q)
+
+
+def test_power_is_repeated_product():
+    sig = Signature(1, 2)
+    m = MultiVector(sig, np.arange(1.0, 9.0) / 8.0)
+    assert m**0 == MultiVector.scalar(sig, 1.0)
+    assert m**3 == m * m * m
+    for bad in (-1, 2.0, "2"):
+        with pytest.raises(ValueError):
+            m**bad

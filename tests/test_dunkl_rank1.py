@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
-from scipy.special import gammaln, jv
+from scipy.special import eval_genlaguerre, gammaln, jv, poch
 
 from cliffdunkl.clifford_core import MultiVector, Signature, modulus, validate_imaginary
 from cliffdunkl.dunkl_rank1 import (
@@ -314,6 +314,34 @@ def test_eval_h_is_coordinate_product():
 def test_hermite_cap():
     with pytest.raises(ValueError):
         hermite_basis(0.3, HERMITE_N_CAP + 1)
+
+
+def _hermite_laguerre(kappa, n, s):
+    """Orthonormal generalized Hermite polynomial p_n from the Laguerre form:
+    p_2m = (-1)^m sqrt(m!/Gamma(m+kappa+1/2)) L_m^(kappa-1/2)(s^2),
+    p_2m+1 = (-1)^m sqrt(m!/Gamma(m+kappa+3/2)) s L_m^(kappa+1/2)(s^2)."""
+    m, odd = divmod(n, 2)
+    a = kappa + 0.5 + odd  # Gamma(m + a) = Gamma(a) (a)_m, which overflows alone
+    c = (-1) ** m * math.sqrt(math.factorial(m) / poch(a, m) / math.gamma(a))
+    return c * s**odd * eval_genlaguerre(m, a - 1.0, s * s)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3, 5.0, 40.0, 100.0, 150.0])
+def test_hermite_basis_matches_laguerre_closed_form(kappa):
+    alpha, beta = hermite_basis(kappa, HERMITE_N_CAP)
+    s = np.linspace(-4.0, 4.0, 161)
+    for n in range(HERMITE_N_CAP + 1):
+        want = _hermite_laguerre(kappa, n, s)
+        got = eval_orthonormal(alpha, beta, n, s)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n
+
+
+def test_hermite_basis_refuses_what_it_cannot_represent():
+    with pytest.raises(OverflowError, match="kappa = 172"):
+        hermite_basis(172.0, 4)
+    for kappa in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            hermite_basis(kappa, 4)
 
 
 @pytest.mark.parametrize("kappa", [0.2, 0.5, 1.0, 3.0, 200.0])

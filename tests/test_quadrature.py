@@ -22,7 +22,6 @@ from cliffdunkl.quadrature import (
     integrate,
     jacobi_recurrence,
     jacobi_rule,
-    legendre_rule,
     parse_grid_spec,
     power_rule,
 )
@@ -164,18 +163,18 @@ def test_integrate_multivector_sequence_and_linearity():
 
 @pytest.mark.parametrize("kappa", [0.3, 1.0, 2.5])
 def test_jacobi_rule_mass_and_moments(kappa):
-    rule = jacobi_rule(kappa, 20)
-    assert np.allclose(rule.nodes, -rule.nodes[::-1], atol=1e-14)
-    assert abs(np.sum(rule.weights) - beta_fn(0.5, kappa)) < 1e-10 * beta_fn(0.5, kappa)
-    assert abs(np.dot(rule.weights, rule.nodes)) < 1e-14
+    nodes, weights = jacobi_rule(kappa - 1.0, kappa - 1.0, 20)
+    assert np.allclose(nodes, -nodes[::-1], atol=1e-14)
+    assert abs(np.sum(weights) - beta_fn(0.5, kappa)) < 1e-10 * beta_fn(0.5, kappa)
+    assert abs(np.dot(weights, nodes)) < 1e-14
     for m in range(1, 8):
-        got = np.dot(rule.weights, rule.nodes ** (2 * m))
+        got = np.dot(weights, nodes ** (2 * m))
         want = beta_fn(m + 0.5, kappa)
         assert abs(got - want) < 1e-12 * want
 
 
 def test_legendre_rule_against_numpy():
-    nodes, weights = legendre_rule(24)
+    nodes, weights = jacobi_rule(0.0, 0.0, 24)
     ref_n, ref_w = np.polynomial.legendre.leggauss(24)
     assert np.allclose(nodes, ref_n, atol=1e-14)
     assert np.allclose(weights, ref_w, atol=1e-14)
@@ -219,7 +218,7 @@ def test_power_rule_returns_fresh_arrays():
 
 @pytest.mark.parametrize("two_kappa,order", [(0.6, 12), (1.4, 48), (0.0, 5)])
 def test_unit_power_rule_is_read_only_and_exact(two_kappa, order):
-    nodes, weights = quadrature._unit_power_rule(two_kappa, order)
+    nodes, weights = jacobi_rule(0.0, two_kappa, order)
     assert not nodes.flags.writeable and not weights.flags.writeable
     fresh = gauss_from_recurrence(*jacobi_recurrence(order, 0.0, two_kappa), order)
     assert np.array_equal(nodes, fresh[0]) and np.array_equal(weights, fresh[1])
