@@ -34,6 +34,13 @@ conjugation (B -> -B) and constants.  Translation and convolution are scalar ope
 enters every path an even number of times), so they run the same
 contractions with signs in place of blade matrices.
 
+Analytic fields are sampled one blade body per blade.  From 2^20 sampled
+values on, the bodies are dealt out to the calling thread and a lazily made
+pool of (usable CPUs - 1) threads (`_each`).  numpy releases the GIL in its
+ufunc loops, so the bodies run on every core, each writing its own slice of
+the blade-first samples, and the result is bit-identical to the serial
+loop.  The GEMMs already use every core through BLAS.
+
 Normalization: `raw` implements the integral above literally; `mehta`
 multiplies the forward transform by c_{k_p} c_{k_q} (and adjusts the
 inverse), which makes the transform unitary and fixes the Gaussian
@@ -47,7 +54,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache, partial
 from typing import Mapping, NamedTuple
@@ -81,6 +90,7 @@ _EXPLICIT_CHUNK = 1 << 15  # field values per call in translate_explicit
 _PSI_ORDERS = (8, 16, 32, 64)  # psi orders the adaptive translate_explicit tries, in turn
 _PSI_RTOL = 1e-14  # agreement of two successive orders, relative max norm
 _PROBE_STRIDE = 16  # every k-th requested point joins the order probe
+_PARALLEL_MIN = 1 << 20  # values from which `_each` shares its items out to the pool
 
 
 class PlanMismatch(ValueError):
@@ -95,6 +105,77 @@ class NodeBudgetExceeded(RuntimeError):
     pass
 
 
+# -- concurrent blade bodies -----------------------------------------------
+#
+# The pool is made on first use (importing concurrent.futures costs
+# milliseconds that small fields never pay) and dropped in a forked child,
+# where its threads do not exist.
+
+_pool = None
+_pool_lock = threading.Lock()
+_on_pool = threading.local()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(n: int):
+    """The pool of n - 1 threads beside the calling one, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            # each pool thread marks itself, so that `_each` runs inline there
+            _pool = ThreadPoolExecutor(n - 1, thread_name_prefix="cliffdunkl",
+                                       initializer=setattr, initargs=(_on_pool, "busy", True))
+        return _pool
+
+
+def _drop_pool():
+    """In a forked child: forget the parent's pool and a lock it may have held."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _each(fn, items, size: int) -> None:
+    """fn(item) for every item, where `size` counts the values the calls
+    compute together.
+
+    From `_PARALLEL_MIN` values on, the items are dealt out in turn to n
+    shares, n the usable CPUs: the calling thread runs the first, the pool
+    the others.  An error raised in the calling thread's share wins, then
+    the pool's in share order.  Below the threshold, and on a pool thread
+    (an fn that itself calls `_each`), it is the plain loop: a pool thread
+    waiting on the pool could wait for itself.
+    """
+    items = list(items)
+    cpus = _usable_cpus() if size >= _PARALLEL_MIN else 1
+    n = min(cpus, len(items))
+    if n < 2 or getattr(_on_pool, "busy", False):
+        for item in items:
+            fn(item)
+        return
+    pool = _workers(cpus)
+    futures = [pool.submit(_each, fn, items[k::n], 0) for k in range(1, n)]
+    try:
+        for item in items[::n]:
+            fn(item)
+    finally:
+        for fut in futures:
+            fut.exception()  # waits: no body still runs once `_each` returns
+    for fut in futures:
+        fut.result()
+
+
 # -- fields ---------------------------------------------------------------
 
 
@@ -106,7 +187,13 @@ class AnalyticField:
     arrays.  The arrays are open (`_coords`): x_j has shape (1, ..., n_j,
     ..., 1), so a body must be elementwise numpy that broadcasts them, as
     expression fields and `translate_explicit` output are.  Its result is
-    broadcast to the grid; one that does not broadcast raises ValueError.
+    broadcast to the grid; one that does not broadcast, or that is not real
+    (complex, str, object), raises ValueError.
+
+    Each body is called once per `sample`.  On grids of `_PARALLEL_MIN`
+    (2^20) values or more, nodes times blades, the bodies run concurrently
+    on the calling thread and pool threads, so a body must not mutate
+    shared state.
     """
 
     sig: Signature
@@ -133,14 +220,22 @@ class AnalyticField:
         every blade is written contiguously."""
         coords = _coords(grid)
         out = np.zeros((self.sig.n_blades,) + grid.shape)
-        for mask, fn in self.blades.items():
+
+        def put(mask):
             try:
-                out[mask] = fn(*coords)
+                value = np.asarray(self.blades[mask](*coords))
+                if value.dtype.kind in "biuf":  # bool, integer or real floating
+                    out[mask] = value
+                    return
             except ValueError as exc:
                 raise ValueError(
                     f"blade {blade_label(mask)} body does not broadcast open coordinates "
                     f"{tuple(x.shape for x in coords)} to the grid {grid.shape}: {exc}"
                 ) from exc
+            raise ValueError(f"blade {blade_label(mask)} body returned {value.dtype} values; "
+                             "a field takes real numbers")
+
+        _each(put, self.blades, out.size)
         if not np.isfinite(out).all():
             raise ValueError("field evaluated to a non-finite value on the grid")
         return np.moveaxis(out, 0, -1)

@@ -1,8 +1,9 @@
 """References for the tests, computed apart from the library's routes:
 the kernel's defining power series, the Mehta integral by quadrature, the
 kernel as a multivector, the weight w_k, the generalized Hermite
-functions, each evaluated one point (or one row of points) at a time, and
-field sampling on dense coordinate arrays."""
+functions, each evaluated one point (or one row of points) at a time,
+field sampling on dense coordinate arrays, and the transform of a Hermite
+expansion from the eigenvalues alone."""
 
 import numpy as np
 
@@ -139,3 +140,39 @@ def sample_dense(field, grid) -> np.ndarray:
     for mask, fn in field.blades.items():
         out[..., mask] = fn(*X)
     return out
+
+
+def hermite_image(terms: dict, ms: MultiplicitySplit, a: ImaginaryUnit, b: ImaginaryUnit,
+                  ordering: str = "two", normalization: str = "raw") -> dict:
+    """The forward transform of f = sum of M h_v(x_p) h_u(x_q) over the
+    terms {(v, u): M}, as terms of the same kind of sum, with no kernel.
+
+    The generalized Hermite functions are eigenfunctions of the Dunkl
+    transform (Roesler, Comm. Math. Phys. 192, 1998), so the raw transform
+    maps the term to c_p^-1 c_q^-1 (-a)^l(v) M (-b)^l(u) h_v(y_p) h_u(y_q),
+    l the degree.  "left" puts both unit powers before M, "right" after it;
+    "mehta" drops c_p^-1 c_q^-1, here the Mehta integrals by quadrature.
+    """
+    scale = 1.0
+    if normalization == "raw":
+        scale = float(np.prod([mehta_factor_quadrature(k) for k in ms.kappa]))
+    out = {}
+    for (v, u), M in terms.items():
+        ua, ub = (-a.value) ** sum(v), (-b.value) ** sum(u)
+        unit = {"two": ua * M * ub, "left": ua * ub * M, "right": M * ua * ub}[ordering]
+        out[(v, u)] = scale * unit
+    return out
+
+
+def hermite_sum(terms: dict, ms: MultiplicitySplit, grid) -> np.ndarray:
+    """(*grid.shape, 2^d) values of sum M h_v(x_p) h_u(x_q) at the grid's
+    nodes, each term an outer product of `eval_h` on every axis alone."""
+    products = []
+    for v, u in terms:
+        prod = np.ones(())
+        for n, kappa, ax in zip(v + u, ms.kappa, grid.axes):
+            one = MultiplicitySplit((kappa,), 1)
+            prod = np.multiply.outer(prod, eval_h((n,), ax.nodes[:, None], one))
+        products.append(prod)
+    coeffs = np.stack([M.coeff for M in terms.values()])
+    return np.tensordot(np.stack(products), coeffs, axes=(0, 0))

@@ -7,9 +7,18 @@ block constants are exercised only through ClaimReport statuses, which are
 allowed to flag.
 """
 
+import hashlib
 import itertools
 import json
 import math
+import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -925,3 +934,223 @@ def test_plan_and_ledger_reject_a_bad_rtol(sig02, ms_std, unit_a, unit_b, rtol):
         build_plan(sig02, ms_std, unit_a, unit_b, L_x=4.0, rtol=rtol)
     with pytest.raises(ValueError, match="rtol"):
         run_claims_ledger({"rtol": rtol})
+
+
+# -- concurrent sampling -------------------------------------------------------
+#
+# Fields of 2^20 values or more sample their blades on the calling thread and
+# the pool; the tests force that path on small grids by lowering the
+# threshold and dealing the blades out to two shares.
+
+
+def _force_pool(monkeypatch):
+    monkeypatch.setattr(cdt_engine, "_PARALLEL_MIN", 1)
+    monkeypatch.setattr(cdt_engine, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    _force_pool(monkeypatch)
+
+
+def _cl0(d):
+    sig = Signature(0, d)
+    ms = MultiplicitySplit((0.3, 0.7, 0.5, 0.2)[:d], d // 2)
+    a, b = (validate_imaginary(MultiVector.blade(sig, e), e) for e in ("e1", "e2"))
+    return sig, ms, a, b
+
+
+def _seeded_bodies(d, masks, seed, threads):
+    """Per mask, a seeded quadratic times a Gaussian that records the name
+    of the thread it runs on."""
+    rng = np.random.default_rng(seed)
+    bodies = {}
+    for mask in masks:
+        c, s = rng.uniform(-1.0, 1.0, 1 + 2 * d), rng.uniform(0.4, 1.0)
+
+        def body(*X, c=c, s=s):
+            threads.append(threading.current_thread().name)
+            poly = c[0] + sum(c[1 + j] * X[j] + c[1 + d + j] * X[j] * X[j] for j in range(d))
+            return poly * np.exp(-s * sum(x * x for x in X))
+
+        bodies[mask] = body
+    return bodies
+
+
+def _all_transforms(d, threads):
+    sig, ms, a, b = _cl0(d)
+    plan = build_plan(sig, ms, a, b, L_x=4.0, L_y=4.0, order={2: 8, 3: 4, 4: 3}[d])
+    masks = [m for m in range(sig.n_blades) if m % 3 != 1]  # some blades absent
+    f = AnalyticField(sig, ms, _seeded_bodies(d, masks, d, threads))
+    g = AnalyticField(sig, ms, _seeded_bodies(d, masks[::-1], 10 + d, threads))
+    F = forward(f, plan)
+    return {
+        "forward": F.values,
+        "forward_left": forward_left(f, plan).values,
+        "inverse-forward": inverse(F, plan).values,
+        "translate_spectral": translate_spectral(f, (0.3, -0.2, 0.1, 0.4)[:d], plan).values,
+        "convolve": convolve(f, g, plan).values,
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pool_path_is_bit_identical_to_the_serial_path(d, monkeypatch):
+    serial_threads, pool_threads = [], []
+    serial = _all_transforms(d, serial_threads)
+    _force_pool(monkeypatch)
+    pool = _all_transforms(d, pool_threads)
+    for name, want in serial.items():
+        assert pool[name].tobytes() == want.tobytes(), name
+    assert set(serial_threads) == {threading.current_thread().name}
+    assert any(t.startswith("cliffdunkl") for t in pool_threads)
+
+
+def test_pool_path_calls_every_body_once(pooled):
+    sig, ms, _, _ = _cl0(3)
+    grid = build_grid(ms, 3.0, panels=1, order=3)
+    calls = []
+    f = AnalyticField(sig, ms, {m: (lambda *X, m=m: calls.append(m) or X[0] * m)
+                                for m in range(sig.n_blades)})
+    for _ in range(3):
+        calls.clear()
+        f.sample(grid)
+        assert sorted(calls) == list(range(sig.n_blades))
+
+
+def _sample_error(body):
+    """The message of the ValueError that sampling raises with `body` at
+    blade e1, and the threads that body ran on."""
+    sig, ms, _, _ = _cl0(2)
+    grid = build_grid(ms, 3.0, panels=1, order=3)
+    where = []
+
+    def e1(*X):  # the second of three blades: dealt to the pool's share
+        where.append(threading.current_thread().name)
+        return body(*X)
+
+    f = AnalyticField(sig, ms, {0: lambda *X: X[0] * X[1], 1: e1, 3: lambda *X: 1.0})
+    with pytest.raises(ValueError) as info:
+        f.sample(grid)
+    return str(info.value), where
+
+
+@pytest.mark.parametrize("body", [
+    lambda x1, x2: np.zeros(5),
+    lambda x1, x2: np.full_like(x1 * x2, np.inf),
+    lambda x1, x2: np.exp(1j * x1),
+], ids=["broadcast", "non-finite", "complex"])
+def test_errors_on_pool_threads_reach_the_caller_unchanged(body, monkeypatch):
+    serial, _ = _sample_error(body)
+    _force_pool(monkeypatch)
+    pooled, where = _sample_error(body)
+    assert pooled == serial
+    assert where and where[0].startswith("cliffdunkl")
+
+
+def test_a_body_that_samples_a_large_field_completes(pooled):
+    # the pool thread's share samples again: it must not wait on its own pool
+    sig, ms, _, _ = _cl0(2)
+    grid = build_grid(ms, 3.0, panels=1, order=4)
+    inner = gaussian_field(sig, ms, blades=range(4))
+    f = AnalyticField(sig, ms, {m: (lambda *X, m=m: inner.sample(grid)[..., m])
+                                for m in range(4)})
+    got = []
+    worker = threading.Thread(target=lambda: got.append(f.sample(grid)), daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "nested sampling deadlocked"
+    np.testing.assert_array_equal(got[0], inner.sample(grid))
+
+
+def test_concurrent_callers_share_one_pool_and_get_serial_results(pooled, monkeypatch):
+    import concurrent.futures
+
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.05)  # widens the window a check-then-act race would hit
+            super().__init__(*args, **kwargs)
+
+    sig, ms, _, _ = _cl0(3)
+    grid = build_grid(ms, 3.0, panels=1, order=4)
+    f = AnalyticField(sig, ms, _seeded_bodies(3, range(8), 5, []))
+    want = f.sample(grid).tobytes()
+    monkeypatch.setattr(cdt_engine, "_pool", None)  # the callers race to make it
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    got, start = [], threading.Barrier(8)
+
+    def call():
+        start.wait()
+        got.extend(f.sample(grid).tobytes() for _ in range(5))
+
+    callers = [threading.Thread(target=call) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert not any(t.is_alive() for t in callers)
+    assert len(made) == 1
+    assert len(got) == 40 and all(g == want for g in got)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sampling_in_a_forked_child_matches_the_parent(pooled):
+    sig, ms, _, _ = _cl0(3)
+    grid = build_grid(ms, 3.0, panels=1, order=4)
+    f = gaussian_field(sig, ms, blades=range(8))
+    want = hashlib.sha256(f.sample(grid).tobytes()).hexdigest()  # the parent's pool exists
+    assert cdt_engine._pool is not None
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child reports its digest and leaves without running pytest's exit
+        status = 1
+        try:
+            os.write(wfd, hashlib.sha256(f.sample(grid).tobytes()).hexdigest().encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    got = None
+    try:
+        ready = select.select([rfd], [], [], 60)[0]
+        got = os.read(rfd, 64).decode() if ready else None
+    finally:
+        os.close(rfd)
+        if got is None:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    assert got is not None, "the forked child hung while sampling"
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    assert got == want
+
+
+def test_small_fields_start_no_thread_and_never_import_the_pool():
+    code = textwrap.dedent("""
+        import sys, threading
+        import numpy as np
+        import cliffdunkl.cli
+        from cliffdunkl import (AnalyticField, MultiVector, MultiplicitySplit, Signature,
+                                build_plan, forward, inverse, run_claims_ledger,
+                                validate_imaginary)
+        sig, ms = Signature(0, 2), MultiplicitySplit((0.3, 0.7), 1)
+        a, b = (validate_imaginary(MultiVector.blade(sig, e), e) for e in ("e1", "e2"))
+        plan = build_plan(sig, ms, a, b, L_x=8.0, order=48)
+        f = AnalyticField(sig, ms, {m: lambda x1, x2: np.exp(-x1 * x1 - x2 * x2)
+                                    for m in range(4)})
+        inverse(forward(f, plan), plan)
+        run_claims_ledger()
+        print("concurrent.futures" in sys.modules, threading.active_count())
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "1"]

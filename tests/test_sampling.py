@@ -205,3 +205,20 @@ def test_benchmark_grids_stay_under_the_value_cap(d, order, Lx, Ly):
     sig, ms = _sig_ms(d)
     plan = build_plan(sig, ms, *_units(sig), L_x=Lx, L_y=Ly, order=order)
     assert plan.grid_x.n_nodes * sig.n_blades <= NODE_CAP
+
+
+@pytest.mark.parametrize("parallel_min", [cdt_engine._PARALLEL_MIN, 1])
+@pytest.mark.parametrize("body,dtype", [
+    (lambda x1, x2: np.exp(1j * x1 - x1**2 - x2**2), "complex128"),
+    (lambda x1, x2: np.full(np.broadcast_shapes(x1.shape, x2.shape), "a"), "<U1"),
+    (lambda x1, x2: np.array([[None]], dtype=object), "object"),
+], ids=["complex", "str", "object"])
+def test_a_body_that_is_not_real_names_its_blade_and_dtype(body, dtype, parallel_min,
+                                                           monkeypatch):
+    # a complex result used to lose its imaginary part with only a warning
+    monkeypatch.setattr(cdt_engine, "_PARALLEL_MIN", parallel_min)
+    monkeypatch.setattr(cdt_engine, "_usable_cpus", lambda: 2)
+    sig, ms, grid = _setup(2, order=3)
+    f = AnalyticField(sig, ms, {0: lambda x1, x2: x1 * x2, "e12": body})
+    with pytest.raises(ValueError, match=f"^blade e12 body returned {dtype} values"):
+        f.sample(grid)
