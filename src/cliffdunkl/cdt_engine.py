@@ -30,9 +30,10 @@ scatter back onto the full axes.  Every stage, from the gather to the
 scatter, writes into one of two work buffers that the stages take in turn,
 and the last one is the result.  `forward`, `forward_left`,
 `forward_right` and `inverse` differ only in that matrix, the kernel
-conjugation (B -> -B) and constants.  Translation and convolution are scalar operators (each unit
-enters every path an even number of times), so they run the same
-contractions with signs in place of blade matrices.
+conjugation (B -> -B) and constants.  Translation and convolution are
+scalar operators (each unit enters every path an even number of times),
+and translation by z is convolution with delta_z, so both take class
+products between the contractions of one pipeline (`_scalar_operator`).
 
 Analytic fields are sampled one blade body per blade.  From 2^20 sampled
 values on, the bodies are dealt out to the calling thread and a lazily made
@@ -466,21 +467,21 @@ def build_plan(
 
 
 class _Work:
-    """Two flat buffers of `size` floats that the stages of a d-axis
-    transform write in turn.
+    """Two flat buffers of `size` floats that the stages of a pipeline
+    write in turn.
 
-    A transform takes d + 5 stages (the inverse half of a scalar operator
-    d + 3), so it ends in bufs[d % 2].  That one is allocated first, so
-    the other, released when the transform returns, lies above it next to
-    the top of the heap, where malloc can hand it back.  Allocated the
-    other way round, the released buffers left holes that raised the peak
-    RSS of the d34_roundtrip benchmark by 16-23 MiB in about half of its
-    runs (glibc malloc).
+    A pipeline of n stages ends in bufs[(n - 1) % 2]: a partial transform
+    takes d + 2 stages, a transform d + 5 and a scalar operator 2d + 6.
+    That buffer is allocated first, so the other, released when the
+    pipeline returns, lies above it next to the top of the heap, where
+    malloc can hand it back.  Allocated the other way round, the released
+    buffers left holes that raised the peak RSS of the d34_roundtrip
+    benchmark by 16-23 MiB in about half of its runs (glibc malloc).
     """
 
-    def __init__(self, d: int, size: int):
+    def __init__(self, stages: int, size: int):
         first, second = np.empty(size), np.empty(size)
-        self.bufs, self.turn = ((second, first) if d % 2 else (first, second)), 0
+        self.bufs, self.turn = ((first, second) if stages % 2 else (second, first)), 0
 
     def next(self, shape) -> np.ndarray:
         """The buffer the previous call did not return, as `shape`."""
@@ -512,12 +513,11 @@ def _orthants(full: tuple) -> tuple:
     return tuple(itertools.product(*halves))
 
 
-def _fold(values: np.ndarray, d: int, work: _Work | None = None) -> np.ndarray:
+def _fold(values: np.ndarray, d: int, work: _Work) -> np.ndarray:
     """Samples (*grid, k) on mirrored axes (any strides) -> class stack.
     Per axis, bit 0 holds f(x) + f(-x) and bit 1 holds f(x) - f(-x): 2^d
     times the parity components, which is what the half matrices
     integrate against."""
-    work = work or _Work(d, values.size)
     full = values.shape[:d]
     Y = work.next((2**d,) + tuple(n // 2 for n in full) + values.shape[d:])
     for e, index in enumerate(_orthants(full)):
@@ -527,9 +527,8 @@ def _fold(values: np.ndarray, d: int, work: _Work | None = None) -> np.ndarray:
     return X
 
 
-def _unfold(X: np.ndarray, d: int, work: _Work | None = None) -> np.ndarray:
+def _unfold(X: np.ndarray, d: int, work: _Work) -> np.ndarray:
     """Class stack of parity components -> values (*grid, k)."""
-    work = work or _Work(d, X.size)
     Y = work.next(X.shape)
     np.matmul(_hadamard(d), X.reshape(2**d, -1), out=Y.reshape(2**d, -1))
     out = work.next(tuple(2 * n for n in X.shape[1:d + 1]) + X.shape[d + 1:])
@@ -560,7 +559,7 @@ def _contract(X: np.ndarray, plan: TransformPlan, inverse: bool, blades,
 def _partial_transform(values: np.ndarray, plan: TransformPlan, inverse: bool,
                        blades=None, work: _Work | None = None) -> np.ndarray:
     """`_contract` of the folded samples (*grid, k)."""
-    work = work or _Work(plan.ms.d, values.size)
+    work = work or _Work(plan.ms.d + 2, values.size)
     return _contract(_fold(values, plan.ms.d, work), plan, inverse, blades, work)
 
 
@@ -569,17 +568,39 @@ def _transform(values: np.ndarray, plan: TransformPlan, inverse: bool, cmat,
     """const * sum over classes sigma of sign(sigma) a^s (class) b^r."""
     _, s, r, sign = _parity_classes(plan.ms.d, plan.ms.split)
     blades = (const * sign)[:, None, None] * cmat[s, r]
-    work = _Work(plan.ms.d, values.size)
+    work = _Work(plan.ms.d + 5, values.size)
     return _unfold(_partial_transform(values, plan, inverse, blades, work), plan.ms.d, work)
 
 
-def _to_x_grid(H: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    """c^2 times the inverse-kernel integral of a y-side class stack of
-    parity components, for the scalar operators: values (*grid_x, k).
-    The factor 2^d turns components into the fold sums the matrices expect."""
-    scale = np.eye(H.shape[-1]) * (_c_squared(plan) * 2.0**plan.ms.d)
-    work = _Work(plan.ms.d, H.size)
-    return _unfold(_contract(H, plan, True, scale[None], work), plan.ms.d, work)
+def _scalar_operator(Phi: np.ndarray, values: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    """Phi * g as values (*grid_x, k), for the y-side class stack Phi
+    (C, k', *half) of a left factor in the first k' blades and g's samples.
+
+    y class tau collects (-1)^|alpha or beta| Phi_alpha Gamma_beta over
+    alpha xor beta = tau, Gamma g's classes and the sign what the units and
+    the inverse's conjugation leave; one GEMM against the structure tensor
+    takes the blade products.  The inverse contractions and c^2 2^d follow
+    (2^d turns parity components into the fold sums the matrices expect).
+    """
+    d, nb = plan.ms.d, plan.sig.n_blades
+    work = _Work(2 * d + 6, values.size)
+    Gam = _partial_transform(values, plan, False, work=work)
+    del values  # dead once folded: frees a field before the class products
+    (C, kl), half = Phi.shape[:2], Gam.shape[2:]
+    Phi, Gam = Phi.reshape(C, kl, 1, -1), Gam.reshape(C, 1, nb, -1)
+    S = structure_tensor(plan.sig)[:kl].reshape(kl * nb, nb)
+    bits = _parity_classes(d, plan.ms.split)[0]
+    odd = (bits[:, None] | bits[None, :]).sum(axis=-1) % 2
+    H = work.next((C,) + half + (nb,))
+    Q, term = np.empty((2, kl, nb, Gam.shape[-1]))
+    for tau in range(C):
+        Q.fill(0.0)
+        for al in range(C):
+            np.multiply(Phi[al], Gam[al ^ tau], out=term)
+            (np.subtract if odd[al, al ^ tau] else np.add)(Q, term, out=Q)
+        np.matmul(Q.reshape(kl * nb, -1).T, S, out=H[tau].reshape(-1, nb))
+    scale = np.eye(nb) * (_c_squared(plan) * 2.0**d)
+    return _unfold(_contract(H, plan, True, scale[None], work), d, work)
 
 
 def _result(plan: TransformPlan, grid: TensorGrid, values: np.ndarray) -> SampledField:
@@ -758,8 +779,8 @@ def _hermite_axis_matrix(ax, n_max: int) -> np.ndarray:
 def _hermite_product_grid(grid: TensorGrid, v: tuple) -> np.ndarray:
     out = np.ones(())
     for ax, nj in zip(grid.axes, v):
-        col = _hermite_axis_matrix(ax, nj)[:, nj]
-        out = np.multiply.outer(out, col)
+        col = eval_orthonormal(*hermite_basis(ax.kappa, max(nj, 1)), nj, ax.nodes)
+        out = np.multiply.outer(out, col * np.exp(-0.5 * ax.nodes**2))
     return out
 
 
@@ -880,30 +901,21 @@ def translate_spectral(f, z, plan: TransformPlan) -> SampledField:
 
     Mode factors cancel between forward and inverse, so the operator is
     normalization-independent.  It is also scalar: per axis, the forward,
-    profile and inverse factors carry an even power of the unit.  The
-    profile E(z_j, -u y_j) = A + u B therefore mixes the even and odd
-    classes as even' = A even - B odd, odd' = -(B even + A odd), the minus
-    offsetting the inverse's negated odd matrices.  tau_0 is the identity
-    up to round-trip error.
+    profile and inverse factors carry an even power of the unit.  So
+    tau_z f is the convolution delta_z * f, with delta_z's class sigma the
+    scalar prod_j (A_j if sigma_j = 0 else B_j)(z_j y_j) on the y grid.
+    tau_0 is the identity up to round-trip error.
     """
-    z = _shift(z, plan.ms.d)
-    for j in range(plan.ms.d):
-        if abs(z[j]) * plan.grid_y.axes[j].L > plan.tables[j].t_max:
+    z, delta = _shift(z, plan.ms.d), np.ones((1, 1))
+    for j, (table, ay) in enumerate(zip(plan.tables, plan.grid_y.axes)):
+        if abs(z[j]) * ay.L > table.t_max:
             raise ArgumentOutOfRadius(
-                f"|z_{j + 1}| * L_y exceeds the kernel radius {plan.tables[j].t_max:g}"
+                f"|z_{j + 1}| * L_y exceeds the kernel radius {table.t_max:g}"
             )
-    d, nb = plan.ms.d, plan.sig.n_blades
-    values = _sample_on(f, plan.grid_x, plan.sig, plan.ms)
-    G = _partial_transform(values, plan, False, np.eye(nb)[None])  # scalar: blades ride along
-    for j, ay in enumerate(plan.grid_y.axes):
-        A, B = eval_kernel_ab(plan.tables[j], z[j] * ay.nodes[len(ay) // 2:])
-        shape = [-1 if k == j else 1 for k in range(d + 1)]
-        A, B = A.reshape(shape), B.reshape(shape)
-        G = G.reshape((2**j, 2, -1) + G.shape[1:])
-        even, odd = G[:, 0], G[:, 1]
-        G = np.stack((A * even - B * odd, -(B * even + A * odd)), axis=1)
-        G = G.reshape((-1,) + even.shape[2:])
-    return _result(plan, plan.grid_x, _to_x_grid(G, plan))
+        AB = np.stack(eval_kernel_ab(table, z[j] * ay.nodes[len(ay) // 2:]))
+        delta = (delta[:, None, :, None] * AB[None, :, None, :]).reshape(2 * len(delta), -1)
+    values = _scalar_operator(delta[:, None], _sample_on(f, plan.grid_x, plan.sig, plan.ms), plan)
+    return _result(plan, plan.grid_x, values)
 
 
 def _branch_table(x: np.ndarray, zj: float, rule) -> tuple:
@@ -1027,12 +1039,8 @@ def convolve(f, g, plan: TransformPlan) -> SampledField:
     """(f * g)(x) = integral f(z) tau_z g(x) dmu(z), tau_z spectral.
 
     tau_z is scalar, so swapping the z and y integrations leaves pointwise
-    products of the contracted classes Phi of f and Gamma of g: y class tau
-    collects (-1)^|alpha or beta| Phi_alpha Gamma_beta over
-    alpha xor beta = tau, the sign being what the units and the inverse's
-    conjugation leave, with the blade products taken by one GEMM against
-    the structure tensor.  One inverse contraction per class follows.  The
-    result depends neither on the units nor on the normalization mode.
+    products of the contracted classes of f and g (`_scalar_operator`).
+    The result depends neither on the units nor on the normalization mode.
     CONVOLVE_BUDGET caps the kernel evaluations per output node (= the
     y-grid size).
     """
@@ -1041,20 +1049,9 @@ def convolve(f, g, plan: TransformPlan) -> SampledField:
             f"{plan.grid_y.n_nodes} kernel evaluations per output node "
             f"exceeds {CONVOLVE_BUDGET}"
         )
-    nb = plan.sig.n_blades
-    Phi, Gam = (_partial_transform(_sample_on(h, plan.grid_x, plan.sig, plan.ms), plan, False)
-                for h in (f, g))
-    C, half = Phi.shape[0], Phi.shape[2:]
-    Phi, Gam = Phi.reshape(C, nb, 1, -1), Gam.reshape(C, 1, nb, -1)
-    S = structure_tensor(plan.sig).reshape(nb * nb, nb)
-    bits = _parity_classes(plan.ms.d, plan.ms.split)[0]
-    sign = (-1.0) ** np.maximum(bits[:, None], bits[None, :]).sum(axis=-1)
-    H = np.empty((C, Phi.shape[-1], nb))
-    for tau in range(C):
-        Q = sum(sign[al, al ^ tau] * Phi[al] * Gam[al ^ tau] for al in range(C))
-        H[tau] = Q.reshape(nb * nb, -1).T @ S
-    H = H.reshape((C,) + half + (nb,))
-    return _result(plan, plan.grid_x, _to_x_grid(H, plan))
+    Phi = _partial_transform(_sample_on(f, plan.grid_x, plan.sig, plan.ms), plan, False)
+    values = _scalar_operator(Phi, _sample_on(g, plan.grid_x, plan.sig, plan.ms), plan)
+    return _result(plan, plan.grid_x, values)
 
 
 # -- the claims ledger ----------------------------------------------------

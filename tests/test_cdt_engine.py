@@ -62,7 +62,7 @@ from cliffdunkl.cdt_engine import (
     translate_explicit,
     translate_spectral,
 )
-from cliffdunkl.cdt_engine import _coords, _fold, _sample_on, _unfold
+from cliffdunkl.cdt_engine import _Work, _coords, _fold, _sample_on, _unfold
 from cliffdunkl import cdt_engine
 from cliffdunkl.quadrature import build_grid
 
@@ -814,12 +814,14 @@ def test_fold_and_unfold_match_the_literal_orthant_sums(shape):
     want = _literal_fold(v, d)
     for name, view in _layouts(v).items():
         np.testing.assert_array_equal(view, v)
-        X = _fold(view, d)
+        X = _fold(view, d, _Work(2, v.size))
         assert X.shape == want.shape, name
         np.testing.assert_allclose(X, want, rtol=0, atol=1e-13, err_msg=name)
-        np.testing.assert_allclose(_unfold(X, d), 2.0**d * v, rtol=0, atol=1e-13, err_msg=name)
+        np.testing.assert_allclose(_unfold(X, d, _Work(2, X.size)), 2.0**d * v,
+                                   rtol=0, atol=1e-13, err_msg=name)
     H = np.random.default_rng(7).standard_normal(want.shape)
-    np.testing.assert_allclose(_unfold(H, d), _literal_unfold(H, d), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_unfold(H, d, _Work(2, H.size)), _literal_unfold(H, d),
+                               rtol=0, atol=1e-13)
 
 
 def test_sample_matches_per_node_evaluation(sig02, ms_std):
@@ -880,8 +882,10 @@ def test_sampled_field_copies_the_callers_array(sig02, ms_std, plan_std):
 
 def test_transform_memory_stays_within_two_work_buffers(unit_a, unit_b):
     # forward of an analytic field holds the samples plus two work buffers,
-    # inverse of a sampled field the two buffers only; the slack covers the
-    # per-class half matrices and other arrays of a few kB
+    # inverse of a sampled field the two buffers only; translation adds its
+    # delta_z classes (1/8 of a field here) and convolution f's classes and
+    # the two class-product arrays; the slack covers the per-class half
+    # matrices and other arrays of a few kB
     sig = Signature(0, 3)
     ms = MultiplicitySplit((0.3, 0.7, 0.5), 1)
     a = validate_imaginary(MultiVector.blade(sig, "e1"), "e1")
@@ -891,7 +895,9 @@ def test_transform_memory_stays_within_two_work_buffers(unit_a, unit_b):
     F = forward(f, plan)
     field_bytes = F.values.nbytes
     slack = 128 * 1024
-    for run, budget in ((lambda: forward(f, plan), 3), (lambda: inverse(F, plan), 2)):
+    for run, budget in ((lambda: forward(f, plan), 3), (lambda: inverse(F, plan), 2),
+                        (lambda: translate_spectral(f, (0.4, -0.3, 0.2), plan), 4),
+                        (lambda: convolve(f, f, plan), 6)):
         tracemalloc.start()
         try:
             run()
