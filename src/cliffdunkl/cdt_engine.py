@@ -36,11 +36,12 @@ and translation by z is convolution with delta_z, so both take class
 products between the contractions of one pipeline (`_scalar_operator`).
 
 Analytic fields are sampled one blade body per blade.  From 2^20 sampled
-values on, the bodies are dealt out to the calling thread and a lazily made
-pool of (usable CPUs - 1) threads (`_each`).  numpy releases the GIL in its
-ufunc loops, so the bodies run on every core, each writing its own slice of
-the blade-first samples, and the result is bit-identical to the serial
-loop.  The GEMMs already use every core through BLAS.
+values on, the bodies are dealt out to the calling thread and to usable
+CPUs - 1 threads started for the call and joined before it returns
+(`_each`).  numpy releases the GIL in its ufunc loops, so the bodies run on
+every core, each writing its own slice of the blade-first samples, and the
+result is bit-identical to the serial loop.  The GEMMs already use every
+core through BLAS.
 
 Normalization: `raw` implements the integral above literally; `mehta`
 multiplies the forward transform by c_{k_p} c_{k_q} (and adjusts the
@@ -57,7 +58,6 @@ import json
 import math
 import os
 import sys
-import threading
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache, partial
 from typing import Mapping, NamedTuple
@@ -76,6 +76,7 @@ from .dunkl_rank1 import (
     HERMITE_N_CAP,
     ArgumentOutOfRadius,
     MultiplicitySplit,
+    _orthonormal_upto,
     eval_kernel_ab,
     eval_orthonormal,
     hermite_basis,
@@ -91,7 +92,7 @@ _EXPLICIT_CHUNK = 1 << 15  # field values per call in translate_explicit
 _PSI_ORDERS = (8, 16, 32, 64)  # psi orders the adaptive translate_explicit tries, in turn
 _PSI_RTOL = 1e-14  # agreement of two successive orders, relative max norm
 _PROBE_STRIDE = 16  # every k-th requested point joins the order probe
-_PARALLEL_MIN = 1 << 20  # values from which `_each` shares its items out to the pool
+_PARALLEL_MIN = 1 << 20  # values from which `_each` shares its items out to threads
 
 
 class PlanMismatch(ValueError):
@@ -107,14 +108,6 @@ class NodeBudgetExceeded(RuntimeError):
 
 
 # -- concurrent blade bodies -----------------------------------------------
-#
-# The pool is made on first use (importing concurrent.futures costs
-# milliseconds that small fields never pay) and dropped in a forked child,
-# where its threads do not exist.
-
-_pool = None
-_pool_lock = threading.Lock()
-_on_pool = threading.local()
 
 
 def _usable_cpus() -> int:
@@ -124,55 +117,29 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(n: int):
-    """The pool of n - 1 threads beside the calling one, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # each pool thread marks itself, so that `_each` runs inline there
-            _pool = ThreadPoolExecutor(n - 1, thread_name_prefix="cliffdunkl",
-                                       initializer=setattr, initargs=(_on_pool, "busy", True))
-        return _pool
-
-
-def _drop_pool():
-    """In a forked child: forget the parent's pool and a lock it may have held."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
 def _each(fn, items, size: int) -> None:
     """fn(item) for every item, where `size` counts the values the calls
     compute together.
 
     From `_PARALLEL_MIN` values on, the items are dealt out in turn to n
-    shares, n the usable CPUs: the calling thread runs the first, the pool
-    the others.  An error raised in the calling thread's share wins, then
-    the pool's in share order.  Below the threshold, and on a pool thread
-    (an fn that itself calls `_each`), it is the plain loop: a pool thread
-    waiting on the pool could wait for itself.
+    shares, n the usable CPUs: the calling thread runs the first, and n - 1
+    threads started for the call and joined before it returns run the
+    others.  An error raised in the calling thread's share wins, then the
+    other shares' in order.  Below the threshold it is the plain loop, and
+    concurrent.futures is never imported.
     """
     items = list(items)
-    cpus = _usable_cpus() if size >= _PARALLEL_MIN else 1
-    n = min(cpus, len(items))
-    if n < 2 or getattr(_on_pool, "busy", False):
+    n = min(_usable_cpus() if size >= _PARALLEL_MIN else 1, len(items))
+    if n < 2:
         for item in items:
             fn(item)
         return
-    pool = _workers(cpus)
-    futures = [pool.submit(_each, fn, items[k::n], 0) for k in range(1, n)]
-    try:
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n - 1, thread_name_prefix="cliffdunkl") as pool:
+        futures = [pool.submit(_each, fn, items[k::n], 0) for k in range(1, n)]
         for item in items[::n]:
             fn(item)
-    finally:
-        for fut in futures:
-            fut.exception()  # waits: no body still runs once `_each` returns
     for fut in futures:
         fut.result()
 
@@ -193,8 +160,8 @@ class AnalyticField:
 
     Each body is called once per `sample`.  On grids of `_PARALLEL_MIN`
     (2^20) values or more, nodes times blades, the bodies run concurrently
-    on the calling thread and pool threads, so a body must not mutate
-    shared state.
+    on the calling thread and threads started for the call and joined
+    before it returns, so a body must not mutate shared state.
     """
 
     sig: Signature
@@ -259,8 +226,13 @@ class SampledField:
 
     def __post_init__(self):
         vals = self.values
-        # a caller's array is copied; an engine result nobody else holds is adopted
-        vals = vals.array if isinstance(vals, _Owned) else np.array(vals, dtype=float, order="C")
+        # a caller's array is copied and checked; an engine result nobody else holds is adopted
+        if isinstance(vals, _Owned):
+            vals = vals.array
+        else:
+            vals = np.array(vals, dtype=float, order="C")
+            if not np.isfinite(vals).all():
+                raise ValueError("field values hold a non-finite number")
         want = self.grid.shape + (self.sig.n_blades,)
         if vals.shape != want:
             raise ValueError(f"values shape {vals.shape}, grid wants {want}")
@@ -770,10 +742,8 @@ def plancherel_ratio(f, plan: TransformPlan) -> tuple:
 
 def _hermite_axis_matrix(ax, n_max: int) -> np.ndarray:
     """Columns n = 0..n_max of h_n at the axis nodes (times the Gaussian)."""
-    alpha, beta = hermite_basis(ax.kappa, max(n_max, 1))
-    env = np.exp(-0.5 * ax.nodes**2)
-    cols = [eval_orthonormal(alpha, beta, n, ax.nodes) * env for n in range(n_max + 1)]
-    return np.stack(cols, axis=1)
+    cols = _orthonormal_upto(*hermite_basis(ax.kappa, max(n_max, 1)), n_max, ax.nodes)
+    return np.stack(list(cols), axis=1) * np.exp(-0.5 * ax.nodes**2)[:, None]
 
 
 def _hermite_product_grid(grid: TensorGrid, v: tuple) -> np.ndarray:

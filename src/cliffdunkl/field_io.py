@@ -4,8 +4,8 @@ A field file is a JSON object with `signature` [p, q] (1 <= p + q <= 6),
 `kappa` (one value per coordinate), `split`, and a nonempty `blades` map
 keyed by blade label.  Analytic files map labels to expression strings
 (see field_expr); sampled files instead carry a `grid` object
-{L, panels, order} and map labels to nested value arrays of the grid's
-shape.  Files are compact single-line JSON, written blade by blade
+{L, panels, order} and map labels to nested arrays of finite values of
+the grid's shape.  Files are compact single-line JSON, written blade by blade
 through the C encoder, so only one blade's values exist as Python floats
 and text at a time.  Floats are emitted via Python's shortest-repr (<= 17
 significant digits), so save/load round-trips every value bit-exactly.
@@ -21,7 +21,7 @@ import json
 
 import numpy as np
 
-from .cdt_engine import AnalyticField, SampledField, _coords
+from .cdt_engine import AnalyticField, SampledField, _coords, _Owned
 from .clifford_core import BladeSyntaxError, Signature, blade_label, parse_blade
 from .dunkl_rank1 import MultiplicitySplit
 from .field_expr import compile_expr
@@ -121,8 +121,10 @@ def load_field(path):
         arr = np.asarray(samples, dtype=float)
         if arr.shape != grid.shape:
             raise SchemaError(f"blades.{label}", f"expected shape {grid.shape}, got {arr.shape}")
+        if not np.isfinite(arr).all():  # json reads the NaN and Infinity literals
+            raise SchemaError(f"blades.{label}", "samples must be finite numbers")
         values[..., masks[label]] = arr
-    return SampledField(sig, ms, grid, values)
+    return SampledField(sig, ms, grid, _Owned(values))
 
 
 def save_field(field, path):

@@ -44,6 +44,17 @@ DECAY_RATIO = 0.5  # increments must drop by this factor to count as finite
 LOG_GUARD = 700.0  # exp() overflows near 709; stay in log space beyond this
 
 
+def _ladder(rungs) -> tuple:
+    """The rungs as floats, refused unless finite, positive, strictly
+    increasing and at least 3 (`_decide` compares the last two increments)."""
+    ladder = tuple(float(L) for L in rungs)
+    if not all(0.0 < L < math.inf for L in ladder):
+        raise ValueError(f"ladder rungs must be finite and positive, got {ladder}")
+    if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("ladder must be strictly increasing with >= 3 rungs")
+    return ladder
+
+
 @dataclass(frozen=True)
 class MiyachiConfig:
     alpha: float
@@ -59,12 +70,7 @@ class MiyachiConfig:
             raise ValueError("lambda must be positive")
         if not self.exponent >= 1.0:
             raise ValueError("exponent must be in [1, inf]")
-        ladder = tuple(float(L) for L in self.ladder)
-        if not all(0.0 < L < math.inf for L in ladder):
-            raise ValueError(f"ladder rungs must be finite and positive, got {ladder}")
-        if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("ladder must be strictly increasing with >= 3 rungs")
-        object.__setattr__(self, "ladder", ladder)
+        object.__setattr__(self, "ladder", _ladder(self.ladder))
 
 
 @dataclass(frozen=True)
@@ -158,9 +164,10 @@ def check_growth(f, alpha: float, n: float, ladder, *, panels: int = 1, order: i
     """
     if not n >= 1.0:
         raise ValueError("exponent must be in [1, inf]")
+    ladder = _ladder(ladder)
     values = []
     for L in ladder:
-        grid = build_grid(f.ms, float(L), panels=panels, order=order)
+        grid = build_grid(f.ms, L, panels=panels, order=order)
         vals = _sample_on(f, grid, f.sig, f.ms)
         xs = _coords(grid)
         expo = alpha * sum(x * x for x in xs) + _log_modulus(vals)
@@ -181,7 +188,7 @@ def check_growth(f, alpha: float, n: float, ladder, *, panels: int = 1, order: i
     if math.isinf(n):
         values = [math.exp(v) if v <= LOG_GUARD else math.inf for v in values]
         note = "essential sup over the box (n = inf)"
-    return ConditionReport("growth", status, tuple(float(L) for L in ladder), tuple(values), note)
+    return ConditionReport("growth", status, ladder, tuple(values), note)
 
 
 def check_log(F, beta: float, lam: float, ladder) -> ConditionReport:
@@ -193,7 +200,7 @@ def check_log(F, beta: float, lam: float, ladder) -> ConditionReport:
     """
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
-    ladder = tuple(float(L) for L in ladder)
+    ladder = _ladder(ladder)
     if isinstance(F, SampledField):
         fields = [F] * len(ladder)
         if any(ax.L < ladder[-1] - 1e-12 for ax in F.grid.axes):

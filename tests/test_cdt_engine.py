@@ -868,6 +868,14 @@ def test_engine_results_are_read_only_and_own_their_memory(sig02, ms_std, plan_s
         assert not np.shares_memory(r1.values, r2.values)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sampled_field_refuses_non_finite_values(sig02, ms_std, plan_std, bad):
+    arr = np.zeros(plan_std.grid_x.shape + (4,))
+    arr[3, 1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SampledField(sig02, ms_std, plan_std.grid_x, arr)
+
+
 def test_sampled_field_copies_the_callers_array(sig02, ms_std, plan_std):
     arr = np.ones(plan_std.grid_x.shape + (4,))
     fld = SampledField(sig02, ms_std, plan_std.grid_x, arr)
@@ -945,8 +953,8 @@ def test_plan_and_ledger_reject_a_bad_rtol(sig02, ms_std, unit_a, unit_b, rtol):
 # -- concurrent sampling -------------------------------------------------------
 #
 # Fields of 2^20 values or more sample their blades on the calling thread and
-# the pool; the tests force that path on small grids by lowering the
-# threshold and dealing the blades out to two shares.
+# threads started for the call; the tests force that path on small grids by
+# lowering the threshold and dealing the blades out to two shares.
 
 
 def _force_pool(monkeypatch):
@@ -1023,6 +1031,25 @@ def test_pool_path_calls_every_body_once(pooled):
         assert sorted(calls) == list(range(sig.n_blades))
 
 
+def test_no_sampling_thread_outlives_the_call(pooled, monkeypatch):
+    # every thread lingers after its last item, as on a loaded machine: only
+    # joining the threads inside the call leaves none of them behind
+    class Lingering(threading.Thread):
+        def run(self):
+            super().run()
+            time.sleep(0.2)
+
+    monkeypatch.setattr(threading, "Thread", Lingering)
+    sig, ms, _, _ = _cl0(3)
+    grid = build_grid(ms, 3.0, panels=1, order=4)
+    where = []
+    f = AnalyticField(sig, ms, _seeded_bodies(3, range(8), 7, where))
+    for _ in range(3):
+        f.sample(grid)
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("cliffdunkl")]
+    assert any(t.startswith("cliffdunkl") for t in where)
+
+
 def _sample_error(body):
     """The message of the ValueError that sampling raises with `body` at
     blade e1, and the threads that body ran on."""
@@ -1054,7 +1081,7 @@ def test_errors_on_pool_threads_reach_the_caller_unchanged(body, monkeypatch):
 
 
 def test_a_body_that_samples_a_large_field_completes(pooled):
-    # the pool thread's share samples again: it must not wait on its own pool
+    # the worker's share samples a large field again, on threads of its own
     sig, ms, _, _ = _cl0(2)
     grid = build_grid(ms, 3.0, panels=1, order=4)
     inner = gaussian_field(sig, ms, blades=range(4))
@@ -1068,23 +1095,11 @@ def test_a_body_that_samples_a_large_field_completes(pooled):
     np.testing.assert_array_equal(got[0], inner.sample(grid))
 
 
-def test_concurrent_callers_share_one_pool_and_get_serial_results(pooled, monkeypatch):
-    import concurrent.futures
-
-    made = []
-
-    class Counted(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            time.sleep(0.05)  # widens the window a check-then-act race would hit
-            super().__init__(*args, **kwargs)
-
+def test_concurrent_callers_get_serial_results(pooled):
     sig, ms, _, _ = _cl0(3)
     grid = build_grid(ms, 3.0, panels=1, order=4)
     f = AnalyticField(sig, ms, _seeded_bodies(3, range(8), 5, []))
     want = f.sample(grid).tobytes()
-    monkeypatch.setattr(cdt_engine, "_pool", None)  # the callers race to make it
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     got, start = [], threading.Barrier(8)
 
     def call():
@@ -1101,10 +1116,7 @@ def test_concurrent_callers_share_one_pool_and_get_serial_results(pooled, monkey
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        for pool in made:
-            pool.shutdown()
     assert not any(t.is_alive() for t in callers)
-    assert len(made) == 1
     assert len(got) == 40 and all(g == want for g in got)
 
 
@@ -1113,8 +1125,7 @@ def test_sampling_in_a_forked_child_matches_the_parent(pooled):
     sig, ms, _, _ = _cl0(3)
     grid = build_grid(ms, 3.0, panels=1, order=4)
     f = gaussian_field(sig, ms, blades=range(8))
-    want = hashlib.sha256(f.sample(grid).tobytes()).hexdigest()  # the parent's pool exists
-    assert cdt_engine._pool is not None
+    want = hashlib.sha256(f.sample(grid).tobytes()).hexdigest()
     rfd, wfd = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child reports its digest and leaves without running pytest's exit

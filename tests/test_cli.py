@@ -356,6 +356,22 @@ def test_non_finite_kappa_is_an_input_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_non_finite_samples_are_an_input_error(tmp_path, capsys):
+    # json reads the NaN literal; a sampled file holding one used to be
+    # transformed into an all-NaN field with exit 0
+    samples = [[0.0] * 4 for _ in range(4)]
+    samples[1][2] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"signature": [0, 2], "kappa": [0.3, 0.7], "split": 1,
+                                "grid": {"L": [2.0, 2.0], "panels": 1, "order": 2},
+                                "blades": {"e2": samples}}))
+    out = tmp_path / "F.json"
+    rc = main(["transform", "--field", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3 and not out.exists()
+    assert "input error: blades.e2: samples must be finite numbers" in err
+
+
 def test_kernel_at_large_kappa_exits_0(capsys):
     # kappa >= 86 used to overflow the Jacobi rule's total mass
     rc = main(["kernel", "--kappa", "100", "--t", "5"])

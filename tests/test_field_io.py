@@ -1,6 +1,7 @@
 """Expression language (parse/eval/print) and field file serialization."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -345,6 +346,9 @@ def _sampled_doc():
     (lambda d: d["grid"].update(order="4"), "grid.order"),
     (lambda d: d["blades"].update({"1": [[0.0] * 3 for _ in range(4)]}), "blades.1"),
     (lambda d: d["blades"].update({"1": "x1"}), "blades.1"),
+    # json reads the NaN and Infinity literals
+    (lambda d: d["blades"]["1"][3].__setitem__(1, math.nan), "blades.1"),
+    (lambda d: d["blades"]["1"][0].__setitem__(2, -math.inf), "blades.1"),
 ])
 def test_sampled_schema_rejections(tmp_path, mutate, path):
     doc = _sampled_doc()

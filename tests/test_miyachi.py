@@ -153,6 +153,21 @@ def test_growth_rejects_bad_exponent(sig02, ms_std):
         check_growth(gaussian_field(sig02, ms_std), 1.0, 0.5, (2.0, 3.0, 4.0))
 
 
+@pytest.mark.parametrize("ladder", [(2.0, 3.0), (3.0, 2.0, 4.0), (2.0, 2.0, 3.0),
+                                    (1.0, 2.0, math.nan)])
+def test_checkers_refuse_the_ladders_the_config_refuses(sig02, ms_std, unit_a, unit_b, ladder):
+    # too short a ladder used to reach `_decide` and raise IndexError there;
+    # an unsorted one returned a verdict
+    f = gaussian_field(sig02, ms_std)
+    F = forward(f, build_plan(sig02, ms_std, unit_a, unit_b, L_x=4.0, L_y=5.0, order=8))
+    with pytest.raises(ValueError, match="ladder"):
+        MiyachiConfig(1.0, 1.0, 1.0, ladder=ladder)
+    with pytest.raises(ValueError, match="ladder"):
+        check_growth(f, 0.5, 2.0, ladder)
+    with pytest.raises(ValueError, match="ladder"):
+        check_log(F, 0.3, 1.0, ladder)
+
+
 # -- log-plus condition -------------------------------------------------------
 
 
