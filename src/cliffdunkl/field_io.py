@@ -5,10 +5,12 @@ A field file is a JSON object with `signature` [p, q] (1 <= p + q <= 6),
 keyed by blade label.  Analytic files map labels to expression strings
 (see field_expr); sampled files instead carry a `grid` object
 {L, panels, order} and map labels to nested arrays of finite values of
-the grid's shape.  Files are compact single-line JSON, written blade by blade
-through the C encoder, so only one blade's values exist as Python floats
-and text at a time.  Floats are emitted via Python's shortest-repr (<= 17
-significant digits), so save/load round-trips every value bit-exactly.
+the grid's shape.  Files are compact single-line strict JSON, written blade
+by blade with orjson straight from each blade's array, so only one blade's
+text exists at a time.  Floats are emitted as their shortest round-trip
+digits (Ryu), so save/load round-trips every finite value bit-exactly.
+JSON has no non-finite numbers: a sampled field holding NaN or +-inf raises
+field_expr.NonFiniteResult before the file is opened.
 
 CSV is the plotting boundary: one row per node, coordinates first, then
 one column per blade (declared blades for analytic fields, blades with any
@@ -20,11 +22,12 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import orjson
 
 from .cdt_engine import AnalyticField, SampledField, _coords, _Owned
 from .clifford_core import BladeSyntaxError, Signature, blade_label, parse_blade
 from .dunkl_rank1 import MultiplicitySplit
-from .field_expr import compile_expr
+from .field_expr import NonFiniteResult, compile_expr
 from .quadrature import build_grid
 
 __all__ = ["SchemaError", "load_field", "save_field", "save_grid_csv"]
@@ -129,7 +132,9 @@ def load_field(path):
 
 def save_field(field, path):
     """Write `field` as one strict JSON document: the header, then each
-    blade's expression or nested values, one blade at a time."""
+    blade's expression or nested values, one blade at a time.  A sampled
+    field holding a non-finite value raises NonFiniteResult before `path`
+    is opened."""
     if not isinstance(field, (AnalyticField, SampledField)):
         raise TypeError(f"not a field: {field!r}")
     header = {
@@ -156,16 +161,20 @@ def save_field(field, path):
             "panels": axes[0].panels,
             "order": axes[0].order,
         }
+        if not np.isfinite(field.values).all():
+            raise NonFiniteResult("field values hold a non-finite number; nothing written")
         nonzero = [m for m in range(field.sig.n_blades) if np.any(field.values[..., m])]
         blades = [(blade_label(m), field.values[..., m]) for m in nonzero or [0]]
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header)[:-1] + ', "blades": {')
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(header)[:-1] + b',"blades":{')
         for i, (label, body) in enumerate(blades):
             if i:
-                fh.write(", ")
-            fh.write(json.dumps(label) + ": ")
-            fh.write(json.dumps(body if isinstance(body, str) else body.tolist()))
-        fh.write("}}\n")
+                fh.write(b",")
+            fh.write(orjson.dumps(label) + b":")
+            if not isinstance(body, str):  # orjson takes only C-contiguous arrays
+                body = np.ascontiguousarray(body)
+            fh.write(orjson.dumps(body, option=orjson.OPT_SERIALIZE_NUMPY))
+        fh.write(b"}}\n")
 
 
 def save_grid_csv(field, path, grid=None):

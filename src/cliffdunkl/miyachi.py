@@ -162,6 +162,8 @@ def check_growth(f, alpha: float, n: float, ladder, *, panels: int = 1, order: i
     Computed in log space (the integrand overflows long before the ladder
     stops); n = inf switches to the essential sup over the box.
     """
+    if not alpha > 0.0:  # NaN fails too
+        raise ValueError("alpha must be positive")
     if not n >= 1.0:
         raise ValueError("exponent must be in [1, inf]")
     ladder = _ladder(ladder)
@@ -198,8 +200,8 @@ def check_log(F, beta: float, lam: float, ladder) -> ConditionReport:
     single one whose grid covers the last rung (smaller rungs then restrict
     to the enclosed nodes).
     """
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    if not (beta > 0.0 and lam > 0.0):  # NaN fails too
+        raise ValueError("beta and lambda must be positive")
     ladder = _ladder(ladder)
     if isinstance(F, SampledField):
         fields = [F] * len(ladder)

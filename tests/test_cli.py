@@ -372,6 +372,24 @@ def test_non_finite_samples_are_an_input_error(tmp_path, capsys):
     assert "input error: blades.e2: samples must be finite numbers" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_an_overflowing_transform_is_a_numerical_failure(tmp_path, capsys):
+    # every sample is finite, but the transform overflows to NaN; it used to
+    # be written as NaN literals with exit 0, and inverse then refused the file
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"signature": [0, 2], "kappa": [0.3, 0.7], "split": 1,
+                                "grid": {"L": [6.0, 6.0], "panels": 1, "order": 8},
+                                "blades": {"1": [[1e308] * 16 for _ in range(16)]}}))
+    out = tmp_path / "F.json"
+    rc = main(["transform", "--field", str(path), "--in-grid", "-6:6:1:8",
+               "--out-grid", "-6:6:1:8", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 4 and not out.exists()
+    assert "numerical failure: field values hold a non-finite number" in captured.err
+    assert "wrote" not in captured.out
+
+
 def test_kernel_at_large_kappa_exits_0(capsys):
     # kappa >= 86 used to overflow the Jacobi rule's total mass
     rc = main(["kernel", "--kappa", "100", "--t", "5"])

@@ -5,6 +5,7 @@ import math
 import random
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,10 +221,17 @@ def test_sampled_roundtrip_is_bit_exact(tmp_path, sig02, ms_std, unit_a, unit_b)
 
 
 def test_sampled_roundtrip_preserves_adversarial_values(tmp_path, sig02, ms_std):
-    grid = build_grid(ms_std, 2.0, panels=1, order=2)
-    values = np.zeros(grid.shape + (4,))
-    specials = [1e-300, -1e300, 0.1 + 0.2, 2.0**-1074, np.pi,
-                -0.0, 5e-324, 1.7976931348623157e308]
+    grid = build_grid(ms_std, 2.0, panels=1, order=16)
+    # random finite bit patterns: any sign, every biased exponent from the
+    # subnormals (0) to the largest finite one (2046), any mantissa
+    rng = np.random.default_rng(1074)
+    n = grid.n_nodes * 4
+    bits = (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+            | rng.integers(0, 2047, n, dtype=np.uint64) << np.uint64(52)
+            | rng.integers(0, 2**52, n, dtype=np.uint64))
+    values = bits.view(np.float64).reshape(grid.shape + (4,))
+    specials = [1e-300, -1e300, 0.1 + 0.2, 2.0**-1074, np.pi, -0.0, 0.0,
+                5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-5]
     for i, v in enumerate(specials):
         values[i % 4, i // 4, 0] = v
     f = SampledField(sig02, ms_std, grid, values)
@@ -231,7 +239,24 @@ def test_sampled_roundtrip_preserves_adversarial_values(tmp_path, sig02, ms_std)
     save_field(f, path)
     back = load_field(path).values
     assert np.array_equal(back, values)
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
     assert np.array_equal(np.signbit(back), np.signbit(values))  # -0.0 stays negative
+
+
+def test_non_finite_results_are_refused_before_the_file_opens(tmp_path, sig02, ms_std,
+                                                              unit_a, unit_b):
+    # every sample is finite, but the transform overflows to NaN; the writer
+    # used to put NaN literals in the file, which load_field then refused
+    plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=6.0, L_y=6.0, order=8)
+    values = np.zeros(plan.grid_x.shape + (4,))
+    values[..., 0] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = forward(SampledField(sig02, ms_std, plan.grid_x, values), plan)
+    assert not np.isfinite(F.values).all()
+    path = tmp_path / "F.json"
+    with pytest.raises(NonFiniteResult):
+        save_field(F, path)
+    assert not path.exists()
 
 
 def _doc_of(field, grid=None):
@@ -250,6 +275,13 @@ def _doc_of(field, grid=None):
     return doc
 
 
+def _strict_json(text):
+    def refuse(literal):
+        raise ValueError(f"non-strict JSON literal {literal}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_files_are_one_strict_json_document(tmp_path, sig02, ms_std):
     analytic = AnalyticField(sig02, ms_std, {
         3: compile_expr("0.1*x1*exp(-(x1^2+x2^2))", 2),
@@ -257,7 +289,8 @@ def test_files_are_one_strict_json_document(tmp_path, sig02, ms_std):
     })
     path = tmp_path / "a.json"
     save_field(analytic, path)
-    assert path.read_text() == json.dumps(_doc_of(analytic)) + "\n"
+    assert path.read_bytes() == orjson.dumps(_doc_of(analytic)) + b"\n"
+    assert _strict_json(path.read_text()) == _doc_of(analytic)
 
     grid = build_grid(ms_std, 2.0, panels=1, order=2)
     values = np.zeros(grid.shape + (4,))
@@ -266,7 +299,8 @@ def test_files_are_one_strict_json_document(tmp_path, sig02, ms_std):
     sampled = SampledField(sig02, ms_std, grid, values)
     path = tmp_path / "s.json"
     save_field(sampled, path)
-    assert path.read_text() == json.dumps(_doc_of(sampled, grid)) + "\n"
+    assert path.read_bytes() == orjson.dumps(_doc_of(sampled, grid)) + b"\n"
+    assert _strict_json(path.read_text()) == _doc_of(sampled, grid)
 
 
 @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")

@@ -168,6 +168,26 @@ def test_checkers_refuse_the_ladders_the_config_refuses(sig02, ms_std, unit_a, u
         check_log(F, 0.3, 1.0, ladder)
 
 
+@pytest.mark.parametrize("alpha,beta,lam", [
+    (math.nan, 0.3, 1.0), (0.0, 0.3, 1.0), (-0.5, 0.3, 1.0),
+    (0.5, math.nan, 1.0), (0.5, -0.3, 1.0), (0.5, 0.3, math.nan),
+])
+def test_checkers_refuse_the_parameters_the_config_refuses(sig02, ms_std, unit_a, unit_b,
+                                                           alpha, beta, lam):
+    # a NaN rate read "finite" in check_growth and "growing" in check_log
+    f = gaussian_field(sig02, ms_std)
+    F = forward(f, build_plan(sig02, ms_std, unit_a, unit_b, L_x=4.0, L_y=5.0, order=8))
+    ladder = (2.0, 3.0, 4.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        MiyachiConfig(alpha, beta, lam, ladder=ladder)
+    if alpha > 0.0:
+        with pytest.raises(ValueError, match="beta and lambda must be positive"):
+            check_log(F, beta, lam, ladder)
+    else:
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            check_growth(f, alpha, 2.0, ladder)
+
+
 # -- log-plus condition -------------------------------------------------------
 
 
