@@ -9,7 +9,7 @@ Modules:
                      translation, convolution, claims ledger
     miyachi       -- Miyachi trichotomy checker
     field_expr    -- expression mini-language for analytic fields
-    field_io      -- JSON/CSV field serialization
+    field_io      -- JSON field files
     cli           -- command-line driver
 """
 
@@ -21,14 +21,12 @@ from .cdt_engine import (
     build_plan,
     convolve,
     eigencheck,
-    expand_hermite,
     forward,
     forward_left,
     forward_right,
     inverse,
     plancherel_ratio,
     rel_l2_error,
-    reports_from_json,
     reports_to_json,
     run_claims_ledger,
     translate_explicit,
@@ -41,8 +39,8 @@ from .clifford_core import (
     validate_imaginary,
 )
 from .dunkl_rank1 import MultiplicitySplit, eval_kernel_ab, kernel_coefficients, mehta_constant
-from .field_expr import compile_expr, eval_expr, parse_expr, to_string
-from .field_io import load_field, save_field, save_grid_csv
+from .field_expr import compile_expr, eval_expr, parse_expr
+from .field_io import load_field, save_field
 from .miyachi import MiyachiConfig, MiyachiVerdict, check_growth, check_log, classify, verdict
 from .quadrature import TensorGrid, build_grid, integrate, parse_grid_spec
 
@@ -71,7 +69,6 @@ __all__ = [
     "forward_right",
     "inverse",
     "plancherel_ratio",
-    "expand_hermite",
     "eigencheck",
     "translate_spectral",
     "translate_explicit",
@@ -79,7 +76,6 @@ __all__ = [
     "rel_l2_error",
     "run_claims_ledger",
     "reports_to_json",
-    "reports_from_json",
     "classify",
     "check_growth",
     "check_log",
@@ -88,9 +84,7 @@ __all__ = [
     "MiyachiVerdict",
     "parse_expr",
     "eval_expr",
-    "to_string",
     "compile_expr",
     "load_field",
     "save_field",
-    "save_grid_csv",
 ]

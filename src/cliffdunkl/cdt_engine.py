@@ -73,10 +73,8 @@ from .clifford_core import (
     structure_tensor,
 )
 from .dunkl_rank1 import (
-    HERMITE_N_CAP,
     ArgumentOutOfRadius,
     MultiplicitySplit,
-    _orthonormal_upto,
     eval_kernel_ab,
     eval_orthonormal,
     hermite_basis,
@@ -658,17 +656,9 @@ class ClaimReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClaimReport":
-        return cls(**{**data, "grid": dict(data["grid"]), "kappa": tuple(data["kappa"])})
-
 
 def reports_to_json(reports) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
-
-
-def reports_from_json(text: str) -> list:
-    return [ClaimReport.from_dict(d) for d in json.loads(text)]
 
 
 def _grid_meta(plan: TransformPlan) -> dict:
@@ -737,13 +727,7 @@ def plancherel_ratio(f, plan: TransformPlan) -> tuple:
     return ratio, report
 
 
-# -- Hermite expansion and eigenfunctions ---------------------------------
-
-
-def _hermite_axis_matrix(ax, n_max: int) -> np.ndarray:
-    """Columns n = 0..n_max of h_n at the axis nodes (times the Gaussian)."""
-    cols = _orthonormal_upto(*hermite_basis(ax.kappa, max(n_max, 1)), n_max, ax.nodes)
-    return np.stack(list(cols), axis=1) * np.exp(-0.5 * ax.nodes**2)[:, None]
+# -- Hermite eigenfunctions -----------------------------------------------
 
 
 def _hermite_product_grid(grid: TensorGrid, v: tuple) -> np.ndarray:
@@ -751,38 +735,6 @@ def _hermite_product_grid(grid: TensorGrid, v: tuple) -> np.ndarray:
     for ax, nj in zip(grid.axes, v):
         col = eval_orthonormal(*hermite_basis(ax.kappa, max(nj, 1)), nj, ax.nodes)
         out = np.multiply.outer(out, col * np.exp(-0.5 * ax.nodes**2))
-    return out
-
-
-def expand_hermite(f, n_max: int, ms: MultiplicitySplit, grid: TensorGrid | None = None) -> dict:
-    """Coefficients M_(v,u) = integral h_v(x1) h_u(x2) f(x) dmu over all
-    index pairs with l(v)+l(u) <= n_max, as MultiVector values.
-
-    The basis functions are real, so the projection is componentwise per
-    blade.  A sampled field supplies its own grid; analytic fields get one
-    sized from n_max unless `grid` is passed.
-    """
-    if not 0 <= n_max <= HERMITE_N_CAP:
-        raise ValueError(f"n_max outside 0..{HERMITE_N_CAP}")
-    if grid is None:
-        if isinstance(f, SampledField):
-            grid = f.grid
-        else:
-            L = math.sqrt(2.0 * n_max + 1.0) + 6.0
-            grid = build_grid(ms, L, panels=3, order=16)
-    values = _sample_on(f, grid, f.sig, ms)
-    C = values
-    for ax in grid.axes:
-        w = ax.weights * ax.wk
-        H = _hermite_axis_matrix(ax, n_max)
-        C = np.tensordot(C, w[:, None] * H, axes=([0], [0]))
-    # C now has shape (n_blades, m_1, ..., m_d)
-    out = {}
-    for idx in itertools.product(range(n_max + 1), repeat=ms.d):
-        if sum(idx) > n_max:
-            continue
-        key = (idx[: ms.split], idx[ms.split :])
-        out[key] = MultiVector(f.sig, C[(slice(None),) + idx])
     return out
 
 
@@ -797,15 +749,24 @@ def _fit_profile(values: np.ndarray, g: np.ndarray, w: np.ndarray) -> tuple:
     return C, math.sqrt(resid2 / total2) if total2 > 0.0 else 0.0
 
 
-def _eigen_fit(v: tuple, u: tuple, plan: TransformPlan) -> dict:
-    """Forward a Hermite product and fit F(y) = h(y) * C, C a constant."""
+def eigen_indices(v, u, ms: MultiplicitySplit) -> tuple:
+    """(v, u) as tuples of ints, one index per coordinate of each block,
+    every index >= 0 and l(v) + l(u) <= 8, the levels eigencheck is
+    specified for.  Raises ValueError otherwise."""
     v = tuple(int(n) for n in v)
     u = tuple(int(n) for n in u)
-    if len(v) != plan.ms.split or len(u) != plan.ms.d - plan.ms.split:
-        raise ValueError("index lengths must match the block split")
-    level = sum(v) + sum(u)
-    if level > 8:
+    if len(v) != ms.split or len(u) != ms.d - ms.split:
+        raise ValueError(f"v wants {ms.split} indices and u wants {ms.d - ms.split}")
+    if any(n < 0 for n in v + u):
+        raise ValueError(f"Hermite indices must be >= 0, got v={list(v)} u={list(u)}")
+    if sum(v + u) > 8:
         raise ValueError("eigencheck is specified for l(v)+l(u) <= 8")
+    return v, u
+
+
+def _eigen_fit(v: tuple, u: tuple, plan: TransformPlan) -> dict:
+    """Forward a Hermite product and fit F(y) = h(y) * C, C a constant."""
+    v, u = eigen_indices(v, u, plan.ms)
     hx = _hermite_product_grid(plan.grid_x, v + u)
     vals = np.zeros(plan.grid_x.shape + (plan.sig.n_blades,))
     vals[..., 0] = hx
@@ -830,7 +791,8 @@ def eigencheck(v, u, plan: TransformPlan) -> ClaimReport:
 
     The measured lam is compared against the asserted block constant
     (scaled by the plan's mode factor); a shape-fit failure flags the
-    report regardless of the eigenvalue.
+    report regardless of the eigenvalue.  Indices `eigen_indices` refuses
+    raise ValueError.
     """
     return _eigen_report(v, u, _eigen_fit(v, u, plan), plan)
 

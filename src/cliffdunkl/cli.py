@@ -23,6 +23,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .cdt_engine import (
     AnalyticField,
     NodeBudgetExceeded,
@@ -31,6 +33,7 @@ from .cdt_engine import (
     ZeroNormField,
     build_plan,
     convolve,
+    eigen_indices,
     eigencheck,
     forward,
     inverse,
@@ -210,14 +213,14 @@ def _cmd_plancherel(args):
 
 def _cmd_eigencheck(args):
     sig, ms = _header_from_flags(args)
-    v = _ints(args.v, "--v")
-    u = _ints(args.u, "--u")
-    if len(v) != ms.split or len(u) != ms.d - ms.split:
-        raise _Usage(f"--v wants {ms.split} indices and --u wants {ms.d - ms.split}")
+    try:
+        v, u = eigen_indices(_ints(args.v, "--v"), _ints(args.u, "--u"), ms)
+    except ValueError as e:
+        raise _Usage(str(e)) from None
     plan = _plan(args, sig, ms, input_side="x")
-    report = eigencheck(tuple(v), tuple(u), plan)
+    report = eigencheck(v, u, plan)
     print(
-        f"eigencheck v={v} u={u}: asserted {report.paper_value!r}, measured "
+        f"eigencheck v={list(v)} u={list(u)}: asserted {report.paper_value!r}, measured "
         f"{report.measured_value!r}, ratio {report.ratio!r} [{report.status}]"
     )
     return 0
@@ -405,7 +408,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_bind_dash_values(argv))
     try:
-        return args.func(args)
+        # numpy's float warnings would only repeat what the finite checks report
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

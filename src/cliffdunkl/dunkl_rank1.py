@@ -229,23 +229,14 @@ def hermite_basis(kappa: float, n_max: int):
     return np.zeros(n_max + 1), beta
 
 
-def _orthonormal_upto(alpha: np.ndarray, beta: np.ndarray, n: int, s):
-    """Orthonormal polynomials p_0, ..., p_n at s, in turn, from one pass
-    of the monic recurrence."""
+def eval_orthonormal(alpha: np.ndarray, beta: np.ndarray, n: int, s) -> np.ndarray:
+    """Orthonormal polynomial p_n at s from the monic recurrence."""
     s = np.asarray(s, dtype=float)
     p_prev = np.zeros_like(s)
     p = np.full_like(s, 1.0 / math.sqrt(beta[0]))
-    yield p
     for k in range(n):
         p_next = ((s - alpha[k]) * p - math.sqrt(beta[k]) * p_prev) / math.sqrt(beta[k + 1])
         p_prev, p = p, p_next
-        yield p
-
-
-def eval_orthonormal(alpha: np.ndarray, beta: np.ndarray, n: int, s) -> np.ndarray:
-    """Orthonormal polynomial p_n at s from the monic recurrence."""
-    for p in _orthonormal_upto(alpha, beta, n, s):
-        pass
     return p
 
 

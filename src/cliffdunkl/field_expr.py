@@ -11,16 +11,12 @@ Deliberately small: every field the harness needs is a polynomial times a
 Gaussian, and a grammar this size can be tested exhaustively.  Numbers are
 decimal with an optional exponent; no hex, no underscores.  Note "^" binds
 the whole preceding atom, so "-x1^2" is (-x1)^2 -- unary minus lives in
-`atom`, below the power.
-
-`to_string` emits a canonical form with minimal parentheses; for every AST
-the parser can produce, parse(to_string(ast)) == ast (literals are stored
-nonnegative, signs as `Neg`).
+`atom`, below the power.  Literals are stored nonnegative: a leading
+minus parses to `Neg`.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -29,7 +25,7 @@ import numpy as np
 __all__ = [
     "Const", "Coord", "Add", "Sub", "Mul", "Div", "Pow", "Exp", "Neg",
     "ExprSyntaxError", "UnknownCoordinate", "DepthExceeded", "NonFiniteResult",
-    "parse_expr", "eval_expr", "to_string", "compile_expr", "MAX_DEPTH",
+    "parse_expr", "eval_expr", "compile_expr", "MAX_DEPTH",
 ]
 
 MAX_DEPTH = 64  # nesting bound; also caps parser recursion on hostile input
@@ -273,41 +269,6 @@ def _eval(node, xs):
     if isinstance(node, Neg):
         return -_eval(node.arg, xs)
     raise TypeError(f"not an expression node: {node!r}")
-
-
-# binding levels: expr=1, term=2, factor=3, atom=4
-_LEVELS = {Add: 1, Sub: 1, Mul: 2, Div: 2, Pow: 3, Neg: 4, Const: 4, Coord: 4, Exp: 4}
-
-
-def _render(node, need: int) -> str:
-    level = _LEVELS[type(node)]
-    if isinstance(node, Const):
-        if not (node.value >= 0.0 and math.isfinite(node.value)):
-            raise ValueError("literals must be finite and nonnegative; wrap in Neg")
-        s = repr(float(node.value))
-    elif isinstance(node, Coord):
-        s = f"x{node.j}"
-    elif isinstance(node, Add):
-        s = f"{_render(node.left, 1)}+{_render(node.right, 2)}"
-    elif isinstance(node, Sub):
-        s = f"{_render(node.left, 1)}-{_render(node.right, 2)}"
-    elif isinstance(node, Mul):
-        s = f"{_render(node.left, 2)}*{_render(node.right, 3)}"
-    elif isinstance(node, Div):
-        s = f"{_render(node.left, 2)}/{_render(node.right, 3)}"
-    elif isinstance(node, Pow):
-        s = f"{_render(node.base, 4)}^{node.n}"
-    elif isinstance(node, Exp):
-        s = f"exp({_render(node.arg, 1)})"
-    elif isinstance(node, Neg):
-        s = f"-{_render(node.arg, 4)}"
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    return f"({s})" if level < need else s
-
-
-def to_string(ast) -> str:
-    return _render(ast, 1)
 
 
 def compile_expr(text: str, d: int):

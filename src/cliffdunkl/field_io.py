@@ -1,4 +1,4 @@
-"""Field file serialization (JSON) and grid export (CSV).
+"""Field file serialization (JSON).
 
 A field file is a JSON object with `signature` [p, q] (1 <= p + q <= 6),
 `kappa` (one value per coordinate), `split`, and a nonempty `blades` map
@@ -11,10 +11,6 @@ text exists at a time.  Floats are emitted as their shortest round-trip
 digits (Ryu), so save/load round-trips every finite value bit-exactly.
 JSON has no non-finite numbers: a sampled field holding NaN or +-inf raises
 field_expr.NonFiniteResult before the file is opened.
-
-CSV is the plotting boundary: one row per node, coordinates first, then
-one column per blade (declared blades for analytic fields, blades with any
-nonzero sample otherwise).
 """
 
 from __future__ import annotations
@@ -24,13 +20,13 @@ import json
 import numpy as np
 import orjson
 
-from .cdt_engine import AnalyticField, SampledField, _coords, _Owned
+from .cdt_engine import AnalyticField, SampledField, _Owned
 from .clifford_core import BladeSyntaxError, Signature, blade_label, parse_blade
 from .dunkl_rank1 import MultiplicitySplit
 from .field_expr import NonFiniteResult, compile_expr
 from .quadrature import build_grid
 
-__all__ = ["SchemaError", "load_field", "save_field", "save_grid_csv"]
+__all__ = ["SchemaError", "load_field", "save_field"]
 
 
 class SchemaError(ValueError):
@@ -175,27 +171,3 @@ def save_field(field, path):
                 body = np.ascontiguousarray(body)
             fh.write(orjson.dumps(body, option=orjson.OPT_SERIALIZE_NUMPY))
         fh.write(b"}}\n")
-
-
-def save_grid_csv(field, path, grid=None):
-    """One row per node: coordinates, then one column per blade."""
-    if isinstance(field, AnalyticField):
-        if grid is None:
-            raise ValueError("analytic fields need an explicit grid for CSV export")
-        values = field.sample(grid)
-        blades = sorted(field.blades)
-    elif isinstance(field, SampledField):
-        if grid is not None and grid is not field.grid:
-            raise ValueError("sampled fields export on their own grid")
-        grid = field.grid
-        values = field.values
-        blades = [m for m in range(field.sig.n_blades) if np.any(values[..., m])] or [0]
-    else:
-        raise TypeError(f"not a field: {field!r}")
-    coords = [c.ravel() for c in np.broadcast_arrays(*_coords(grid))]
-    columns = [values[..., m].ravel() for m in blades]
-    header = [f"x{j + 1}" for j in range(len(coords))] + [blade_label(m) for m in blades]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*coords, *columns):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -285,8 +285,8 @@ def parse_grid_spec(text: str):
         if len(pieces) != 4:
             raise ValueError(f"grid spec {part!r} is not -L:L:panels:order")
         lo, hi = float(pieces[0]), float(pieces[1])
-        if not (lo == -hi and hi > 0.0):
-            raise ValueError(f"grid spec {part!r} must be symmetric about 0")
+        if not (lo == -hi and 0.0 < hi < math.inf):
+            raise ValueError(f"grid spec {part!r} must be symmetric about 0 and finite")
         panels, order = int(pieces[2]), int(pieces[3])
         if panels < 1 or order < 1:
             raise ValueError(f"grid spec {part!r} needs panels >= 1 and order >= 1")

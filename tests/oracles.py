@@ -3,10 +3,15 @@ the kernel's defining power series, the Mehta integral by quadrature, the
 kernel as a multivector, the weight w_k, the generalized Hermite
 functions, each evaluated one point (or one row of points) at a time,
 field sampling on dense coordinate arrays, and the transform of a Hermite
-expansion from the eigenvalues alone."""
+expansion from the eigenvalues alone.  Also two tools the tests read back
+with: a printer of expression ASTs, and a reader of ClaimReport JSON."""
+
+import json
+import math
 
 import numpy as np
 
+from cliffdunkl.cdt_engine import ClaimReport
 from cliffdunkl.clifford_core import ImaginaryUnit, MultiVector
 from cliffdunkl.dunkl_rank1 import (
     HERMITE_N_CAP,
@@ -15,6 +20,7 @@ from cliffdunkl.dunkl_rank1 import (
     eval_orthonormal,
     hermite_basis,
 )
+from cliffdunkl.field_expr import Add, Const, Coord, Div, Exp, Mul, Neg, Pow, Sub
 from cliffdunkl.quadrature import build_axis
 
 COEFF_CAP = 400
@@ -176,3 +182,47 @@ def hermite_sum(terms: dict, ms: MultiplicitySplit, grid) -> np.ndarray:
         products.append(prod)
     coeffs = np.stack([M.coeff for M in terms.values()])
     return np.tensordot(np.stack(products), coeffs, axes=(0, 0))
+
+
+# binding levels: expr=1, term=2, factor=3, atom=4
+_LEVELS = {Add: 1, Sub: 1, Mul: 2, Div: 2, Pow: 3, Neg: 4, Const: 4, Coord: 4, Exp: 4}
+
+
+def _render(node, need: int) -> str:
+    level = _LEVELS[type(node)]
+    if isinstance(node, Const):
+        if not (node.value >= 0.0 and math.isfinite(node.value)):
+            raise ValueError("literals must be finite and nonnegative; wrap in Neg")
+        s = repr(float(node.value))
+    elif isinstance(node, Coord):
+        s = f"x{node.j}"
+    elif isinstance(node, Add):
+        s = f"{_render(node.left, 1)}+{_render(node.right, 2)}"
+    elif isinstance(node, Sub):
+        s = f"{_render(node.left, 1)}-{_render(node.right, 2)}"
+    elif isinstance(node, Mul):
+        s = f"{_render(node.left, 2)}*{_render(node.right, 3)}"
+    elif isinstance(node, Div):
+        s = f"{_render(node.left, 2)}/{_render(node.right, 3)}"
+    elif isinstance(node, Pow):
+        s = f"{_render(node.base, 4)}^{node.n}"
+    elif isinstance(node, Exp):
+        s = f"exp({_render(node.arg, 1)})"
+    elif isinstance(node, Neg):
+        s = f"-{_render(node.arg, 4)}"
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    return f"({s})" if level < need else s
+
+
+def to_string(ast) -> str:
+    """Canonical text of an expression AST with minimal parentheses; for
+    every AST the parser can produce, parse_expr(to_string(ast)) == ast."""
+    return _render(ast, 1)
+
+
+def reports_from_json(text: str) -> list:
+    """The ClaimReports of `reports_to_json` text, with grid a dict and
+    kappa a tuple as `ClaimReport.make` stores them."""
+    return [ClaimReport(**{**d, "grid": dict(d["grid"]), "kappa": tuple(d["kappa"])})
+            for d in json.loads(text)]

@@ -35,8 +35,6 @@ from cliffdunkl.clifford_core import (
 from cliffdunkl.dunkl_rank1 import (
     ArgumentOutOfRadius,
     MultiplicitySplit,
-    eval_orthonormal,
-    hermite_basis,
     mehta_constant,
 )
 from cliffdunkl.cdt_engine import (
@@ -49,14 +47,12 @@ from cliffdunkl.cdt_engine import (
     build_plan,
     convolve,
     eigencheck,
-    expand_hermite,
     forward,
     forward_left,
     forward_right,
     inverse,
     plancherel_ratio,
     rel_l2_error,
-    reports_from_json,
     reports_to_json,
     run_claims_ledger,
     translate_explicit,
@@ -67,7 +63,7 @@ from cliffdunkl import cdt_engine
 from cliffdunkl.quadrature import build_grid
 
 from conftest import gaussian_field
-from oracles import eval_kernel_block
+from oracles import eval_kernel_block, reports_from_json
 
 
 def _unit(sig, spec):
@@ -379,30 +375,7 @@ def test_plancherel_rejects_zero_field(sig02, ms_std, plan_std):
         plancherel_ratio(zero, plan_std)
 
 
-# -- Hermite expansion and eigenfunctions ------------------------------------
-
-
-def test_expand_hermite_picks_out_single_modes(sig02, ms_std):
-    # f = h_2(x1) h_1(x2) e^{-|x|^2/2}: one unit scalar coefficient
-    a1, b1 = hermite_basis(ms_std.kappa[0], 4)
-    a2, b2 = hermite_basis(ms_std.kappa[1], 4)
-
-    def body(x1, x2):
-        return (eval_orthonormal(a1, b1, 2, x1) * eval_orthonormal(a2, b2, 1, x2)
-                * np.exp(-(x1**2 + x2**2) / 2.0))
-
-    f = AnalyticField(sig02, ms_std, {0: body})
-    coeffs = expand_hermite(f, 4, ms_std)
-    for (v, u), mv in coeffs.items():
-        want = 1.0 if (v, u) == ((2,), (1,)) else 0.0
-        assert abs(mv.coeff[0] - want) <= 1e-8
-        assert np.max(np.abs(mv.coeff[1:])) <= 1e-8
-
-
-def test_expand_hermite_caps_the_level(sig02, ms_std):
-    f = gaussian_field(sig02, ms_std)
-    with pytest.raises(ValueError):
-        expand_hermite(f, 999, ms_std)
+# -- Hermite eigenfunctions ------------------------------------------------
 
 
 @pytest.mark.parametrize("v,u", [((0,), (0,)), ((1,), (0,)), ((0,), (2,))])
@@ -426,6 +399,8 @@ def test_eigencheck_rejects_bad_indices(plan_std):
         eigencheck((5,), (4,), plan_std)  # level > 8
     with pytest.raises(ValueError):
         eigencheck((1, 1), (0,), plan_std)  # wrong block lengths
+    with pytest.raises(ValueError, match=">= 0"):
+        eigencheck((-1,), (0,), plan_std)  # negative index, once read as h_0
 
 
 # -- translation --------------------------------------------------------------

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 from cliffdunkl import quadrature
-from cliffdunkl.cdt_engine import rel_l2_error, reports_from_json
+from cliffdunkl.cdt_engine import rel_l2_error
 from cliffdunkl.cli import main
 from cliffdunkl.field_io import load_field
+
+from oracles import reports_from_json
 
 
 def _gauss_doc(scale=None):
@@ -390,6 +392,21 @@ def test_an_overflowing_transform_is_a_numerical_failure(tmp_path, capsys):
     assert "wrote" not in captured.out
 
 
+def test_an_overflowing_transform_reports_once(tmp_path):
+    # numpy's overflow and invalid-value warnings used to reach stderr
+    # ahead of the failure line; the finite check reports the overflow
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"signature": [0, 2], "kappa": [0.3, 0.7], "split": 1,
+                                "blades": {"1": "1e308*exp(-(x1^2+x2^2))"}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cliffdunkl.cli", "transform", "--field", str(path),
+         "--out", str(tmp_path / "F.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+
+
 def test_kernel_at_large_kappa_exits_0(capsys):
     # kappa >= 86 used to overflow the Jacobi rule's total mass
     rc = main(["kernel", "--kappa", "100", "--t", "5"])
@@ -474,3 +491,21 @@ def test_grid_spec_needs_a_panel_and_a_node(gauss_file, capsys, spec):
     err = capsys.readouterr().err
     assert rc == 2
     assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("v", ["-1", "9"])
+def test_eigencheck_bad_indices_exit_2(capsys, v):
+    # -1 used to be read as h_0 and crash in a unit power; 9 (level > 8)
+    # crashed in the fit's level check
+    rc = main(["eigencheck", "--sig", "0,2", "--kappa", "0.3,0.7", "--v", v, "--u", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_an_infinite_grid_spec_exits_2(tmp_path, gauss_file, capsys):
+    rc = main(["transform", "--field", str(gauss_file), "--in-grid", "-inf:inf:1:8",
+               "--out-grid", "-6:6:1:8", "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert rc == 2 and not (tmp_path / "o.json").exists()
+    assert err.startswith("usage error: ") and err.count("\n") == 1

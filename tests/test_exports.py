@@ -1,6 +1,7 @@
 """Every name a module exports exists, so a deleted one cannot linger in
-an `__all__` list, and every third-party module the package imports is a
-declared dependency."""
+an `__all__` list; every third-party module the package imports is a
+declared dependency; and no module imports a name it never uses, so
+deleted code leaves no imports behind."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ import cliffdunkl
 MODULES = ["cliffdunkl"] + [
     f"cliffdunkl.{m.name}" for m in pkgutil.iter_modules(cliffdunkl.__path__)
 ]
+SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "cliffdunkl").glob("[!_]*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -43,3 +45,16 @@ def test_every_third_party_import_is_a_declared_dependency():
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
     assert third_party, "the package imports no third-party module at all"
     assert third_party <= declared, f"imported but not declared: {third_party - declared}"
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda s: s.stem)
+def test_no_module_imports_a_name_it_never_uses(source):
+    tree = ast.parse(source.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, f"{source.name} imports but never uses {sorted(imported - used)}"

@@ -28,12 +28,12 @@ from cliffdunkl.field_expr import (
     compile_expr,
     eval_expr,
     parse_expr,
-    to_string,
 )
-from cliffdunkl.field_io import SchemaError, load_field, save_field, save_grid_csv
+from cliffdunkl.field_io import SchemaError, load_field, save_field
 from cliffdunkl.quadrature import build_grid
 
 from conftest import gaussian_field
+from oracles import to_string
 
 
 # -- parsing ------------------------------------------------------------------
@@ -403,52 +403,3 @@ def test_malformed_files(tmp_path):
         load_field(toplevel)
     with pytest.raises(FileNotFoundError):
         load_field(tmp_path / "missing.json")
-
-
-# -- CSV export ---------------------------------------------------------------
-
-
-def test_csv_export_of_an_analytic_field(tmp_path, sig02, ms_std):
-    f = AnalyticField(sig02, ms_std, {
-        0: compile_expr("x1^2*x2", 2),
-        3: compile_expr("exp(-(x1^2+x2^2))", 2),
-    })
-    grid = build_grid(ms_std, 2.0, panels=1, order=2)
-    path = tmp_path / "f.csv"
-    save_grid_csv(f, path, grid)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x1,x2,1,e12"
-    assert len(lines) == 1 + 16  # 4 nodes per axis in each of 2 coordinates
-    sampled = f.sample(grid)
-    x1 = np.repeat(grid.axes[0].nodes, 4)
-    x2 = np.tile(grid.axes[1].nodes, 4)
-    for row, (c1, c2) in zip(lines[1:], zip(x1, x2)):
-        v1, v2, b0, b3 = (float(tok) for tok in row.split(","))
-        assert v1 == c1 and v2 == c2  # repr round trip is exact
-    got0 = np.array([float(r.split(",")[2]) for r in lines[1:]])
-    assert np.array_equal(got0, sampled[..., 0].ravel())
-
-
-def test_csv_export_of_a_sampled_field(tmp_path, sig02, ms_std):
-    grid = build_grid(ms_std, 2.0, panels=1, order=2)
-    values = np.zeros(grid.shape + (4,))
-    values[..., 1] = 0.1 + 0.2
-    f = SampledField(sig02, ms_std, grid, values)
-    path = tmp_path / "s.csv"
-    save_grid_csv(f, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x1,x2,e1"
-    assert all(float(r.split(",")[2]) == 0.1 + 0.2 for r in lines[1:])
-
-
-def test_csv_export_demands_the_right_grid(tmp_path, sig02, ms_std):
-    f = AnalyticField(sig02, ms_std, {0: compile_expr("x1", 2)})
-    with pytest.raises(ValueError):
-        save_grid_csv(f, tmp_path / "x.csv")  # analytic needs a grid
-    grid = build_grid(ms_std, 2.0, panels=1, order=2)
-    other = build_grid(ms_std, 3.0, panels=1, order=2)
-    sf = SampledField(sig02, ms_std, grid, np.zeros(grid.shape + (4,)))
-    with pytest.raises(ValueError):
-        save_grid_csv(sf, tmp_path / "x.csv", other)
-    with pytest.raises(TypeError):
-        save_grid_csv("field", tmp_path / "x.csv")

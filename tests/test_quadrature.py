@@ -202,6 +202,9 @@ def test_parse_grid_spec():
     for spec in ("-6:6:0:48", "-6:6:1:0"):
         with pytest.raises(ValueError, match=">= 1"):
             parse_grid_spec(spec)
+    for spec in ("-inf:inf:1:48", "inf:-inf:1:48", "-6:6:1:48;-inf:inf:1:48"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid_spec(spec)
 
 
 # -- the rule caches ----------------------------------------------------------
