@@ -1,7 +1,7 @@
 """Two-sided Clifford Dunkl transform over Z2-product reflection groups.
 
 Modules:
-    clifford_core -- Cl(p,q) blade arithmetic, involutions, scalar product
+    clifford_core -- Cl(p,q) blade arithmetic, scalar product, units
     quadrature    -- weighted Gauss rules, panelled grids, integration
     dunkl_rank1   -- rank-one Dunkl kernels, Mehta constants, generalized
                      Hermite family, translation density

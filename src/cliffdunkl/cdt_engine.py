@@ -269,7 +269,11 @@ def _sample_on(f, grid: TensorGrid, sig: Signature, ms: MultiplicitySplit) -> np
 
 
 def rel_l2_error(got: SampledField, want: SampledField) -> float:
-    """Weighted relative L^2 distance, using `want` as the reference scale."""
+    """Weighted relative L^2 distance, using `want` as the reference scale.
+
+    Raises OverflowError when the distance is not finite, as when a field
+    or its square overflows.
+    """
     if not _same_grid(got.grid, want.grid):
         raise PlanMismatch("fields live on different grids")
     ref = want.norm2()
@@ -277,7 +281,10 @@ def rel_l2_error(got: SampledField, want: SampledField) -> float:
         raise ZeroNormField("reference field has zero norm")
     w = want.grid.total_weights().reshape(want.grid.shape)
     diff = float(np.sum(w[..., None] * (got.values - want.values) ** 2))
-    return math.sqrt(diff / ref)
+    err = math.sqrt(diff / ref)
+    if not math.isfinite(err):
+        raise OverflowError(f"relative L2 error is {err!r}: a field or its square norm overflows")
+    return err
 
 
 # -- plans ----------------------------------------------------------------
@@ -303,20 +310,12 @@ class TransformPlan:
     inv_mats: tuple
     normalization: str
     rtol: float
-    cmat_two: np.ndarray  # [s, r, A, :] = coeffs of a^s e_A b^r
+    cmats: Mapping  # order -> blade matrices, see `_blade_matrices`
 
     @cached_property
     def mode_scale(self) -> float:
         """Factor applied to the raw forward integral, computed on first use."""
         return mehta_constant(self.ms.kappa) if self.normalization == "mehta" else 1.0
-
-    @cached_property
-    def cmat_left(self) -> np.ndarray:  # a^s b^r e_A
-        return _assembly_matrix(self.sig, self.a.value, self.b.value, "left")
-
-    @cached_property
-    def cmat_right(self) -> np.ndarray:  # e_A a^s b^r
-        return _assembly_matrix(self.sig, self.a.value, self.b.value, "right")
 
 
 def _c_squared(plan: TransformPlan) -> float:
@@ -333,22 +332,27 @@ def _c_squared(plan: TransformPlan) -> float:
     return c2
 
 
-def _assembly_matrix(sig: Signature, a: MultiVector, b: MultiVector, order: str) -> np.ndarray:
-    one = MultiVector.scalar(sig, 1.0)
-    apow = (one, a)
-    bpow = (one, b)
-    out = np.empty((2, 2, sig.n_blades, sig.n_blades))
-    for s, r in itertools.product(range(2), range(2)):
-        for mask in range(sig.n_blades):
-            blade = MultiVector.blade(sig, mask)
-            if order == "two":
-                m = apow[s] * blade * bpow[r]
-            elif order == "left":
-                m = apow[s] * bpow[r] * blade
-            else:
-                m = blade * apow[s] * bpow[r]
-            out[s, r, mask] = m.coeff
-    out.flags.writeable = False
+def _blade_matrices(sig: Signature, a: MultiVector, b: MultiVector) -> dict:
+    """Blade reassembly matrices [s, r, A, :] of each order of the kernel
+    factors: the coefficients of a^s e_A b^r ("two"), a^s b^r e_A ("left")
+    and e_A a^s b^r ("right").
+
+    They are products of the multiplication matrices L_u[A, k] = sum_i
+    u_i S[i, A, k] (row A holds u e_A) and R_u[A, k] = sum_i u_i S[A, i, k]
+    (e_A u), S the structure tensor: L_a^s R_b^r, L_b^r L_a^s and
+    R_a^s R_b^r.
+    """
+    S = structure_tensor(sig)
+    one = np.eye(sig.n_blades)
+    La, Lb = ((one, np.einsum("i,iak->ak", u.coeff, S)) for u in (a, b))
+    Ra, Rb = ((one, np.einsum("i,aik->ak", u.coeff, S)) for u in (a, b))
+    out = {
+        "two": np.array([[La[s] @ Rb[r] for r in (0, 1)] for s in (0, 1)]),
+        "left": np.array([[Lb[r] @ La[s] for r in (0, 1)] for s in (0, 1)]),
+        "right": np.array([[Ra[s] @ Rb[r] for r in (0, 1)] for s in (0, 1)]),
+    }
+    for mats in out.values():
+        mats.flags.writeable = False
     return out
 
 
@@ -418,7 +422,7 @@ def build_plan(
         inv_mats=tuple(inv for _, inv in mats),
         normalization=normalization,
         rtol=rtol,
-        cmat_two=_assembly_matrix(sig, a.value, b.value, "two"),
+        cmats=_blade_matrices(sig, a.value, b.value),
     )
 
 
@@ -585,17 +589,17 @@ def _forward(f, plan: TransformPlan, cmat: np.ndarray) -> SampledField:
 
 def forward(f, plan: TransformPlan) -> SampledField:
     """Two-sided transform: kernel E_p on the left, E_q on the right."""
-    return _forward(f, plan, plan.cmat_two)
+    return _forward(f, plan, plan.cmats["two"])
 
 
 def forward_left(f, plan: TransformPlan) -> SampledField:
     """Both kernel factors to the left of f (order E_p E_q f)."""
-    return _forward(f, plan, plan.cmat_left)
+    return _forward(f, plan, plan.cmats["left"])
 
 
 def forward_right(f, plan: TransformPlan) -> SampledField:
     """Both kernel factors to the right of f (order f E_p E_q)."""
-    return _forward(f, plan, plan.cmat_right)
+    return _forward(f, plan, plan.cmats["right"])
 
 
 def inverse(F, plan: TransformPlan) -> SampledField:
@@ -605,7 +609,7 @@ def inverse(F, plan: TransformPlan) -> SampledField:
     c_{k_p} c_{k_q} so that inverse(forward(f)) = f in either mode.
     """
     values = _sample_on(F, plan.grid_y, plan.sig, plan.ms)
-    out = _transform(values, plan, True, plan.cmat_two, _c_squared(plan) / plan.mode_scale)
+    out = _transform(values, plan, True, plan.cmats["two"], _c_squared(plan) / plan.mode_scale)
     return _result(plan, plan.grid_x, out)
 
 
@@ -703,6 +707,8 @@ def plancherel_ratio(f, plan: TransformPlan) -> tuple:
 
     The asserted constant is stated for the unnormalized transform; for a
     mehta-mode plan it is rescaled by (c_p c_q)^2 before comparison.
+    Raises OverflowError when the ratio is not finite, as when a field or
+    its square norm overflows.
     """
     block, scale = _block_constant(plan.ms), plan.mode_scale  # before any transform
     paper = (block * block) * (scale * scale)
@@ -714,6 +720,8 @@ def plancherel_ratio(f, plan: TransformPlan) -> tuple:
     if n_in == 0.0:
         raise ZeroNormField("cannot form a Plancherel ratio for the zero field")
     ratio = forward(fin, plan).norm2() / n_in
+    if not math.isfinite(ratio):
+        raise OverflowError(f"Plancherel ratio is {ratio!r}: the field or its image overflows")
     report = ClaimReport.make(
         "plancherel-constant",
         paper,

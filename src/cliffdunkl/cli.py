@@ -131,6 +131,12 @@ def _load(args):
     return field
 
 
+def _analytic(field, message: str):
+    if not isinstance(field, AnalyticField):
+        raise SchemaError("blades", message)
+    return field
+
+
 def _grid_triples(text: str, d: int, flag: str):
     try:
         specs = parse_grid_spec(text)
@@ -233,9 +239,7 @@ def _cmd_translate(args):
         raise _Usage(f"--z wants {f.sig.d} values")
     plan = _plan(args, f.sig, f.ms, input_side="x", in_field=f)
     if args.method == "explicit":
-        if not isinstance(f, AnalyticField):
-            raise SchemaError("blades", "explicit translation needs an analytic field")
-        shifted = translate_explicit(f, tuple(z), f.ms)
+        shifted = translate_explicit(_analytic(f, "explicit translation needs an analytic field"), tuple(z), f.ms)
         out = SampledField(f.sig, f.ms, plan.grid_x, shifted.sample(plan.grid_x))
     else:
         out = translate_spectral(f, tuple(z), plan)
@@ -250,7 +254,7 @@ def _cmd_convolve(args):
 
 
 def _cmd_miyachi(args):
-    f = _load(args)
+    f = _analytic(_load(args), "miyachi needs an analytic field: it samples the field on every rung")
     ladder = _floats(args.ladder, "--ladder")
     try:
         cfg = MiyachiConfig(

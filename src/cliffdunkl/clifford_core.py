@@ -26,10 +26,6 @@ __all__ = [
     "parse_blade",
     "product_sign",
     "structure_tensor",
-    "geometric_product",
-    "bar",
-    "principal_reverse",
-    "grade",
     "scalar_product",
     "modulus",
     "validate_imaginary",
@@ -167,10 +163,6 @@ class MultiVector:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, sig: Signature) -> "MultiVector":
-        return cls(sig, np.zeros(sig.n_blades))
-
-    @classmethod
     def scalar(cls, sig: Signature, value: float) -> "MultiVector":
         c = np.zeros(sig.n_blades)
         c[0] = value
@@ -188,17 +180,6 @@ class MultiVector:
         c = np.zeros(sig.n_blades)
         c[mask] = value
         return cls(sig, c)
-
-    @classmethod
-    def e(cls, sig: Signature, *gens: int) -> "MultiVector":
-        mask = 0
-        for g in gens:
-            if not 1 <= g <= sig.d:
-                raise ValueError(f"generator e{g} outside dimension {sig.d}")
-            if mask >> (g - 1) & 1:
-                raise ValueError("repeated generator; pass ascending distinct indices")
-            mask |= 1 << (g - 1)
-        return cls.blade(sig, mask)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -219,9 +200,6 @@ class MultiVector:
             other = MultiVector.scalar(self.sig, other)
         self._check(other)
         return MultiVector(self.sig, self.coeff - other.coeff)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return MultiVector(self.sig, -self.coeff)
@@ -256,10 +234,6 @@ class MultiVector:
     def __hash__(self):
         return hash((self.sig, self.coeff.tobytes()))
 
-    def __getitem__(self, blade) -> float:
-        mask = blade if isinstance(blade, int) else parse_blade(blade, self.sig.d)
-        return float(self.coeff[mask])
-
     def __repr__(self):
         terms = []
         for mask in range(self.sig.n_blades):
@@ -269,60 +243,10 @@ class MultiVector:
         body = " + ".join(terms) if terms else "0"
         return f"MultiVector(Cl({self.sig.p},{self.sig.q}): {body})"
 
-    # -- involutions and norms ----------------------------------------------
-
-    def bar(self) -> "MultiVector":
-        return bar(self)
-
-    def principal_reverse(self) -> "MultiVector":
-        return principal_reverse(self)
-
-    def grade(self, k: int) -> "MultiVector":
-        return grade(self, k)
-
-    def modulus(self) -> float:
-        return modulus(self)
-
-
-def geometric_product(m: MultiVector, n: MultiVector) -> MultiVector:
-    return m * n
-
-
-@lru_cache(maxsize=16)
-def _bar_signs(sig: Signature) -> np.ndarray:
-    neg_counts = np.array([(m & sig.neg_mask).bit_count() for m in range(sig.n_blades)])
-    signs = np.where(neg_counts & 1, -1.0, 1.0)
-    signs.flags.writeable = False
-    return signs
-
-
-@lru_cache(maxsize=16)
-def _reverse_signs(sig: Signature) -> np.ndarray:
-    # bar sign times the per-grade reversal sign (-1)^(k(k-1)/2)
-    grades = np.array([m.bit_count() for m in range(sig.n_blades)])
-    rev = np.where((grades * (grades - 1) // 2) & 1, -1.0, 1.0)
-    signs = _bar_signs(sig) * rev
-    signs.flags.writeable = False
-    return signs
-
-
-def bar(m: MultiVector) -> MultiVector:
-    """Involution flipping the sign of every negative-square generator."""
-    return MultiVector(m.sig, m.coeff * _bar_signs(m.sig))
-
-
-def principal_reverse(m: MultiVector) -> MultiVector:
-    """Grade-wise reversal of bar(m): sum_k (-1)^(k(k-1)/2) <bar(m)>_k."""
-    return MultiVector(m.sig, m.coeff * _reverse_signs(m.sig))
-
-
-def grade(m: MultiVector, k: int) -> MultiVector:
-    keep = np.array([mask.bit_count() == k for mask in range(m.sig.n_blades)])
-    return MultiVector(m.sig, np.where(keep, m.coeff, 0.0))
-
 
 def scalar_product(m: MultiVector, n: MultiVector) -> float:
-    """Componentwise blade pairing sum_A M_A N_A = <M principal_reverse(N)>_0."""
+    """Componentwise blade pairing sum_A M_A N_A, which equals the scalar
+    part <M N~>_0 of M times the principal reverse of N."""
     if m.sig != n.sig:
         raise SignatureMismatch(f"{m.sig} vs {n.sig}")
     return float(np.dot(m.coeff, n.coeff))

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdt_engine import (
+    AnalyticField,
     SampledField,
     TransformPlan,
     _coords,
@@ -160,8 +161,11 @@ def check_growth(f, alpha: float, n: float, ladder, *, panels: int = 1, order: i
     """I(L) = integral over [-L,L]^d of |e^{alpha|x|^2} f|^n dmu, per rung.
 
     Computed in log space (the integrand overflows long before the ladder
-    stops); n = inf switches to the essential sup over the box.
+    stops); n = inf switches to the essential sup over the box.  f is
+    sampled on every rung's grid, so it must be an AnalyticField.
     """
+    if not isinstance(f, AnalyticField):
+        raise TypeError("the growth condition samples f on every rung, so it needs an analytic field")
     if not alpha > 0.0:  # NaN fails too
         raise ValueError("alpha must be positive")
     if not n >= 1.0:

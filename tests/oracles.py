@@ -2,9 +2,11 @@
 the kernel's defining power series, the Mehta integral by quadrature, the
 kernel as a multivector, the weight w_k, the generalized Hermite
 functions, each evaluated one point (or one row of points) at a time,
-field sampling on dense coordinate arrays, and the transform of a Hermite
-expansion from the eigenvalues alone.  Also two tools the tests read back
-with: a printer of expression ASTs, and a reader of ClaimReport JSON."""
+field sampling on dense coordinate arrays, the transform of a Hermite
+expansion from the eigenvalues alone, the blade reassembly matrices from
+one multivector product per blade, and the principal reverse and grade
+projection of Cl(p,q).  Also two tools the tests read back with: a
+printer of expression ASTs, and a reader of ClaimReport JSON."""
 
 import json
 import math
@@ -168,6 +170,42 @@ def hermite_image(terms: dict, ms: MultiplicitySplit, a: ImaginaryUnit, b: Imagi
         unit = {"two": ua * M * ub, "left": ua * ub * M, "right": M * ua * ub}[ordering]
         out[(v, u)] = scale * unit
     return out
+
+
+def assembly_matrix(sig, a: MultiVector, b: MultiVector, order: str) -> np.ndarray:
+    """[s, r, A, :] = coefficients of a^s e_A b^r ("two"), a^s b^r e_A
+    ("left") or e_A a^s b^r ("right"), one blade at a time in multivector
+    arithmetic, products taken left to right."""
+    one = MultiVector.scalar(sig, 1.0)
+    apow = (one, a)
+    bpow = (one, b)
+    out = np.empty((2, 2, sig.n_blades, sig.n_blades))
+    for s in range(2):
+        for r in range(2):
+            for mask in range(sig.n_blades):
+                blade = MultiVector.blade(sig, mask)
+                if order == "two":
+                    m = apow[s] * blade * bpow[r]
+                elif order == "left":
+                    m = apow[s] * bpow[r] * blade
+                else:
+                    m = blade * apow[s] * bpow[r]
+                out[s, r, mask] = m.coeff
+    return out
+
+
+def principal_reverse(m: MultiVector) -> MultiVector:
+    """The bar involution (a sign per negative-square generator of the
+    blade) followed by the grade-wise reversal (-1)^(k(k-1)/2)."""
+    signs = [(-1.0) ** ((A & m.sig.neg_mask).bit_count() + A.bit_count() * (A.bit_count() - 1) // 2)
+             for A in range(m.sig.n_blades)]
+    return MultiVector(m.sig, m.coeff * np.array(signs))
+
+
+def grade(m: MultiVector, k: int) -> MultiVector:
+    """The grade-k part of m: its blades of k generators."""
+    keep = np.array([A.bit_count() == k for A in range(m.sig.n_blades)])
+    return MultiVector(m.sig, np.where(keep, m.coeff, 0.0))
 
 
 def hermite_sum(terms: dict, ms: MultiplicitySplit, grid) -> np.ndarray:

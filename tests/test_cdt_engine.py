@@ -63,7 +63,7 @@ from cliffdunkl import cdt_engine
 from cliffdunkl.quadrature import build_grid
 
 from conftest import gaussian_field
-from oracles import eval_kernel_block, reports_from_json
+from oracles import assembly_matrix, eval_kernel_block, reports_from_json
 
 
 def _unit(sig, spec):
@@ -168,6 +168,39 @@ def test_transform_matches_multivector_loop(sig02, ms_std, unit_a, unit_b, trans
                     mv = fmv * Ep * Eq
                 acc += w[i1, i2] * mv.coeff
         assert np.max(np.abs(acc - F.values[j1, j2])) <= 1e-12
+
+
+def _assert_blade_matrices_match_loop(sig, a, b):
+    got = cdt_engine._blade_matrices(sig, a, b)
+    assert sorted(got) == ["left", "right", "two"]
+    for order, mats in got.items():
+        assert np.array_equal(mats, assembly_matrix(sig, a, b, order)), (a, b, order)
+
+
+@pytest.mark.parametrize("p,q", [(p, d - p) for d in range(1, 5) for p in range(d + 1)
+                                 if (p, d) != (1, 1)])  # Cl(1,0) has no root of -1
+def test_blade_matrices_equal_the_multivector_loop(p, q):
+    # bit for bit, every order, every pair of blade units that square to -1
+    sig = Signature(p, q)
+    blades = [MultiVector.blade(sig, mask) for mask in range(sig.n_blades)]
+    units = [u for u in blades if u * u == MultiVector.scalar(sig, -1.0)]
+    assert units
+    for a, b in itertools.product(units, repeat=2):
+        _assert_blade_matrices_match_loop(sig, a, b)
+
+
+@pytest.mark.parametrize("a,b", [
+    ([("e1", 0.6), ("e2", 0.8)], [("e12", 0.6), ("e123", 0.8)]),
+    ([("e12", 0.6), ("e123", 0.8)], [("e1", 0.6), ("e2", 0.8)]),
+    ([("e1", 0.6), ("e2", 0.8)], [("e12", 0.6), ("e13", 0.8)]),
+])
+def test_blade_matrices_equal_the_multivector_loop_off_the_blades(a, b):
+    # 0.6 e12 + 0.8 e123 squares to 0.28 - 0.96 e3 in Cl(0,3); the matrices
+    # are products all the same, so it is compared with the true root
+    # 0.6 e12 + 0.8 e13 beside it
+    sig = Signature(0, 3)
+    a, b = (sum((c * MultiVector.blade(sig, lab) for lab, c in u), 0.0) for u in (a, b))
+    _assert_blade_matrices_match_loop(sig, a, b)
 
 
 @pytest.mark.parametrize("q,split", [(3, 1), (3, 2), (4, 2)])
@@ -392,6 +425,13 @@ def test_eigencheck_raw_eigenvalue(ms_std, plan_std, v, u):
 def test_eigencheck_mehta_eigenvalue_is_one(plan_std_mehta):
     report = eigencheck((1,), (1,), plan_std_mehta)
     assert abs(report.measured_value - 1.0) <= 1e-9
+    # a fit whose eigenvalue is the asserted one passes, unless its shape
+    # or its unit residual exceeds rtol
+    fit = {"lambda": report.paper_value, "shape_residual": 0.0, "unit_residual": 0.0}
+    assert cdt_engine._eigen_report((1,), (1,), fit, plan_std_mehta).status == "pass"
+    for key in ("shape_residual", "unit_residual"):
+        bad = dict(fit, **{key: 2.0 * plan_std_mehta.rtol})
+        assert cdt_engine._eigen_report((1,), (1,), bad, plan_std_mehta).status == "flagged"
 
 
 def test_eigencheck_rejects_bad_indices(plan_std):
@@ -502,6 +542,8 @@ def test_translate_explicit_needs_an_analytic_field(sig02, ms_std, plan_std):
         translate_explicit(f, (0.1, 0.1), ms_std)
     with pytest.raises(ValueError):
         translate_explicit(gaussian_field(sig02, ms_std), (0.1,), ms_std)
+    with pytest.raises(PlanMismatch, match="multiplicities"):
+        translate_explicit(gaussian_field(sig02, ms_std), (0.1, 0.1), MultiplicitySplit((0.5, 0.5), 1))
 
 
 # -- convolution --------------------------------------------------------------
@@ -701,6 +743,10 @@ def test_fields_validate_their_inputs(sig02, ms_std, plan_std):
         AnalyticField(sig02, ms_std, {0: 3.0})
     with pytest.raises(ValueError):
         AnalyticField(sig02, ms_std, {"e9": lambda x1, x2: x1})
+    with pytest.raises(ValueError, match="out of range"):
+        AnalyticField(sig02, ms_std, {4: lambda x1, x2: x1})
+    with pytest.raises(PlanMismatch, match="multiplicities for d=2"):
+        AnalyticField(sig02, MultiplicitySplit((0.3, 0.7, 0.5), 1), {0: lambda x1, x2: x1})
     with pytest.raises(ValueError):
         SampledField(sig02, ms_std, plan_std.grid_x, np.zeros((3, 3, 4)))
     bad = AnalyticField(sig02, ms_std, {0: lambda x1, x2: np.full_like(x1, np.inf)})
@@ -729,6 +775,9 @@ def test_transform_rejects_foreign_fields(sig02, ms_std, unit_a, unit_b, plan_st
     sampled = _sampled(gaussian_field(sig02, ms_std), small.grid_x, sig02, ms_std)
     with pytest.raises(PlanMismatch):
         forward(sampled, plan_std)
+    foreign = SampledField(sig02, other_ms, plan_std.grid_x, np.zeros(plan_std.grid_x.shape + (4,)))
+    with pytest.raises(PlanMismatch, match="multiplicities differ"):
+        forward(foreign, plan_std)
     with pytest.raises(TypeError):
         forward(lambda x: x, plan_std)
 
@@ -739,6 +788,20 @@ def test_rel_l2_error_needs_a_reference_scale(sig02, ms_std, plan_std):
     f = _sampled(gaussian_field(sig02, ms_std), plan_std.grid_x, sig02, ms_std)
     with pytest.raises(ZeroNormField):
         rel_l2_error(f, zero)
+    with pytest.raises(PlanMismatch, match="different grids"):
+        rel_l2_error(f, _sampled(gaussian_field(sig02, ms_std), build_grid(ms_std, 4.0, order=8), sig02, ms_std))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_norms_raise_instead_of_nan(sig02, ms_std, plan_std):
+    # every sample is finite, but the squared norms overflow; both measures
+    # used to come back NaN
+    big = _scalar_sampled(plan_std.grid_x, sig02, ms_std, np.full(plan_std.grid_x.shape, 1e308))
+    with pytest.raises(OverflowError, match="relative L2 error is nan"):
+        rel_l2_error(SampledField(sig02, ms_std, big.grid, -big.values), big)
+    with pytest.raises(OverflowError, match="Plancherel ratio is nan"):
+        plancherel_ratio(big, plan_std)
 
 
 # -- the fold core, sampling and result ownership ------------------------------

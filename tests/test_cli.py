@@ -509,3 +509,60 @@ def test_an_infinite_grid_spec_exits_2(tmp_path, gauss_file, capsys):
     err = capsys.readouterr().err
     assert rc == 2 and not (tmp_path / "o.json").exists()
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def _sampled_doc(value):
+    # a Cl(0,2) field of one constant scalar blade on a 16 x 16 grid
+    return {"signature": [0, 2], "kappa": [0.3, 0.7], "split": 1,
+            "grid": {"L": [6.0, 6.0], "panels": 1, "order": 8},
+            "blades": {"1": [[value] * 16 for _ in range(16)]}}
+
+
+SMALL = ["--in-grid", "-6:6:1:8", "--out-grid", "-6:6:1:8"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv,code,message", [
+    (["transform", "--field", "F", "--sig", "1,1", "--out", "O"], 3,
+     "input error: signature: field file says (0,2), --sig says (1,1)"),
+    (["eigencheck", "--sig", "0,2", "--kappa", "0.3", "--v", "0", "--u", "0"], 2,
+     "usage error: --kappa wants 2 values for --sig 0,2"),
+    (["eigencheck", "--sig", "0,2", "--kappa", "0.3,0.7", "--v", "x", "--u", "0"], 2,
+     "usage error: --v wants comma-separated integers, got 'x'"),
+    (["roundtrip", "--field", "F", "--in-grid", "-6:6:1:8;-6:6:1:8;-6:6:1:8"], 2,
+     "usage error: --in-grid wants 1 or 2 specs, got 3"),
+    (["translate", "--field", "F", "--z", "0.1", "--out", "O"], 2,
+     "usage error: --z wants 2 values"),
+    (["translate", "--field", "S", "--z", "0.1,0.2", "--method", "explicit", *SMALL, "--out", "O"], 3,
+     "input error: blades: explicit translation needs an analytic field"),
+    (["miyachi", "--field", "S", "--alpha", "1", "--beta", "0.25", "--lambda", "3"], 3,
+     "input error: blades: miyachi needs an analytic field: it samples the field on every rung"),
+    (["roundtrip", "--field", "BIG", *SMALL], 4,
+     "numerical failure: relative L2 error is nan"),
+    (["plancherel", "--field", "BIG", *SMALL], 4,
+     "numerical failure: Plancherel ratio is nan"),
+    (["roundtrip", "--field", "F", "--in-grid", "-6:6:1:16", "--out-grid", "-8:8:1:16", "--out", "O"], 0,
+     "roundtrip relative L2 error: "),
+    (["miyachi", "--field", "F", "--in-grid", "-6:6:1:16", "--alpha", "1", "--beta", "0.25",
+      "--lambda", "3", "--out", "O"], 0, "miyachi: wrote "),
+    (["verify"], 5, '"claim": "gaussian-constant-raw"'),
+], ids=["sig-cross-check", "kappa-count", "bad-v", "grid-spec-count", "z-length",
+        "explicit-on-sampled", "miyachi-on-sampled", "roundtrip-overflow", "plancherel-overflow",
+        "roundtrip-out", "miyachi-out", "verify-stdout"])
+def test_cli_paths_exit_codes_and_messages(tmp_path, gauss_file, capsys, argv, code, message):
+    paths = {"F": gauss_file, "S": tmp_path / "s.json", "BIG": tmp_path / "big.json",
+             "O": tmp_path / "o.json"}
+    paths["S"].write_text(json.dumps(_sampled_doc(0.5)))
+    paths["BIG"].write_text(json.dumps(_sampled_doc(1e308)))
+    rc = main([str(paths.get(tok, tok)) for tok in argv])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert message in (captured.out if code in (0, 5) else captured.err)
+    assert "Traceback" not in captured.err
+    assert paths["O"].exists() == (code == 0 and "O" in argv)
+    if code in (2, 3, 4):
+        assert captured.err.count("\n") == 1 and not captured.out
+    if argv[0] == "verify":
+        assert len(json.loads(captured.out)) == 28
+        assert captured.err.startswith("28 claims measured, 6 flagged")

@@ -1,7 +1,8 @@
 """Every name a module exports exists, so a deleted one cannot linger in
 an `__all__` list; every third-party module the package imports is a
-declared dependency; and no module imports a name it never uses, so
-deleted code leaves no imports behind."""
+declared dependency; no module imports a name it never uses, and every
+private module-level function or class has a caller in the package, so
+deleted code leaves neither imports nor helpers behind."""
 
 import ast
 import importlib
@@ -58,3 +59,20 @@ def test_no_module_imports_a_name_it_never_uses(source):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"{source.name} imports but never uses {sorted(imported - used)}"
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a reference inside the helper's own definition (recursion) does not count
+    defined, used = {}, set()
+    for source in SOURCES[0].parent.glob("*.py"):
+        for top in ast.parse(source.read_text()).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_"):
+                defined[own] = source.name
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    used.add(name)
+    unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    assert defined, "the scan found no private helper at all"
+    assert not unused, f"private helpers nothing in the package uses: {unused}"

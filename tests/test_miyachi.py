@@ -148,6 +148,17 @@ def test_growth_overflowing_ladder_reports_growing(sig02, ms_std, n):
     assert math.isinf(rep.values[-1])
 
 
+def test_growth_and_verdict_need_an_analytic_field(sig02, ms_std, unit_a, unit_b):
+    # the growth condition samples f on every rung's grid; a sampled field
+    # used to fail on the first rung as if it lived on a foreign grid
+    plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=5.0, L_y=5.0, order=8)
+    f = forward(gaussian_field(sig02, ms_std), plan)  # any SampledField
+    with pytest.raises(TypeError, match="needs an analytic field"):
+        check_growth(f, 1.0, 2.0, (2.0, 3.0, 4.0, 5.0))
+    with pytest.raises(TypeError, match="needs an analytic field"):
+        verdict(f, MiyachiConfig(1.0, 0.25, 3.0), plan)
+
+
 def test_growth_rejects_bad_exponent(sig02, ms_std):
     with pytest.raises(ValueError):
         check_growth(gaussian_field(sig02, ms_std), 1.0, 0.5, (2.0, 3.0, 4.0))
@@ -230,6 +241,11 @@ def test_log_condition_zero_transform(sig02, ms_std, unit_a, unit_b):
     rep = check_log(zero, 0.3, 1.0, (2.0, 3.0, 4.0, 5.0))
     assert rep.status == "finite"
     assert rep.values == (0.0, 0.0, 0.0, 0.0)
+    # stalled, then resumed on the last rung: not a decaying tail
+    F = forward(gaussian_field(sig02, ms_std), plan)
+    rep = check_log([zero, zero, zero, F], 0.3, 1.0, (2.0, 3.0, 4.0, 5.0))
+    assert rep.values[:3] == (0.0, 0.0, 0.0) and rep.values[3] > 0.0
+    assert rep.status == "growing"
 
 
 def test_log_condition_is_scale_equivariant(sig02, ms_std, unit_a, unit_b):
