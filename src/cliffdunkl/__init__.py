@@ -22,8 +22,6 @@ from .cdt_engine import (
     convolve,
     eigencheck,
     forward,
-    forward_left,
-    forward_right,
     inverse,
     plancherel_ratio,
     rel_l2_error,
@@ -42,7 +40,7 @@ from .dunkl_rank1 import MultiplicitySplit, eval_kernel_ab, kernel_coefficients,
 from .field_expr import compile_expr, eval_expr, parse_expr
 from .field_io import load_field, save_field
 from .miyachi import MiyachiConfig, MiyachiVerdict, check_growth, check_log, classify, verdict
-from .quadrature import TensorGrid, build_grid, integrate, parse_grid_spec
+from .quadrature import TensorGrid, build_grid, parse_grid_spec
 
 __version__ = "0.1.0"
 
@@ -57,7 +55,6 @@ __all__ = [
     "mehta_constant",
     "TensorGrid",
     "build_grid",
-    "integrate",
     "parse_grid_spec",
     "AnalyticField",
     "SampledField",
@@ -65,8 +62,6 @@ __all__ = [
     "ClaimReport",
     "build_plan",
     "forward",
-    "forward_left",
-    "forward_right",
     "inverse",
     "plancherel_ratio",
     "eigencheck",

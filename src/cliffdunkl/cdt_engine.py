@@ -28,12 +28,12 @@ one stack, then mix them into the 2^d classes with the +-1 Hadamard matrix
 (-1)^(sigma . epsilon) in a single GEMM; the unfold is the same GEMM and a
 scatter back onto the full axes.  Every stage, from the gather to the
 scatter, writes into one of two work buffers that the stages take in turn,
-and the last one is the result.  `forward`, `forward_left`,
-`forward_right` and `inverse` differ only in that matrix, the kernel
-conjugation (B -> -B) and constants.  Translation and convolution are
-scalar operators (each unit enters every path an even number of times),
-and translation by z is convolution with delta_z, so both take class
-products between the contractions of one pipeline (`_scalar_operator`).
+and the last one is the result.  `forward` and `inverse` differ only in
+the kernel conjugation (B -> -B) and constants.  Translation and
+convolution are scalar operators (each unit enters every path an even
+number of times), and translation by z is convolution with delta_z, so
+both take class products between the contractions of one pipeline
+(`_scalar_operator`).
 
 Analytic fields are sampled one blade body per blade.  From 2^20 sampled
 values on, the bodies are dealt out to the calling thread and to usable
@@ -213,7 +213,7 @@ class _Owned(NamedTuple):
     array: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledField:
     """One multivector per grid node, stored as (*grid.shape, 2^d) floats."""
 
@@ -290,13 +290,14 @@ def rel_l2_error(got: SampledField, want: SampledField) -> float:
 # -- plans ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformPlan:
     """Immutable discretization: grids, per-coordinate kernels, units, mode.
 
     `fwd_mats[j]` stacks axis j's (even, odd) half matrices, positive x
     nodes to positive y nodes: w(x) A(x y) and w(x) B(x y).  `inv_mats[j]`
-    holds the inverse's, y to x: w(y) A(x y) and -w(y) B(x y).
+    holds the inverse's, y to x: w(y) A(x y) and -w(y) B(x y).  Plans hold
+    arrays, so they compare and hash by identity.
     """
 
     sig: Signature
@@ -310,7 +311,7 @@ class TransformPlan:
     inv_mats: tuple
     normalization: str
     rtol: float
-    cmats: Mapping  # order -> blade matrices, see `_blade_matrices`
+    cmat: np.ndarray  # blade matrices, see `_blade_matrices`
 
     @cached_property
     def mode_scale(self) -> float:
@@ -332,28 +333,33 @@ def _c_squared(plan: TransformPlan) -> float:
     return c2
 
 
-def _blade_matrices(sig: Signature, a: MultiVector, b: MultiVector) -> dict:
-    """Blade reassembly matrices [s, r, A, :] of each order of the kernel
-    factors: the coefficients of a^s e_A b^r ("two"), a^s b^r e_A ("left")
-    and e_A a^s b^r ("right").
+def _blade_matrices(sig: Signature, a: MultiVector, b: MultiVector) -> np.ndarray:
+    """Blade reassembly matrices [s, r, A, :], the coefficients of
+    a^s e_A b^r, read-only.
 
-    They are products of the multiplication matrices L_u[A, k] = sum_i
-    u_i S[i, A, k] (row A holds u e_A) and R_u[A, k] = sum_i u_i S[A, i, k]
-    (e_A u), S the structure tensor: L_a^s R_b^r, L_b^r L_a^s and
-    R_a^s R_b^r.
+    Each is the product L_a^s R_b^r of the multiplication matrices
+    L_a[A, k] = sum_i a_i S[i, A, k] (row A holds a e_A) and
+    R_b[A, k] = sum_i b_i S[A, i, k] (e_A b), S the structure tensor.
     """
     S = structure_tensor(sig)
     one = np.eye(sig.n_blades)
-    La, Lb = ((one, np.einsum("i,iak->ak", u.coeff, S)) for u in (a, b))
-    Ra, Rb = ((one, np.einsum("i,aik->ak", u.coeff, S)) for u in (a, b))
-    out = {
-        "two": np.array([[La[s] @ Rb[r] for r in (0, 1)] for s in (0, 1)]),
-        "left": np.array([[Lb[r] @ La[s] for r in (0, 1)] for s in (0, 1)]),
-        "right": np.array([[Ra[s] @ Rb[r] for r in (0, 1)] for s in (0, 1)]),
-    }
-    for mats in out.values():
-        mats.flags.writeable = False
+    La = (one, np.einsum("i,iak->ak", a.coeff, S))
+    Rb = (one, np.einsum("i,aik->ak", b.coeff, S))
+    out = np.array([[La[s] @ Rb[r] for r in (0, 1)] for s in (0, 1)])
+    out.flags.writeable = False
     return out
+
+
+def _admit_values(sig: Signature, panels: int, order: int) -> None:
+    """Refuse a grid of more than NODE_CAP values, nodes times blades,
+    from its spec alone (NodeCountExceeded)."""
+    n_nodes = node_count(sig.d, panels, order)
+    n_values = n_nodes * sig.n_blades
+    if n_values > NODE_CAP:
+        raise NodeCountExceeded(
+            f"{n_nodes} nodes x {sig.n_blades} blades = {n_values} values "
+            f"exceeds cap {NODE_CAP}"
+        )
 
 
 def build_plan(
@@ -391,13 +397,7 @@ def build_plan(
     Lx = np.broadcast_to(np.asarray(L_x, dtype=float), (d,))
     Ly = Lx if L_y is None else np.broadcast_to(np.asarray(L_y, dtype=float), (d,))
     tables = tuple(kernel_coefficients(ms.kappa[j], t_max=float(Lx[j] * Ly[j])) for j in range(d))
-    n_nodes = node_count(d, panels, order)  # on both sides
-    n_values = n_nodes * sig.n_blades
-    if n_values > NODE_CAP:
-        raise NodeCountExceeded(
-            f"{n_nodes} nodes x {sig.n_blades} blades = {n_values} values "
-            f"exceeds cap {NODE_CAP}"
-        )
+    _admit_values(sig, panels, order)  # on both sides
     grid_x = build_grid(ms, Lx, panels=panels, order=order)
     grid_y = build_grid(ms, Ly, panels=panels, order=order)
     mats = []
@@ -422,7 +422,7 @@ def build_plan(
         inv_mats=tuple(inv for _, inv in mats),
         normalization=normalization,
         rtol=rtol,
-        cmats=_blade_matrices(sig, a.value, b.value),
+        cmat=_blade_matrices(sig, a.value, b.value),
     )
 
 
@@ -537,11 +537,11 @@ def _partial_transform(values: np.ndarray, plan: TransformPlan, inverse: bool,
     return _contract(_fold(values, plan.ms.d, work), plan, inverse, blades, work)
 
 
-def _transform(values: np.ndarray, plan: TransformPlan, inverse: bool, cmat,
+def _transform(values: np.ndarray, plan: TransformPlan, inverse: bool,
                const: float) -> np.ndarray:
     """const * sum over classes sigma of sign(sigma) a^s (class) b^r."""
     _, s, r, sign = _parity_classes(plan.ms.d, plan.ms.split)
-    blades = (const * sign)[:, None, None] * cmat[s, r]
+    blades = (const * sign)[:, None, None] * plan.cmat[s, r]
     work = _Work(plan.ms.d + 5, values.size)
     return _unfold(_partial_transform(values, plan, inverse, blades, work), plan.ms.d, work)
 
@@ -582,24 +582,10 @@ def _result(plan: TransformPlan, grid: TensorGrid, values: np.ndarray) -> Sample
     return SampledField(plan.sig, plan.ms, grid, _Owned(values))
 
 
-def _forward(f, plan: TransformPlan, cmat: np.ndarray) -> SampledField:
-    values = _sample_on(f, plan.grid_x, plan.sig, plan.ms)
-    return _result(plan, plan.grid_y, _transform(values, plan, False, cmat, plan.mode_scale))
-
-
 def forward(f, plan: TransformPlan) -> SampledField:
     """Two-sided transform: kernel E_p on the left, E_q on the right."""
-    return _forward(f, plan, plan.cmats["two"])
-
-
-def forward_left(f, plan: TransformPlan) -> SampledField:
-    """Both kernel factors to the left of f (order E_p E_q f)."""
-    return _forward(f, plan, plan.cmats["left"])
-
-
-def forward_right(f, plan: TransformPlan) -> SampledField:
-    """Both kernel factors to the right of f (order f E_p E_q)."""
-    return _forward(f, plan, plan.cmats["right"])
+    values = _sample_on(f, plan.grid_x, plan.sig, plan.ms)
+    return _result(plan, plan.grid_y, _transform(values, plan, False, plan.mode_scale))
 
 
 def inverse(F, plan: TransformPlan) -> SampledField:
@@ -609,7 +595,7 @@ def inverse(F, plan: TransformPlan) -> SampledField:
     c_{k_p} c_{k_q} so that inverse(forward(f)) = f in either mode.
     """
     values = _sample_on(F, plan.grid_y, plan.sig, plan.ms)
-    out = _transform(values, plan, True, plan.cmats["two"], _c_squared(plan) / plan.mode_scale)
+    out = _transform(values, plan, True, _c_squared(plan) / plan.mode_scale)
     return _result(plan, plan.grid_x, out)
 
 
@@ -934,8 +920,7 @@ def _psi_order(fn, pts: list, z: np.ndarray, kappa) -> tuple:
     return high, est
 
 
-def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *,
-                       order: int | None = None) -> AnalyticField:
+def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit) -> AnalyticField:
     """Rank-one (Roesler) translation of an analytic field, blade by blade.
 
     A kappa_j > 0 coordinate applies the one-dimensional formula
@@ -954,21 +939,18 @@ def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit, *,
     successive orders agree to 1e-14 (relative, max norm), and every point
     then runs at the lower order of that pair, or at 64 if no pair agrees.
     The integrand is entire in t for an entire field, so the rule converges
-    spectrally.  `order` fixes the psi order instead, for every call.
+    spectrally.
     """
     if not isinstance(f, AnalyticField):
         raise TypeError("explicit translation needs an analytic field")
     if f.ms != ms:
         raise PlanMismatch("field multiplicities differ")
     z = _shift(z, ms.d)
-    fixed = None if order is None else _psi_rules(ms.kappa, order)
 
     def translated(*X, fn):
         X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
         pts = [x.ravel() for x in X]
-        rules = fixed
-        if rules is None:
-            rules = _psi_rules(ms.kappa, _psi_order(fn, pts, z, ms.kappa)[0])
+        rules = _psi_rules(ms.kappa, _psi_order(fn, pts, z, ms.kappa)[0])
         return _explicit_pass(fn, pts, z, rules).reshape(X[0].shape)
 
     blades = {mask: partial(translated, fn=fn) for mask, fn in f.blades.items()}

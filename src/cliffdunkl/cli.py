@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -31,6 +30,7 @@ from .cdt_engine import (
     PlanMismatch,
     SampledField,
     ZeroNormField,
+    _admit_values,
     build_plan,
     convolve,
     eigen_indices,
@@ -58,9 +58,9 @@ from .dunkl_rank1 import (
     kernel_coefficients,
 )
 from .field_expr import DepthExceeded, ExprSyntaxError, NonFiniteResult, UnknownCoordinate
-from .field_io import SchemaError, load_field, save_field
+from .field_io import SchemaError, _read_json, load_field, save_field
 from .miyachi import MiyachiConfig, verdict, verdict_to_json
-from .quadrature import NodeCountExceeded, parse_grid_spec
+from .quadrature import NodeCountExceeded, build_grid, parse_grid_spec
 
 
 class _Usage(Exception):
@@ -70,7 +70,7 @@ class _Usage(Exception):
 _INPUT_ERRORS = (
     SchemaError, ExprSyntaxError, UnknownCoordinate, DepthExceeded,
     BladeSyntaxError, SquareNotMinusOne, PlanMismatch,
-    FileNotFoundError, IsADirectoryError, json.JSONDecodeError,
+    FileNotFoundError, IsADirectoryError,
 )
 _NUMERIC_ERRORS = (
     ArgumentOutOfRadius, NodeBudgetExceeded, NodeCountExceeded,
@@ -147,6 +147,16 @@ def _grid_triples(text: str, d: int, flag: str):
     if len(specs) != d:
         raise _Usage(f"{flag} wants 1 or {d} specs, got {len(specs)}")
     return specs
+
+
+def _x_grid(args, sig, ms):
+    """The grid of --in-grid alone, for a command that tabulates no kernel."""
+    specs = _grid_triples(args.in_grid, sig.d, "--in-grid")
+    if len({(p, o) for (_, p, o) in specs}) != 1:
+        raise _Usage("--in-grid must use one panels and order on every axis")
+    _, panels, order = specs[0]
+    _admit_values(sig, panels, order)
+    return build_grid(ms, [L for (L, _, _) in specs], panels=panels, order=order)
 
 
 def _plan(args, sig, ms, *, input_side="x", in_field=None, L_y_override=None):
@@ -237,12 +247,12 @@ def _cmd_translate(args):
     z = _floats(args.z, "--z")
     if len(z) != f.sig.d:
         raise _Usage(f"--z wants {f.sig.d} values")
-    plan = _plan(args, f.sig, f.ms, input_side="x", in_field=f)
     if args.method == "explicit":
         shifted = translate_explicit(_analytic(f, "explicit translation needs an analytic field"), tuple(z), f.ms)
-        out = SampledField(f.sig, f.ms, plan.grid_x, shifted.sample(plan.grid_x))
+        grid = _x_grid(args, f.sig, f.ms)
+        out = SampledField(f.sig, f.ms, grid, shifted.sample(grid))
     else:
-        out = translate_spectral(f, tuple(z), plan)
+        out = translate_spectral(f, tuple(z), _plan(args, f.sig, f.ms, input_side="x", in_field=f))
     return _emit(out, args, f"translate[{args.method}]")
 
 
@@ -276,10 +286,7 @@ def _cmd_miyachi(args):
 
 
 def _cmd_verify(args):
-    config = None
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+    config = _read_json(args.config) if args.config else None
     try:
         reports = run_claims_ledger(config)
     except _NUMERIC_ERRORS:

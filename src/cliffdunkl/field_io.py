@@ -10,12 +10,11 @@ by blade with orjson straight from each blade's array, so only one blade's
 text exists at a time.  Floats are emitted as their shortest round-trip
 digits (Ryu), so save/load round-trips every finite value bit-exactly.
 JSON has no non-finite numbers: a sampled field holding NaN or +-inf raises
-field_expr.NonFiniteResult before the file is opened.
+field_expr.NonFiniteResult before the file is opened, and the reader
+refuses the NaN and Infinity literals and numbers beyond the float range.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import orjson
@@ -27,6 +26,10 @@ from .field_expr import NonFiniteResult, compile_expr
 from .quadrature import build_grid
 
 __all__ = ["SchemaError", "load_field", "save_field"]
+
+_MAX_DEPTH = 32  # arrays and objects a document may nest; a field file needs 2 + d <= 8
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'"[{]}')))  # all but quotes and brackets
+_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as int8
 
 
 class SchemaError(ValueError):
@@ -79,13 +82,39 @@ def _parse_labels(blades: dict, sig: Signature):
     return masks
 
 
+def _depth(data: bytes) -> int:
+    """How deep the arrays and objects of a JSON text nest, brackets inside
+    strings left out.  Escaped backslashes, then escaped quotes, are dropped
+    first, so every quote left opens or closes a string."""
+    if b"\\" in data:
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    outside = b"".join(data.translate(None, _NOT_MARKS).split(b'"')[::2])
+    steps = np.frombuffer(outside.translate(_STEPS), dtype=np.int8)
+    return int(np.cumsum(steps).max(initial=0))
+
+
+def _read_json(path):
+    """The JSON document in the file at `path`, read with orjson.
+
+    Raises SchemaError("$", ...) for text that is not strict JSON: invalid
+    UTF-8, truncation, the NaN and Infinity literals, numbers beyond the
+    float range, and nesting deeper than _MAX_DEPTH, which is checked before
+    parsing (orjson builds nested values by recursion on the C stack, and a
+    document some 10^5 levels deep overflows it).
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _depth(data) > _MAX_DEPTH:
+        raise SchemaError("$", f"arrays and objects nest deeper than {_MAX_DEPTH} levels")
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as e:
+        raise SchemaError("$", f"not valid JSON: {e}") from e
+
+
 def load_field(path):
     """AnalyticField or SampledField, decided by the presence of `grid`."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError("$", f"not valid JSON: {e}") from e
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
     sig, ms = _parse_header(doc)
@@ -117,10 +146,13 @@ def load_field(path):
     for label, samples in blades.items():
         if isinstance(samples, str):
             raise SchemaError(f"blades.{label}", "sampled files cannot mix in expression strings")
-        arr = np.asarray(samples, dtype=float)
+        try:
+            arr = np.asarray(samples, dtype=float)
+        except (TypeError, ValueError) as e:  # ragged, or not numbers
+            raise SchemaError(f"blades.{label}", f"samples must be a nested array of numbers: {e}") from e
         if arr.shape != grid.shape:
             raise SchemaError(f"blades.{label}", f"expected shape {grid.shape}, got {arr.shape}")
-        if not np.isfinite(arr).all():  # json reads the NaN and Infinity literals
+        if not np.isfinite(arr).all():  # null reads as NaN
             raise SchemaError(f"blades.{label}", "samples must be finite numbers")
         values[..., masks[label]] = arr
     return SampledField(sig, ms, grid, _Owned(values))

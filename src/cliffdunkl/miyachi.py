@@ -29,7 +29,6 @@ import numpy as np
 
 from .cdt_engine import (
     AnalyticField,
-    SampledField,
     TransformPlan,
     _coords,
     _fit_profile,
@@ -200,24 +199,20 @@ def check_growth(f, alpha: float, n: float, ladder, *, panels: int = 1, order: i
 def check_log(F, beta: float, lam: float, ladder) -> ConditionReport:
     """J(L) = integral over [-L,L]^d of log+(|F(y)| e^{beta|y|^2}/lambda) dy.
 
-    Unweighted Lebesgue measure.  F is one SampledField per rung, or a
-    single one whose grid covers the last rung (smaller rungs then restrict
-    to the enclosed nodes).
+    Unweighted Lebesgue measure.  F holds one SampledField per rung, each
+    with a grid covering its rung; nodes outside the rung are left out.
     """
     if not (beta > 0.0 and lam > 0.0):  # NaN fails too
         raise ValueError("beta and lambda must be positive")
     ladder = _ladder(ladder)
-    if isinstance(F, SampledField):
-        fields = [F] * len(ladder)
-        if any(ax.L < ladder[-1] - 1e-12 for ax in F.grid.axes):
-            raise ValueError("field grid does not cover the last rung")
-    else:
-        fields = list(F)
-        if len(fields) != len(ladder):
-            raise ValueError(f"need one field per rung, got {len(fields)}")
+    fields = list(F)
+    if len(fields) != len(ladder):
+        raise ValueError(f"need one field per rung, got {len(fields)}")
     values = []
     for L, field in zip(ladder, fields):
         grid = field.grid
+        if any(ax.L < L - 1e-12 for ax in grid.axes):
+            raise ValueError(f"the field grid of rung L = {L!r} does not cover it")
         ys = _coords(grid)
         inside = np.ones(grid.shape, dtype=bool)
         for y in ys:

@@ -34,7 +34,6 @@ __all__ = [
     "build_axis",
     "build_grid",
     "node_count",
-    "integrate",
     "parse_grid_spec",
     "NODE_CAP",
 ]
@@ -129,7 +128,7 @@ def power_rule(two_kappa: float, hi: float, order: int):
     return half * (t + 1.0), half ** (two_kappa + 1.0) * w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid1D:
     """Panelled quadrature for one coordinate on (-L, L).
 
@@ -194,7 +193,7 @@ def build_axis(kappa: float, L: float, panels: int, order: int) -> Grid1D:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorGrid:
     """Tensor product of per-coordinate grids, nodes in lexicographic order."""
 
@@ -260,18 +259,6 @@ def build_grid(ms, L, panels: int = 4, order: int = 12) -> TensorGrid:
         build_axis(kappas[j], float(Ls[j]), panels, order) for j in range(d)
     )
     return TensorGrid(axes=axes)
-
-
-def integrate(values, grid: TensorGrid):
-    """sum values * (quadrature weight * cached w_k) in fixed node order.
-
-    The first axis of `values` runs over grid nodes; extra axes (e.g. blade
-    coefficients) ride along.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.shape[0] != grid.n_nodes:
-        raise ValueError(f"expected {grid.n_nodes} values, got {arr.shape[0]}")
-    return np.einsum("n,n...->...", grid.total_weights(), arr)
 
 
 def parse_grid_spec(text: str):

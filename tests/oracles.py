@@ -2,18 +2,20 @@
 the kernel's defining power series, the Mehta integral by quadrature, the
 kernel as a multivector, the weight w_k, the generalized Hermite
 functions, each evaluated one point (or one row of points) at a time,
-field sampling on dense coordinate arrays, the transform of a Hermite
-expansion from the eigenvalues alone, the blade reassembly matrices from
-one multivector product per blade, and the principal reverse and grade
-projection of Cl(p,q).  Also two tools the tests read back with: a
-printer of expression ASTs, and a reader of ClaimReport JSON."""
+the weighted sum over a grid's nodes, field sampling on dense coordinate
+arrays, the transform of a Hermite expansion from the eigenvalues alone,
+the blade reassembly matrices from one multivector product per blade, and
+the principal reverse and grade projection of Cl(p,q).  Also three tools
+built on the library: explicit translation at a fixed psi order, a printer
+of expression ASTs, and a reader of ClaimReport JSON."""
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 
-from cliffdunkl.cdt_engine import ClaimReport
+from cliffdunkl.cdt_engine import AnalyticField, ClaimReport, _explicit_pass, _psi_rules, _shift
 from cliffdunkl.clifford_core import ImaginaryUnit, MultiVector
 from cliffdunkl.dunkl_rank1 import (
     HERMITE_N_CAP,
@@ -139,6 +141,18 @@ def eval_h(v, x, ms: MultiplicitySplit):
     return float(out[0]) if x.ndim == 1 else out
 
 
+def integrate(values, grid) -> np.ndarray:
+    """sum values * (quadrature weight * cached w_k) in fixed node order.
+
+    The first axis of `values` runs over grid nodes; extra axes (e.g. blade
+    coefficients) ride along.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.shape[0] != grid.n_nodes:
+        raise ValueError(f"expected {grid.n_nodes} values, got {arr.shape[0]}")
+    return np.einsum("n,n...->...", grid.total_weights(), arr)
+
+
 def sample_dense(field, grid) -> np.ndarray:
     """(*grid.shape, 2^d) samples of an AnalyticField, each blade body
     called on the dense `meshgrid` of the grid's nodes: every coordinate
@@ -151,31 +165,28 @@ def sample_dense(field, grid) -> np.ndarray:
 
 
 def hermite_image(terms: dict, ms: MultiplicitySplit, a: ImaginaryUnit, b: ImaginaryUnit,
-                  ordering: str = "two", normalization: str = "raw") -> dict:
+                  normalization: str = "raw") -> dict:
     """The forward transform of f = sum of M h_v(x_p) h_u(x_q) over the
     terms {(v, u): M}, as terms of the same kind of sum, with no kernel.
 
     The generalized Hermite functions are eigenfunctions of the Dunkl
     transform (Roesler, Comm. Math. Phys. 192, 1998), so the raw transform
     maps the term to c_p^-1 c_q^-1 (-a)^l(v) M (-b)^l(u) h_v(y_p) h_u(y_q),
-    l the degree.  "left" puts both unit powers before M, "right" after it;
-    "mehta" drops c_p^-1 c_q^-1, here the Mehta integrals by quadrature.
+    l the degree; "mehta" drops c_p^-1 c_q^-1, here the Mehta integrals by
+    quadrature.
     """
     scale = 1.0
     if normalization == "raw":
         scale = float(np.prod([mehta_factor_quadrature(k) for k in ms.kappa]))
     out = {}
     for (v, u), M in terms.items():
-        ua, ub = (-a.value) ** sum(v), (-b.value) ** sum(u)
-        unit = {"two": ua * M * ub, "left": ua * ub * M, "right": M * ua * ub}[ordering]
-        out[(v, u)] = scale * unit
+        out[(v, u)] = scale * ((-a.value) ** sum(v) * M * (-b.value) ** sum(u))
     return out
 
 
-def assembly_matrix(sig, a: MultiVector, b: MultiVector, order: str) -> np.ndarray:
-    """[s, r, A, :] = coefficients of a^s e_A b^r ("two"), a^s b^r e_A
-    ("left") or e_A a^s b^r ("right"), one blade at a time in multivector
-    arithmetic, products taken left to right."""
+def assembly_matrix(sig, a: MultiVector, b: MultiVector) -> np.ndarray:
+    """[s, r, A, :] = coefficients of a^s e_A b^r, one blade at a time in
+    multivector arithmetic, products taken left to right."""
     one = MultiVector.scalar(sig, 1.0)
     apow = (one, a)
     bpow = (one, b)
@@ -183,14 +194,7 @@ def assembly_matrix(sig, a: MultiVector, b: MultiVector, order: str) -> np.ndarr
     for s in range(2):
         for r in range(2):
             for mask in range(sig.n_blades):
-                blade = MultiVector.blade(sig, mask)
-                if order == "two":
-                    m = apow[s] * blade * bpow[r]
-                elif order == "left":
-                    m = apow[s] * bpow[r] * blade
-                else:
-                    m = blade * apow[s] * bpow[r]
-                out[s, r, mask] = m.coeff
+                out[s, r, mask] = (apow[s] * MultiVector.blade(sig, mask) * bpow[r]).coeff
     return out
 
 
@@ -220,6 +224,19 @@ def hermite_sum(terms: dict, ms: MultiplicitySplit, grid) -> np.ndarray:
         products.append(prod)
     coeffs = np.stack([M.coeff for M in terms.values()])
     return np.tensordot(np.stack(products), coeffs, axes=(0, 0))
+
+
+def translate_at_order(f: AnalyticField, z, ms: MultiplicitySplit, order: int) -> AnalyticField:
+    """`translate_explicit` with the psi order fixed at `order` for every
+    call, where the library picks it per call by a probe: one
+    `_explicit_pass` over the requested points with that order's rules."""
+    z, rules = _shift(z, ms.d), _psi_rules(ms.kappa, order)
+
+    def translated(*X, fn):
+        X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
+        return _explicit_pass(fn, [x.ravel() for x in X], z, rules).reshape(X[0].shape)
+
+    return AnalyticField(f.sig, ms, {mask: partial(translated, fn=fn) for mask, fn in f.blades.items()})
 
 
 # binding levels: expr=1, term=2, factor=3, atom=4

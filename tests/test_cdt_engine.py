@@ -48,8 +48,6 @@ from cliffdunkl.cdt_engine import (
     convolve,
     eigencheck,
     forward,
-    forward_left,
-    forward_right,
     inverse,
     plancherel_ratio,
     rel_l2_error,
@@ -63,7 +61,7 @@ from cliffdunkl import cdt_engine
 from cliffdunkl.quadrature import build_grid
 
 from conftest import gaussian_field
-from oracles import assembly_matrix, eval_kernel_block, reports_from_json
+from oracles import assembly_matrix, eval_kernel_block, reports_from_json, translate_at_order
 
 
 def _unit(sig, spec):
@@ -114,40 +112,15 @@ def test_forward_is_linear(sig02, ms_std, plan_std):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("other", [forward_left, forward_right])
-def test_kernel_orders_coincide_on_scalar_fields(sig02, ms_std, plan_std, other):
-    # a scalar field commutes with both kernel factors
-    f = gaussian_field(sig02, ms_std)
-    assert rel_l2_error(other(f, plan_std), forward(f, plan_std)) <= 1e-14
-
-
-def test_kernel_orders_differ_on_multivector_fields(sig02, ms_std, plan_std):
-    # profiles need odd parts in both coordinates: the order difference is a
-    # commutator against one B factor, which is odd in its coordinate
-    f = AnalyticField(sig02, ms_std, {
-        m: (lambda m: lambda x1, x2:
-            (0.4 + 0.2 * m + x1 + 0.5 * x2) * np.exp(-(x1**2 + x2**2)))(m)
-        for m in range(4)
-    })
-    F = forward(f, plan_std)
-    assert rel_l2_error(forward_left(f, plan_std), F) > 1e-2
-    assert rel_l2_error(forward_right(f, plan_std), F) > 1e-2
-
-
-@pytest.mark.parametrize("transform,order", [
-    (forward, "two"),
-    (forward_left, "left"),
-    (forward_right, "right"),
-])
-def test_transform_matches_multivector_loop(sig02, ms_std, unit_a, unit_b, transform, order):
-    # literal sum_x w(x) E_p(x1,-a y1) f(x) E_q(x2,-b y2) in the chosen order,
-    # multivector arithmetic throughout; same nodes, so machine agreement
+def test_transform_matches_multivector_loop(sig02, ms_std, unit_a, unit_b):
+    # literal sum_x w(x) E_p(x1,-a y1) f(x) E_q(x2,-b y2), multivector
+    # arithmetic throughout; same nodes, so machine agreement
     plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=5.0, L_y=5.0, order=16)
     f = AnalyticField(sig02, ms_std, {
         m: (lambda m: lambda x1, x2: (0.4 + 0.2 * m + x1) * np.exp(-(x1**2 + x2**2)))(m)
         for m in range(4)
     })
-    F = transform(f, plan)
+    F = forward(f, plan)
     vals = _sample_on(f, plan.grid_x, sig02, ms_std)
     w = plan.grid_x.total_weights().reshape(plan.grid_x.shape)
     n1, n2 = plan.grid_x.shape
@@ -159,28 +132,18 @@ def test_transform_matches_multivector_loop(sig02, ms_std, unit_a, unit_b, trans
             Ep = eval_kernel_block(plan.tables[:1], (plan.grid_x.axes[0].nodes[i1],), (y1,), plan.a)
             for i2 in range(n2):
                 Eq = eval_kernel_block(plan.tables[1:], (plan.grid_x.axes[1].nodes[i2],), (y2,), plan.b)
-                fmv = MultiVector(sig02, vals[i1, i2])
-                if order == "two":
-                    mv = Ep * fmv * Eq
-                elif order == "left":
-                    mv = Ep * Eq * fmv
-                else:
-                    mv = fmv * Ep * Eq
-                acc += w[i1, i2] * mv.coeff
+                acc += w[i1, i2] * (Ep * MultiVector(sig02, vals[i1, i2]) * Eq).coeff
         assert np.max(np.abs(acc - F.values[j1, j2])) <= 1e-12
 
 
 def _assert_blade_matrices_match_loop(sig, a, b):
-    got = cdt_engine._blade_matrices(sig, a, b)
-    assert sorted(got) == ["left", "right", "two"]
-    for order, mats in got.items():
-        assert np.array_equal(mats, assembly_matrix(sig, a, b, order)), (a, b, order)
+    assert np.array_equal(cdt_engine._blade_matrices(sig, a, b), assembly_matrix(sig, a, b)), (a, b)
 
 
 @pytest.mark.parametrize("p,q", [(p, d - p) for d in range(1, 5) for p in range(d + 1)
                                  if (p, d) != (1, 1)])  # Cl(1,0) has no root of -1
 def test_blade_matrices_equal_the_multivector_loop(p, q):
-    # bit for bit, every order, every pair of blade units that square to -1
+    # bit for bit, every pair of blade units that square to -1
     sig = Signature(p, q)
     blades = [MultiVector.blade(sig, mask) for mask in range(sig.n_blades)]
     units = [u for u in blades if u * u == MultiVector.scalar(sig, -1.0)]
@@ -204,7 +167,7 @@ def test_blade_matrices_equal_the_multivector_loop_off_the_blades(a, b):
 
 
 @pytest.mark.parametrize("q,split", [(3, 1), (3, 2), (4, 2)])
-@pytest.mark.parametrize("transform", ["two", "left", "right", "inverse"])
+@pytest.mark.parametrize("transform", ["two", "inverse"])
 def test_multi_axis_blocks_match_multivector_loop(q, split, transform):
     # several coordinates per block, so powers u^k with k >= 2 (the sign
     # (-1)^floor(k/2)) occur; literal sums in multivector arithmetic on the
@@ -226,7 +189,7 @@ def test_multi_axis_blocks_match_multivector_loop(q, split, transform):
         c = mehta_constant(ms.kappa_p) * mehta_constant(ms.kappa_q)
         scale = c * c
     else:
-        got = {"two": forward, "left": forward_left, "right": forward_right}[transform](f, plan)
+        got = forward(f, plan)
         scale = 1.0
     vals = _sample_on(f, src, sig, ms)
     w = src.total_weights().reshape(src.shape)
@@ -244,14 +207,7 @@ def test_multi_axis_blocks_match_multivector_loop(q, split, transform):
         acc = np.zeros(sig.n_blades)
         for idx in np.ndindex(*src.shape):
             Ep, Eq = eps[idx[:split]], eqs[idx[split:]]
-            fmv = MultiVector(sig, vals[idx])
-            if transform == "left":
-                mv = Ep * Eq * fmv
-            elif transform == "right":
-                mv = fmv * Ep * Eq
-            else:
-                mv = Ep * fmv * Eq
-            acc += w[idx] * mv.coeff
+            acc += w[idx] * (Ep * MultiVector(sig, vals[idx]) * Eq).coeff
         assert np.max(np.abs(scale * acc - got.values[out_idx])) <= 1e-12
 
 
@@ -883,7 +839,6 @@ def _engine_results(sig02, ms_std, plan_std):
     F = forward(f, plan_std)
     return F, {
         "forward": F,
-        "forward_left": forward_left(F, plan_std),
         "inverse": inverse(F, plan_std),
         "translate_spectral": translate_spectral(F, (0.3, -0.2), plan_std),
         "convolve": convolve(F, F, plan_std),
@@ -912,6 +867,18 @@ def test_sampled_field_refuses_non_finite_values(sig02, ms_std, plan_std, bad):
     arr[3, 1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         SampledField(sig02, ms_std, plan_std.grid_x, arr)
+
+
+def test_array_holding_dataclasses_compare_and_hash_by_identity(sig02, ms_std, unit_a, unit_b):
+    # the generated __eq__ and __hash__ reached the arrays: == raised
+    # ValueError and hash() TypeError
+    p1, p2 = (build_plan(sig02, ms_std, unit_a, unit_b, L_x=4.0, order=8) for _ in range(2))
+    F = forward(gaussian_field(sig02, ms_std), p1)
+    for one, other in ((p1, p2), (p1.grid_x, p2.grid_x), (p1.grid_x.axes[0], p2.grid_x.axes[0]),
+                       (F, forward(gaussian_field(sig02, ms_std), p1))):
+        assert one == one and one != other
+        assert {one: 1, other: 2}[one] == 1
+    assert cdt_engine._same_grid(p1.grid_x, p2.grid_x)  # the value comparison stays
 
 
 def test_sampled_field_copies_the_callers_array(sig02, ms_std, plan_std):
@@ -968,7 +935,7 @@ def test_float_zero_kappa_transforms_like_kappa_zero(sig02, unit_a, unit_b, kapp
         F = forward(fk, plan)
         back = inverse(F, plan)
         assert rel_l2_error(back, _sampled(fk, plan.grid_x, sig02, ms)) < 1e-3
-        moved = translate_explicit(fk, (0.6, -0.4), ms, order=24)
+        moved = translate_at_order(fk, (0.6, -0.4), ms, 24)
         outs.append((F.values, back.values, moved.sample(plan.grid_x)))
     for got, want in zip(*outs):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -1038,7 +1005,6 @@ def _all_transforms(d, threads):
     F = forward(f, plan)
     return {
         "forward": F.values,
-        "forward_left": forward_left(f, plan).values,
         "inverse-forward": inverse(F, plan).values,
         "translate_spectral": translate_spectral(f, (0.3, -0.2, 0.1, 0.4)[:d], plan).values,
         "convolve": convolve(f, g, plan).values,

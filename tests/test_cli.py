@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import hyp0f1
 
 from cliffdunkl import quadrature
 from cliffdunkl.cdt_engine import rel_l2_error
@@ -345,22 +346,23 @@ def test_overflowing_constants_exit_4_without_warnings(tmp_path, capsys):
 
 
 def test_non_finite_kappa_is_an_input_error(tmp_path, capsys):
-    # a NaN multiplicity is refused when the file is read, not deep in a plan
+    # a NaN multiplicity is refused when the file is read, not deep in a plan;
+    # the reader refuses the NaN literal itself
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(dict(_gauss_doc(), kappa=[math.nan, 0.5])))
     rc = main(["translate", "--field", str(path), "--z", "0.1,0.2",
                "--method", "explicit", "--out", str(tmp_path / "o.json")])
     err = capsys.readouterr().err
     assert rc == 3
-    assert "input error: kappa" in err and "Traceback" not in err
+    assert "input error: $: not valid JSON" in err and "Traceback" not in err
     rc = main(["eigencheck", "--sig", "0,2", "--kappa", "inf,0.5", "--v", "0", "--u", "0"])
     assert rc == 2
     assert "usage error" in capsys.readouterr().err
 
 
 def test_non_finite_samples_are_an_input_error(tmp_path, capsys):
-    # json reads the NaN literal; a sampled file holding one used to be
-    # transformed into an all-NaN field with exit 0
+    # a sampled file holding the NaN literal used to be transformed into an
+    # all-NaN field with exit 0; orjson refuses the literal while it parses
     samples = [[0.0] * 4 for _ in range(4)]
     samples[1][2] = math.nan
     path = tmp_path / "nan.json"
@@ -371,7 +373,7 @@ def test_non_finite_samples_are_an_input_error(tmp_path, capsys):
     rc = main(["transform", "--field", str(path), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 3 and not out.exists()
-    assert "input error: blades.e2: samples must be finite numbers" in err
+    assert "input error: $: not valid JSON" in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -405,6 +407,66 @@ def test_an_overflowing_transform_reports_once(tmp_path):
     )
     assert proc.returncode == 4
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+
+
+_HEADER = b'{"signature": [0, 2], "kappa": [0.3, 0.7], "split": 1, '
+MALFORMED = {
+    "non-utf8": _HEADER + b'"blades": {"1": "exp(-x1^2)\xff"}}',
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "nan": _HEADER + b'"blades": {"1": "x1"}, "z": NaN}',
+    "1e400": _HEADER + b'"blades": {"1": "x1"}, "z": 1e400}',
+    "truncated": _HEADER + b'"blades": {"1": "x1"',
+}
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED))
+@pytest.mark.parametrize("command", ["transform", "convolve", "verify"])
+def test_malformed_json_is_an_input_error(tmp_path, gauss_file, capsys, command, kind):
+    # a non-UTF-8 or 10^5-deep file used to end in a traceback and exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(MALFORMED[kind])
+    argv = {
+        "transform": ["transform", "--field", str(bad)],
+        "convolve": ["convolve", "--field", str(gauss_file), "--field2", str(bad)],
+        "verify": ["verify", "--config", str(bad)],
+    }[command]
+    rc = main(argv + ["--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert rc == 3 and not (tmp_path / "o.json").exists()
+    assert err.startswith("input error: $: ") and err.count("\n") == 1
+
+
+def test_a_document_too_deep_for_the_c_stack_is_an_input_error(tmp_path):
+    # orjson builds nested values by recursion: parsed unguarded, 10^6
+    # levels overflow the C stack and kill the process
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"[" * 1_000_000 + b"]" * 1_000_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cliffdunkl.cli", "verify", "--config", str(bad)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("input error: $: ") and proc.stderr.count("\n") == 1
+
+
+def test_explicit_translation_reads_only_the_input_grid(tmp_path, gauss_file):
+    # |x y| up to 60 * 6, against the default --out-grid, used to break the
+    # kernel radius of a plan the explicit method never reads
+    out = tmp_path / "t.json"
+    rc = main(["translate", "--field", str(gauss_file), "--z", "0.6,-0.4", "--method", "explicit",
+               "--in-grid", "-60:60:1:48", "--out", str(out)])
+    assert rc == 0
+    got = load_field(out)
+    assert [ax.L for ax in got.grid.axes] == [60.0, 60.0]
+    # tau_z e^(-x^2) = e^(-(x^2 + z^2)) E_kappa(2 x, z) per axis, with
+    # E_kappa(x, y) = 0F1(kappa + 1/2; (xy)^2/4) + xy/(2 kappa + 1) 0F1(kappa + 3/2; (xy)^2/4)
+    want = np.ones(())
+    for kappa, z, ax in zip((0.3, 0.7), (0.6, -0.4), got.grid.axes):
+        t = 2.0 * ax.nodes * z
+        E = hyp0f1(kappa + 0.5, t * t / 4.0) + t / (2.0 * kappa + 1.0) * hyp0f1(kappa + 1.5, t * t / 4.0)
+        want = np.multiply.outer(want, np.exp(-(ax.nodes**2 + z * z)) * E)
+    assert np.max(np.abs(got.values[..., 0] - want)) <= 1e-11 * np.max(np.abs(want))
+    assert not got.values[..., 1:].any()
 
 
 def test_kernel_at_large_kappa_exits_0(capsys):

@@ -21,12 +21,13 @@ from cliffdunkl.dunkl_rank1 import (
     mehta_constant,
     psi_rule,
 )
-from cliffdunkl.quadrature import build_grid, integrate
+from cliffdunkl.quadrature import build_grid
 
 from oracles import (
     SERIES_RADIUS,
     eval_h,
     eval_kernel_block,
+    integrate,
     kernel_ab_series,
     mehta_factor_quadrature,
     series_coefficients,

@@ -29,7 +29,7 @@ from cliffdunkl.field_expr import (
     eval_expr,
     parse_expr,
 )
-from cliffdunkl.field_io import SchemaError, load_field, save_field
+from cliffdunkl.field_io import SchemaError, _depth, load_field, save_field
 from cliffdunkl.quadrature import build_grid
 
 from conftest import gaussian_field
@@ -380,9 +380,9 @@ def _sampled_doc():
     (lambda d: d["grid"].update(order="4"), "grid.order"),
     (lambda d: d["blades"].update({"1": [[0.0] * 3 for _ in range(4)]}), "blades.1"),
     (lambda d: d["blades"].update({"1": "x1"}), "blades.1"),
-    # json reads the NaN and Infinity literals
-    (lambda d: d["blades"]["1"][3].__setitem__(1, math.nan), "blades.1"),
-    (lambda d: d["blades"]["1"][0].__setitem__(2, -math.inf), "blades.1"),
+    # orjson refuses the NaN and Infinity literals while it parses
+    (lambda d: d["blades"]["1"][3].__setitem__(1, math.nan), "$"),
+    (lambda d: d["blades"]["1"][0].__setitem__(2, -math.inf), "$"),
 ])
 def test_sampled_schema_rejections(tmp_path, mutate, path):
     doc = _sampled_doc()
@@ -403,3 +403,25 @@ def test_malformed_files(tmp_path):
         load_field(toplevel)
     with pytest.raises(FileNotFoundError):
         load_field(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("samples", [
+    [[0.0] * 4, [0.0] * 3, [0.0] * 4, [0.0] * 4],  # ragged
+    [["a"] * 4] * 4,
+    [[{}] * 4] * 4,
+    [[0.0, None, 0.0, 0.0]] + [[0.0] * 4] * 3,  # null reads as NaN
+], ids=["ragged", "strings", "objects", "null"])
+def test_sampled_blades_must_be_arrays_of_finite_numbers(tmp_path, samples):
+    # the first three used to escape as a bare ValueError or TypeError
+    doc = _sampled_doc()
+    doc["blades"]["1"] = samples
+    with pytest.raises(SchemaError) as exc:
+        load_field(_write(tmp_path, "bad.json", doc))
+    assert exc.value.path == "blades.1"
+
+
+def test_depth_counts_only_brackets_outside_strings():
+    assert _depth(b'{"a": [[1, 2], [3]], "b": {}}') == 3
+    assert _depth(b'["]]]]", ["[[[", [0]]]') == 3
+    assert _depth(b'["\\\\", [["\\\\\\"]"]]]') == 3  # escaped backslashes and quotes
+    assert _depth(b"1.5") == 0

@@ -21,8 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffdunkl import cdt_engine
-from cliffdunkl.cdt_engine import AnalyticField, build_plan, forward, forward_left, inverse
-from cliffdunkl.cdt_engine import forward_right
+from cliffdunkl.cdt_engine import AnalyticField, build_plan, forward, inverse
 from cliffdunkl.clifford_core import MultiVector, Signature, SquareNotMinusOne, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit, eval_orthonormal, hermite_basis
 
@@ -31,7 +30,6 @@ from oracles import hermite_image, hermite_sum
 L_WIDE, L_CHECK, ORDER = 9.5, 2.0, 26
 RTOL = 1e-10
 MAX_DEGREE = 4
-TRANSFORMS = {"two": forward, "left": forward_left, "right": forward_right}
 
 
 def _units(sig):
@@ -67,7 +65,7 @@ def hermite_cases(draw):
             left -= index[-1]
         key = (tuple(index[:ms.split]), tuple(index[ms.split:]))
         terms[key] = MultiVector(sig, rng.uniform(-1.0, 1.0, sig.n_blades))
-    transform = draw(st.sampled_from(["two", "left", "right", "inverse"]))
+    transform = draw(st.sampled_from(["two", "inverse"]))
     return sig, ms, a, b, terms, transform, draw(st.sampled_from(["raw", "mehta"]))
 
 
@@ -115,8 +113,7 @@ def _all_odd_block(split):
 @example(case=_all_odd_block(0))
 def test_transform_matches_the_hermite_eigenbasis(case):
     sig, ms, a, b, terms, transform, normalization = case
-    ordering = "two" if transform == "inverse" else transform
-    image = hermite_image(terms, ms, a, b, ordering, normalization)
+    image = hermite_image(terms, ms, a, b, normalization)
     with pytest.MonkeyPatch.context() as mp:  # every example samples on the pool
         mp.setattr(cdt_engine, "_PARALLEL_MIN", 1)
         mp.setattr(cdt_engine, "_usable_cpus", lambda: 2)
@@ -128,7 +125,7 @@ def test_transform_matches_the_hermite_eigenbasis(case):
         else:
             plan = build_plan(sig, ms, a, b, L_x=L_WIDE, L_y=L_CHECK, order=ORDER,
                               normalization=normalization)
-            got = TRANSFORMS[transform](_field(sig, ms, terms), plan).values
+            got = forward(_field(sig, ms, terms), plan).values
             want = hermite_sum(image, ms, plan.grid_y)
     err = np.abs(got - want).max() / np.abs(want).max()
     assert err <= RTOL, (err, sig, ms, transform, normalization)

@@ -176,7 +176,7 @@ def test_checkers_refuse_the_ladders_the_config_refuses(sig02, ms_std, unit_a, u
     with pytest.raises(ValueError, match="ladder"):
         check_growth(f, 0.5, 2.0, ladder)
     with pytest.raises(ValueError, match="ladder"):
-        check_log(F, 0.3, 1.0, ladder)
+        check_log([F] * len(ladder), 0.3, 1.0, ladder)
 
 
 @pytest.mark.parametrize("alpha,beta,lam", [
@@ -193,7 +193,7 @@ def test_checkers_refuse_the_parameters_the_config_refuses(sig02, ms_std, unit_a
         MiyachiConfig(alpha, beta, lam, ladder=ladder)
     if alpha > 0.0:
         with pytest.raises(ValueError, match="beta and lambda must be positive"):
-            check_log(F, beta, lam, ladder)
+            check_log([F] * len(ladder), beta, lam, ladder)
     else:
         with pytest.raises(ValueError, match="alpha must be positive"):
             check_growth(f, alpha, 2.0, ladder)
@@ -238,7 +238,7 @@ def test_log_condition_zero_transform(sig02, ms_std, unit_a, unit_b):
     plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=8.0, L_y=5.0)
     zero = SampledField(sig02, ms_std, plan.grid_y,
                         np.zeros(plan.grid_y.shape + (sig02.n_blades,)))
-    rep = check_log(zero, 0.3, 1.0, (2.0, 3.0, 4.0, 5.0))
+    rep = check_log([zero] * 4, 0.3, 1.0, (2.0, 3.0, 4.0, 5.0))
     assert rep.status == "finite"
     assert rep.values == (0.0, 0.0, 0.0, 0.0)
     # stalled, then resumed on the last rung: not a decaying tail
@@ -265,17 +265,26 @@ def test_log_condition_single_field_masks_the_smaller_rungs(sig02, ms_std, unit_
     plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=8.0, L_y=5.0)
     F = forward(gaussian_field(sig02, ms_std), plan)
     ladder = (2.0, 3.0, 4.0, 5.0)
-    rep = check_log(F, 0.3, 1.0, ladder)
+    rep = check_log([F] * 4, 0.3, 1.0, ladder)
     assert all(b > a for a, b in zip(rep.values, rep.values[1:]))
     # the last rung covers the whole grid, so masking changes nothing there
     full = check_log([F] * 4, 0.3, 1.0, (4.97, 4.98, 4.99, 5.0))
     assert rep.values[-1] == full.values[-1]
     with pytest.raises(ValueError):
-        check_log(F, 0.3, 1.0, (2.0, 3.0, 4.0, 6.0))  # grid stops at 5
+        check_log([F] * 4, 0.3, 1.0, (2.0, 3.0, 4.0, 6.0))  # grid stops at 5
     with pytest.raises(ValueError):
         check_log([F, F], 0.3, 1.0, ladder)
     with pytest.raises(ValueError):
-        check_log(F, 0.3, 0.0, ladder)
+        check_log([F] * 4, 0.3, 0.0, ladder)
+
+
+def test_log_condition_refuses_a_rung_its_field_does_not_cover(sig02, ms_std, unit_a, unit_b):
+    # fields on L_y = 2.5 used to be integrated over the smaller box on the
+    # rungs 3, 4 and 5 without a word, and read "finite"
+    plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=8.0, L_y=2.5)
+    F = forward(gaussian_field(sig02, ms_std), plan)
+    with pytest.raises(ValueError, match="rung L = 3.0"):
+        check_log([F] * 4, 2.0, 1.0, (2.0, 3.0, 4.0, 5.0))
 
 
 # -- verdicts -----------------------------------------------------------------

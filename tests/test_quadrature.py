@@ -19,14 +19,13 @@ from cliffdunkl.quadrature import (
     build_grid,
     gauss_from_recurrence,
     build_axis,
-    integrate,
     jacobi_recurrence,
     jacobi_rule,
     parse_grid_spec,
     power_rule,
 )
 
-from oracles import weight
+from oracles import integrate, weight
 
 
 def _ms1(kappa):

@@ -5,7 +5,7 @@ all 2^3 classes of both factors enter the class products, and so does every
 sign of the product table.  At kappa = 0 both operators have closed forms:
 the shift f(x - z), and the classical convolution of two Gaussians.  At
 kappa > 0 spectral translation is checked against the rank-one integral
-formula (`translate_explicit`).
+formula (`translate_explicit`'s passes at a fixed psi order).
 """
 
 import numpy as np
@@ -16,11 +16,12 @@ from cliffdunkl.cdt_engine import (
     _coords,
     build_plan,
     convolve,
-    translate_explicit,
     translate_spectral,
 )
 from cliffdunkl.clifford_core import MultiVector, Signature, structure_tensor, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit
+
+from oracles import translate_at_order
 
 U = np.array([0.3, -0.4, 0.5])  # centre of f
 V = np.array([-0.2, 0.3, 0.25])  # centre of g
@@ -91,7 +92,7 @@ def test_translation_at_kappa_positive_matches_the_explicit_formula(case, kappa)
     plan = _plan(case, kappa)
     f = _two_blade_field(plan)
     got = translate_spectral(f, Z, plan).values[::5, ::5, ::5]
-    moved = translate_explicit(f, Z, plan.ms, order=16)
+    moved = translate_at_order(f, Z, plan.ms, 16)
     sub = np.ix_(*(ax.nodes[::5] for ax in plan.grid_x.axes))
     want = np.zeros_like(got)
     for m, body in moved.blades.items():

@@ -28,6 +28,8 @@ from cliffdunkl.clifford_core import MultiVector, Signature, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit, psi_rule, zero_limit
 from cliffdunkl.quadrature import build_grid
 
+from oracles import translate_at_order
+
 
 # -- reference: one closure per coordinate, one field call per branch path --
 
@@ -82,7 +84,7 @@ def _body(*X):
 def _assert_matches_reference(kappa, z, X, body=_body, order=48):
     ms = MultiplicitySplit(kappa, len(kappa) // 2)
     f = AnalyticField(Signature(0, len(kappa)), ms, {0: body})
-    got = translate_explicit(f, z, ms, order=order).blades[0](*X)
+    got = translate_at_order(f, z, ms, order).blades[0](*X)
     want = np.broadcast_to(reference_translate(body, z, kappa, order)(*X), got.shape)
     assert got.shape == np.broadcast_shapes(*(np.shape(x) for x in X))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -139,7 +141,7 @@ def test_explicit_field_calls_are_few_and_bounded():
     f = AnalyticField(Signature(0, 2), ms, {0: body})
     grid = build_grid(ms, 8.0, panels=1, order=48)
     assert grid.shape == (96, 96)
-    translate_explicit(f, (0.6, -0.4), ms, order=48).sample(grid)
+    translate_at_order(f, (0.6, -0.4), ms, 48).sample(grid)
     assert len(calls) < 9216 / 3
     assert max(sizes) <= _EXPLICIT_CHUNK
     # a kappa = 0 axis has one branch, so the other axis's 96 ride along:
@@ -147,7 +149,7 @@ def test_explicit_field_calls_are_few_and_bounded():
     calls.clear()
     ms = MultiplicitySplit((0.0, 0.7), 1)
     f = AnalyticField(Signature(0, 2), ms, {0: body})
-    translate_explicit(f, (0.6, -0.4), ms, order=48).sample(build_grid(ms, 8.0, panels=1, order=48))
+    translate_at_order(f, (0.6, -0.4), ms, 48).sample(build_grid(ms, 8.0, panels=1, order=48))
     assert len(calls) == math.ceil(9216 / (_EXPLICIT_CHUNK // 96))
 
 
@@ -194,10 +196,15 @@ def _fixed_order_loop(fn, z, kappa, order, X):
     return out.reshape(X[0].shape)
 
 
-def _translated(body, kappa, z, **kw):
+def _translate(f, z, ms, order=None):
+    """The adaptive translation, or the one at a fixed psi order."""
+    return translate_explicit(f, z, ms) if order is None else translate_at_order(f, z, ms, order)
+
+
+def _translated(body, kappa, z, order=None):
     ms = MultiplicitySplit(kappa, len(kappa) // 2)
     f = AnalyticField(Signature(0, len(kappa)), ms, {0: body})
-    return translate_explicit(f, z, ms, **kw).blades[0]
+    return _translate(f, z, ms, order).blades[0]
 
 
 def _wavy(*X):
@@ -283,7 +290,7 @@ def test_adaptive_field_calls_stay_within_the_fixed_order_count():
             ms = MultiplicitySplit(kappa, 1)
             f = AnalyticField(Signature(0, 2), ms, {0: body})
             grid = build_grid(ms, 8.0, panels=1, order=48)
-            translate_explicit(f, (0.6, -0.4), ms, order=order).sample(grid)
+            _translate(f, (0.6, -0.4), ms, order).sample(grid)
         counts[order] = len(calls)
         assert max(sizes) <= _EXPLICIT_CHUNK
     assert counts[None] <= counts[48]
@@ -296,7 +303,7 @@ def test_ledger_translation_claim_matches_order_64():
                       order=LEDGER_DEFAULTS["order"])
     gauss = _gaussian_field(sig, ms, LEDGER_DEFAULTS["delta"])
     z = LEDGER_DEFAULTS["z"]
-    expl = translate_explicit(gauss, z, ms, order=64)
+    expl = translate_at_order(gauss, z, ms, 64)
     want = rel_l2_error(SampledField(sig, ms, plan.grid_x, expl.sample(plan.grid_x)),
                         translate_spectral(gauss, z, plan))
     got = {r.claim: r for r in run_claims_ledger()}["translation-explicit-vs-spectral"]
