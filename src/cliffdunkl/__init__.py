@@ -2,7 +2,7 @@
 
 Modules:
     clifford_core -- Cl(p,q) blade arithmetic, scalar product, units
-    quadrature    -- weighted Gauss rules, panelled grids, integration
+    quadrature    -- weighted Gauss rules, panelled grids, grid specs
     dunkl_rank1   -- rank-one Dunkl kernels, Mehta constants, generalized
                      Hermite family, translation density
     cdt_engine    -- the transforms, inversion, Plancherel/eigen checks,

@@ -83,7 +83,7 @@ from .dunkl_rank1 import (
     psi_rule,
     zero_limit,
 )
-from .quadrature import NODE_CAP, NodeCountExceeded, TensorGrid, build_grid, node_count
+from .quadrature import NODE_CAP, NodeCountExceeded, TensorGrid, build_grid
 
 CONVOLVE_BUDGET = 1 << 20  # kernel evaluations per output node (= y-grid size)
 _EXPLICIT_CHUNK = 1 << 15  # field values per call in translate_explicit
@@ -145,7 +145,7 @@ def _each(fn, items, size: int) -> None:
 # -- fields ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalyticField:
     """Field given per blade as a callable (or expression) over x1..xd.
 
@@ -350,18 +350,6 @@ def _blade_matrices(sig: Signature, a: MultiVector, b: MultiVector) -> np.ndarra
     return out
 
 
-def _admit_values(sig: Signature, panels: int, order: int) -> None:
-    """Refuse a grid of more than NODE_CAP values, nodes times blades,
-    from its spec alone (NodeCountExceeded)."""
-    n_nodes = node_count(sig.d, panels, order)
-    n_values = n_nodes * sig.n_blades
-    if n_values > NODE_CAP:
-        raise NodeCountExceeded(
-            f"{n_nodes} nodes x {sig.n_blades} blades = {n_values} values "
-            f"exceeds cap {NODE_CAP}"
-        )
-
-
 def build_plan(
     sig: Signature,
     ms: MultiplicitySplit,
@@ -377,12 +365,13 @@ def build_plan(
 ) -> TransformPlan:
     """Discretize both sides and tabulate the kernels once.
 
-    L_x / L_y are half-widths per coordinate (scalars broadcast).  The plan
-    refuses coordinates with L_x * L_y beyond the kernel radius
-    (ArgumentOutOfRadius from `kernel_coefficients`) and grids holding more
-    than NODE_CAP values, nodes times blades (NodeCountExceeded).  Kernels
-    are tabulated on the positive quadrant of each axis; parity gives the
-    rest.
+    L_x / L_y are half-widths per coordinate (scalars broadcast); without
+    L_y both sides share one grid.  Before building a grid, the plan
+    refuses kernel quadrants (positive x nodes times positive y nodes) of
+    more than NODE_CAP values (NodeCountExceeded); before tabulating,
+    coordinates with L_x * L_y beyond the kernel radius (ArgumentOutOfRadius
+    from `kernel_coefficients`).  Kernels are tabulated on the positive
+    quadrant of each axis; parity gives the rest.
     """
     if sig.d != ms.d:
         raise PlanMismatch(f"{ms.d} multiplicities for d={sig.d}")
@@ -393,15 +382,15 @@ def build_plan(
         raise ValueError(f"unknown normalization {normalization!r}")
     if not (math.isfinite(rtol) and rtol > 0.0):
         raise ValueError(f"rtol must be finite and positive, got {rtol!r}")
-    d = ms.d
-    Lx = np.broadcast_to(np.asarray(L_x, dtype=float), (d,))
-    Ly = Lx if L_y is None else np.broadcast_to(np.asarray(L_y, dtype=float), (d,))
-    tables = tuple(kernel_coefficients(ms.kappa[j], t_max=float(Lx[j] * Ly[j])) for j in range(d))
-    _admit_values(sig, panels, order)  # on both sides
-    grid_x = build_grid(ms, Lx, panels=panels, order=order)
-    grid_y = build_grid(ms, Ly, panels=panels, order=order)
+    half = panels * order  # positive nodes per axis, on either side
+    if min(panels, order) >= 1 and half * half > NODE_CAP:  # bad specs are build_grid's to refuse
+        raise NodeCountExceeded(f"{half} x {half} kernel values per axis exceeds cap {NODE_CAP}")
+    grid_x = build_grid(ms, L_x, panels=panels, order=order)
+    grid_y = grid_x if L_y is None else build_grid(ms, L_y, panels=panels, order=order)
+    axes = tuple(zip(grid_x.axes, grid_y.axes))
+    tables = tuple(kernel_coefficients(k, t_max=ax.L * ay.L) for k, (ax, ay) in zip(ms.kappa, axes))
     mats = []
-    for table, ax, ay in zip(tables, grid_x.axes, grid_y.axes):
+    for table, (ax, ay) in zip(tables, axes):
         n, m = len(ax) // 2, len(ay) // 2
         A, B = eval_kernel_ab(table, np.outer(ax.nodes[n:], ay.nodes[m:]).ravel())
         A, B = A.reshape(n, m), B.reshape(n, m)
@@ -652,11 +641,12 @@ def reports_to_json(reports) -> str:
 
 
 def _grid_meta(plan: TransformPlan) -> dict:
+    L_x, panels, order = plan.grid_x.spec
     return {
-        "L_x": [ax.L for ax in plan.grid_x.axes],
-        "L_y": [ax.L for ax in plan.grid_y.axes],
-        "panels": plan.grid_x.axes[0].panels,
-        "order": plan.grid_x.axes[0].order,
+        "L_x": list(L_x),
+        "L_y": list(plan.grid_y.spec[0]),
+        "panels": panels,
+        "order": order,
         "nodes_per_axis": list(plan.grid_x.shape),
         "normalization": plan.normalization,
     }
@@ -1004,6 +994,21 @@ LEDGER_DEFAULTS = {
 }
 
 
+def _is_number(value) -> bool:
+    """An int or a float, but not a bool: JSON true and false are no numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _like(value, default) -> bool:
+    """Whether a ledger setting has its default's kind: numbers for a tuple,
+    a number for a float, else the default's own type (no bool for an int)."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(map(_is_number, value))
+    if isinstance(default, float):
+        return _is_number(value)
+    return type(value) is type(default)
+
+
 def run_claims_ledger(config: dict | None = None) -> list:
     """Measure every asserted identity/constant and report, never abort.
 
@@ -1011,7 +1016,8 @@ def run_claims_ledger(config: dict | None = None) -> list:
     value of 0 or 1; constants are compared in both normalization modes.
     A flagged constant is data, not a failure.
 
-    `config` overrides keys of LEDGER_DEFAULTS.  The ledger's fields are
+    `config` overrides keys of LEDGER_DEFAULTS; a value of another kind
+    than its default raises TypeError (`_like`).  The ledger's fields are
     two-dimensional with one coordinate per block, so a config with
     another key, p + q != 2 or split != 1 raises ValueError.
     """
@@ -1023,9 +1029,12 @@ def run_claims_ledger(config: dict | None = None) -> list:
     unknown = sorted(set(config) - set(LEDGER_DEFAULTS))
     if unknown:
         raise ValueError(f"unknown ledger settings {unknown}")
+    unlike = sorted(key for key, value in config.items() if not _like(value, LEDGER_DEFAULTS[key]))
+    if unlike:
+        raise TypeError(f"ledger settings {unlike} differ in kind from their defaults")
     cfg = {**LEDGER_DEFAULTS, **config}
-    sig = Signature(int(cfg["p"]), int(cfg["q"]))
-    ms = MultiplicitySplit(cfg["kappa"], int(cfg["split"]))
+    sig = Signature(cfg["p"], cfg["q"])
+    ms = MultiplicitySplit(cfg["kappa"], cfg["split"])
     if (sig.d, ms.d, ms.split) != (2, 2, 1):
         raise ValueError("the ledger needs p + q = 2, two multiplicities and split = 1")
     a = validate_imaginary(MultiVector.blade(sig, cfg["a"]), str(cfg["a"]))
@@ -1034,7 +1043,7 @@ def run_claims_ledger(config: dict | None = None) -> list:
     raw = build_plan(
         sig, ms, a, b,
         L_x=cfg["L_x"], L_y=cfg["L_y"],
-        panels=int(cfg["panels"]), order=int(cfg["order"]),
+        panels=cfg["panels"], order=cfg["order"],
         normalization="raw", rtol=tol,
     )
     # the modes differ only in the scale applied after the contractions

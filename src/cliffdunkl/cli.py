@@ -6,13 +6,14 @@ config), 4 numerical failure (kernel radius, node budget, a Mehta
 constant that underflows, other overflow), 5 claims ledger ran but
 flagged at least one claim (data, not a crash -- scripts branch on it).
 
-Field files are authoritative for signature/kappa/split; the
---sig/--kappa/--split flags are cross-checks (--sig and --kappa are
-required where there is no file to read them from).  A command accepts
-only the flags it reads, spelled in full.  Grid SPEC syntax is
-"-L:L:panels:order" per coordinate, separated by ";"; one spec
-broadcasts to all coordinates.  The input and output specs must agree
-on panels and order (one plan covers both sides).
+Field files are authoritative for signature/kappa/split and a sampled
+file for its grid; the --sig/--kappa/--split/--in-grid flags are
+cross-checks (--sig and --kappa are required where there is no file to
+read them from).  A command accepts only the flags it reads, spelled in
+full.  Grid SPEC syntax is "-L:L:panels:order" per coordinate, separated
+by ";"; one spec broadcasts to all coordinates.  A grid has one panels
+and order, shared by the input and output grids (one plan covers both
+sides), and holds at most NODE_CAP values, nodes times blades.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .cdt_engine import (
     PlanMismatch,
     SampledField,
     ZeroNormField,
-    _admit_values,
     build_plan,
     convolve,
     eigen_indices,
@@ -76,6 +76,7 @@ _NUMERIC_ERRORS = (
     ArgumentOutOfRadius, NodeBudgetExceeded, NodeCountExceeded,
     NonFiniteResult, ZeroNormField, OverflowError, FloatingPointError,
 )
+_DEFAULT_GRID = "-6:6:1:48"
 
 
 def _floats(text: str, flag: str):
@@ -137,44 +138,36 @@ def _analytic(field, message: str):
     return field
 
 
-def _grid_triples(text: str, d: int, flag: str):
+def _grid_spec(text: str, d: int, flag: str):
     try:
-        specs = parse_grid_spec(text)
+        return parse_grid_spec(text, d)
     except ValueError as e:
-        raise _Usage(str(e)) from None
-    if len(specs) == 1:
-        specs = specs * d
-    if len(specs) != d:
-        raise _Usage(f"{flag} wants 1 or {d} specs, got {len(specs)}")
-    return specs
+        raise _Usage(f"{flag} {e}") from None
 
 
-def _x_grid(args, sig, ms):
-    """The grid of --in-grid alone, for a command that tabulates no kernel."""
-    specs = _grid_triples(args.in_grid, sig.d, "--in-grid")
-    if len({(p, o) for (_, p, o) in specs}) != 1:
-        raise _Usage("--in-grid must use one panels and order on every axis")
-    _, panels, order = specs[0]
-    _admit_values(sig, panels, order)
-    return build_grid(ms, [L for (L, _, _) in specs], panels=panels, order=order)
+def _in_spec(args, d, field=None):
+    """The input grid spec: --in-grid, or a sampled field's own grid, which
+    a given --in-grid must match."""
+    spec = _grid_spec(args.in_grid or _DEFAULT_GRID, d, "--in-grid")
+    if not isinstance(field, SampledField):
+        return spec
+    if args.in_grid is not None and spec != field.grid.spec:
+        raise SchemaError("grid", f"field file says {field.grid.spec}, --in-grid says {spec}")
+    return field.grid.spec
 
 
-def _plan(args, sig, ms, *, input_side="x", in_field=None, L_y_override=None):
-    d = sig.d
-    in_specs = _grid_triples(args.in_grid, d, "--in-grid")
-    if isinstance(in_field, SampledField):
-        in_specs = [(ax.L, ax.panels, ax.order) for ax in in_field.grid.axes]
-    if L_y_override is None:
-        out_specs = _grid_triples(args.out_grid, d, "--out-grid")
-    else:  # half-widths from the caller (miyachi's rungs), panels and order from the input
-        out_specs = [(L, p, o) for L, (_, p, o) in zip(L_y_override, in_specs)]
-    panels_orders = {(p, o) for (_, p, o) in in_specs} | {(p, o) for (_, p, o) in out_specs}
-    if len(panels_orders) != 1:
-        raise _Usage("--in-grid and --out-grid must agree on panels and order")
-    (panels, order), = panels_orders
-    L_in = [L for (L, _, _) in in_specs]
-    L_out = [L for (L, _, _) in out_specs]
-    L_x, L_y = (L_in, L_out) if input_side == "x" else (L_out, L_in)
+def _sides(args, d, field=None):
+    """(input spec, --out-grid spec), which share panels and order."""
+    x = _in_spec(args, d, field)
+    y = _grid_spec(args.out_grid, d, "--out-grid")
+    if x[1:] != y[1:]:
+        source = "the field file's grid" if isinstance(field, SampledField) else "--in-grid"
+        raise _Usage(f"{source} and --out-grid must agree on panels and order")
+    return x, y
+
+
+def _plan(args, sig, ms, x, y):
+    (L_x, panels, order), (L_y, _, _) = x, y
     a = validate_imaginary(MultiVector.blade(sig, args.a), args.a)
     b = validate_imaginary(MultiVector.blade(sig, args.b), args.b)
     return build_plan(
@@ -192,19 +185,20 @@ def _emit(field, args, label):
 
 def _cmd_transform(args):
     f = _load(args)
-    plan = _plan(args, f.sig, f.ms, input_side="x", in_field=f)
+    plan = _plan(args, f.sig, f.ms, *_sides(args, f.sig.d, f))
     return _emit(forward(f, plan), args, "transform")
 
 
 def _cmd_inverse(args):
     F = _load(args)
-    plan = _plan(args, F.sig, F.ms, input_side="y", in_field=F)
+    y, x = _sides(args, F.sig.d, F)
+    plan = _plan(args, F.sig, F.ms, x, y)
     return _emit(inverse(F, plan), args, "inverse")
 
 
 def _cmd_roundtrip(args):
     f = _load(args)
-    plan = _plan(args, f.sig, f.ms, input_side="x", in_field=f)
+    plan = _plan(args, f.sig, f.ms, *_sides(args, f.sig.d, f))
     back = inverse(forward(f, plan), plan)
     want = f if isinstance(f, SampledField) else SampledField(
         f.sig, f.ms, plan.grid_x, f.sample(plan.grid_x))
@@ -217,7 +211,7 @@ def _cmd_roundtrip(args):
 
 def _cmd_plancherel(args):
     f = _load(args)
-    plan = _plan(args, f.sig, f.ms, input_side="x", in_field=f)
+    plan = _plan(args, f.sig, f.ms, *_sides(args, f.sig.d, f))
     ratio, report = plancherel_ratio(f, plan)
     print(f"plancherel ratio |F|^2/|f|^2 = {ratio!r}")
     print(
@@ -233,7 +227,7 @@ def _cmd_eigencheck(args):
         v, u = eigen_indices(_ints(args.v, "--v"), _ints(args.u, "--u"), ms)
     except ValueError as e:
         raise _Usage(str(e)) from None
-    plan = _plan(args, sig, ms, input_side="x")
+    plan = _plan(args, sig, ms, *_sides(args, sig.d))
     report = eigencheck(v, u, plan)
     print(
         f"eigencheck v={list(v)} u={list(u)}: asserted {report.paper_value!r}, measured "
@@ -249,17 +243,17 @@ def _cmd_translate(args):
         raise _Usage(f"--z wants {f.sig.d} values")
     if args.method == "explicit":
         shifted = translate_explicit(_analytic(f, "explicit translation needs an analytic field"), tuple(z), f.ms)
-        grid = _x_grid(args, f.sig, f.ms)
+        grid = build_grid(f.ms, *_in_spec(args, f.sig.d, f))
         out = SampledField(f.sig, f.ms, grid, shifted.sample(grid))
     else:
-        out = translate_spectral(f, tuple(z), _plan(args, f.sig, f.ms, input_side="x", in_field=f))
+        out = translate_spectral(f, tuple(z), _plan(args, f.sig, f.ms, *_sides(args, f.sig.d, f)))
     return _emit(out, args, f"translate[{args.method}]")
 
 
 def _cmd_convolve(args):
     f = _load(args)
     g = load_field(args.field2)
-    plan = _plan(args, f.sig, f.ms, input_side="x", in_field=f)
+    plan = _plan(args, f.sig, f.ms, *_sides(args, f.sig.d, f))
     return _emit(convolve(f, g, plan), args, "convolve")
 
 
@@ -273,8 +267,8 @@ def _cmd_miyachi(args):
         )
     except ValueError as e:
         raise _Usage(str(e)) from None
-    plan = _plan(args, f.sig, f.ms, input_side="x", in_field=f,
-                 L_y_override=[cfg.ladder[-1]] * f.sig.d)
+    x = _in_spec(args, f.sig.d, f)
+    plan = _plan(args, f.sig, f.ms, x, ((cfg.ladder[-1],) * f.sig.d, *x[1:]))
     text = verdict_to_json(verdict(f, cfg, plan))
     if args.out:
         with open(args.out, "w") as fh:
@@ -324,9 +318,9 @@ def _add_common(sp, *, field=True, out=True, out_required=False, out_grid=True):
     sp.add_argument("--split", type=int, help="coordinates in the first block (default d//2)")
     sp.add_argument("--a", default="e1", help="left unit blade (default e1)")
     sp.add_argument("--b", default="e2", help="right unit blade (default e2)")
-    sp.add_argument("--in-grid", default="-6:6:1:48", help="-L:L:panels:order[;...]")
+    sp.add_argument("--in-grid", help="-L:L:panels:order[;...] (default: a sampled file's grid, else -6:6:1:48)")
     if out_grid:
-        sp.add_argument("--out-grid", default="-6:6:1:48", help="-L:L:panels:order[;...]")
+        sp.add_argument("--out-grid", default=_DEFAULT_GRID, help="-L:L:panels:order[;...]")
     sp.add_argument("--norm", choices=("raw", "mehta"), default="raw")
     if out:
         sp.add_argument("--out", required=out_required, help="output field file")

@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 KERNEL_RADIUS_CAP = 300.0  # max |x y| a kernel table accepts; tested to there against mpmath
+_KERNEL_BLOCK = 1 << 14  # arguments per block of kernel_ab_integral: a 128 x 128 kernel quadrant
 
 
 class ArgumentOutOfRadius(ValueError):
@@ -146,18 +147,23 @@ def kernel_rule_order(t_max: float) -> int:
 
 def kernel_ab_integral(kappa: float, t, order: int) -> tuple:
     """(A, B) from the integral representation with an `order`-node
-    Gauss-Jacobi rule; a `zero_limit` kappa gives (cos t, -sin t)."""
+    Gauss-Jacobi rule; a `zero_limit` kappa gives (cos t, -sin t).  The
+    arguments are summed in blocks of _KERNEL_BLOCK."""
     t = np.asarray(t, dtype=float)
     if zero_limit(kappa):
         return np.cos(t), -np.sin(t)
     nodes, weights = jacobi_rule(kappa - 1.0, kappa - 1.0, order)
-    phase = np.multiply.outer(t, nodes)
     m0 = float(weights.sum())
-    half = np.multiply(phase, 0.5)  # in place from here: two (t, node) arrays at most
-    np.sin(half, out=half)
-    half *= half
-    A = 1.0 - half @ (2.0 * weights) / m0
-    B = np.sin(phase, out=phase) @ -(weights * nodes) / m0
+    A, B = np.empty(t.shape), np.empty(t.shape)
+    for start in range(0, t.size, _KERNEL_BLOCK):
+        rows = slice(start, start + _KERNEL_BLOCK)
+        phase = np.multiply.outer(t.reshape(-1)[rows], nodes)
+        half = np.multiply(phase, 0.5)  # in place from here: two (block, node) arrays at most
+        np.sin(half, out=half)
+        half *= half
+        A.reshape(-1)[rows] = 1.0 - half @ (2.0 * weights) / m0
+        B.reshape(-1)[rows] = np.sin(phase, out=phase) @ -(weights * nodes) / m0
+        del phase, half  # before the next block's arrays exist
     return A, B
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import orjson
 
-from .cdt_engine import AnalyticField, SampledField, _Owned
+from .cdt_engine import AnalyticField, SampledField, _is_number, _Owned
 from .clifford_core import BladeSyntaxError, Signature, blade_label, parse_blade
 from .dunkl_rank1 import MultiplicitySplit
 from .field_expr import NonFiniteResult, compile_expr
@@ -44,21 +44,21 @@ def _require(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise SchemaError(f"{path}{key}", "missing")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):  # JSON true is no int
         raise SchemaError(f"{path}{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
 def _parse_header(doc: dict):
     sig_pair = _require(doc, "signature", list, "")
-    if len(sig_pair) != 2 or not all(isinstance(v, int) and v >= 0 for v in sig_pair):
+    if len(sig_pair) != 2 or not all(type(v) is int and v >= 0 for v in sig_pair):
         raise SchemaError("signature", "expected [p, q] with nonnegative integers")
     try:
         sig = Signature(*sig_pair)
     except ValueError as e:
         raise SchemaError("signature", str(e)) from e
     kappa = _require(doc, "kappa", list, "")
-    if len(kappa) != sig.d or not all(isinstance(v, (int, float)) for v in kappa):
+    if len(kappa) != sig.d or not all(map(_is_number, kappa)):
         raise SchemaError("kappa", f"expected {sig.d} numbers")
     split = _require(doc, "split", int, "")
     if not 0 <= split <= sig.d:
@@ -134,7 +134,7 @@ def load_field(path):
 
     grid_doc = _require(doc, "grid", dict, "")
     Ls = _require(grid_doc, "L", list, "grid.")
-    if len(Ls) != sig.d or not all(isinstance(v, (int, float)) and v > 0 for v in Ls):
+    if len(Ls) != sig.d or not all(_is_number(v) and v > 0 for v in Ls):
         raise SchemaError("grid.L", f"expected {sig.d} positive numbers")
     panels = _require(grid_doc, "panels", int, "grid.")
     order = _require(grid_doc, "order", int, "grid.")
@@ -181,14 +181,8 @@ def save_field(field, path):
                 )
             blades.append((blade_label(mask), text))
     else:
-        axes = field.grid.axes
-        if any(ax.panels != axes[0].panels or ax.order != axes[0].order for ax in axes):
-            raise ValueError("sampled grids must share panels/order across axes")
-        header["grid"] = {
-            "L": [ax.L for ax in axes],
-            "panels": axes[0].panels,
-            "order": axes[0].order,
-        }
+        L, panels, order = field.grid.spec
+        header["grid"] = {"L": list(L), "panels": panels, "order": order}
         if not np.isfinite(field.values).all():
             raise NonFiniteResult("field values hold a non-finite number; nothing written")
         nonzero = [m for m in range(field.sig.n_blades) if np.any(field.values[..., m])]

@@ -234,19 +234,15 @@ def verdict(f, config: MiyachiConfig, plan: TransformPlan) -> MiyachiVerdict:
     reported with its residual and the |C| <= lambda comparison.
     """
     case = classify(config.alpha, config.beta)
+    L_x, panels, order = plan.grid_x.spec
     cond1 = check_growth(f, config.alpha, config.exponent, config.ladder,
-                         panels=plan.grid_x.axes[0].panels,
-                         order=plan.grid_x.axes[0].order)
+                         panels=panels, order=order)
     rung_fields = []
     for L in config.ladder:
         rung_plan = build_plan(
             plan.sig, plan.ms, plan.a, plan.b,
-            L_x=[ax.L for ax in plan.grid_x.axes],
-            L_y=float(L),
-            panels=plan.grid_x.axes[0].panels,
-            order=plan.grid_x.axes[0].order,
-            normalization=plan.normalization,
-            rtol=plan.rtol,
+            L_x=L_x, L_y=float(L), panels=panels, order=order,
+            normalization=plan.normalization, rtol=plan.rtol,
         )
         rung_fields.append(forward(f, rung_plan))
     cond2 = check_log(rung_fields, config.beta, config.lam, config.ladder)

@@ -33,19 +33,18 @@ __all__ = [
     "TensorGrid",
     "build_axis",
     "build_grid",
-    "node_count",
     "parse_grid_spec",
     "NODE_CAP",
 ]
 
-NODE_CAP = 1 << 24  # nodes per grid; `build_plan` also caps nodes x blades
+NODE_CAP = 1 << 24  # values per grid (nodes x 2^d blades); `build_plan` also caps kernel values per axis
 
 
 class RecurrenceBreakdown(ArithmeticError):
     pass
 
 
-class NodeCountExceeded(ValueError):
+class NodeCountExceeded(RuntimeError):
     pass
 
 
@@ -195,13 +194,18 @@ def build_axis(kappa: float, L: float, panels: int, order: int) -> Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class TensorGrid:
-    """Tensor product of per-coordinate grids, nodes in lexicographic order."""
+    """Tensor product of per-coordinate grids that share panels and order."""
 
     axes: tuple[Grid1D, ...]
 
+    def __post_init__(self):
+        if len({(ax.panels, ax.order) for ax in self.axes}) > 1:
+            raise ValueError("grid axes must share panels and order")
+
     @property
-    def d(self) -> int:
-        return len(self.axes)
+    def spec(self) -> tuple:
+        """(L per axis, panels, order), as `build_grid` takes them."""
+        return tuple(ax.L for ax in self.axes), self.axes[0].panels, self.axes[0].order
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -210,13 +214,6 @@ class TensorGrid:
     @property
     def n_nodes(self) -> int:
         return int(np.prod(self.shape)) if self.axes else 1
-
-    def nodes(self) -> np.ndarray:
-        """(n_nodes, d) coordinate matrix, lexicographic in the axis order."""
-        if not self.axes:
-            return np.zeros((1, 0))
-        mesh = np.meshgrid(*(ax.nodes for ax in self.axes), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def quad_weights(self) -> np.ndarray:
         """Plain dx quadrature weight per node."""
@@ -236,24 +233,21 @@ class TensorGrid:
         return out.ravel()
 
 
-def node_count(d: int, panels: int, order: int) -> int:
-    """(2 panels order)^d, the node count of a d-axis `build_grid`, from
-    the spec alone, so oversized grids are refused before any eigen-solve."""
-    if panels < 1 or order < 1:
-        raise ValueError("need L > 0, panels >= 1, order >= 1")
-    return (2 * panels * order) ** d
-
-
 def build_grid(ms, L, panels: int = 4, order: int = 12) -> TensorGrid:
     """TensorGrid for a multiplicity vector (or anything with a .kappa).
 
-    L may be a scalar (broadcast) or one half-width per coordinate.
+    L may be a scalar (broadcast) or one half-width per coordinate.  More
+    than NODE_CAP values, nodes times 2^d blades, are refused before any
+    eigen-solve (NodeCountExceeded).
     """
     kappas = tuple(getattr(ms, "kappa", ms))
     d = len(kappas)
-    n_nodes = node_count(d, panels, order)
-    if n_nodes > NODE_CAP:
-        raise NodeCountExceeded(f"{n_nodes} nodes exceeds cap {NODE_CAP}")
+    if panels < 1 or order < 1:
+        raise ValueError("need L > 0, panels >= 1, order >= 1")
+    n_nodes = (2 * panels * order) ** d
+    n_values = n_nodes * 2**d
+    if n_values > NODE_CAP:
+        raise NodeCountExceeded(f"{n_nodes} nodes x {2**d} blades = {n_values} values exceeds cap {NODE_CAP}")
     Ls = np.broadcast_to(np.asarray(L, dtype=float), (d,))
     axes = tuple(
         build_axis(kappas[j], float(Ls[j]), panels, order) for j in range(d)
@@ -261,21 +255,26 @@ def build_grid(ms, L, panels: int = 4, order: int = 12) -> TensorGrid:
     return TensorGrid(axes=axes)
 
 
-def parse_grid_spec(text: str):
-    """Parse "-L:L:panels:order" (one per coordinate, ";"-separated).
-
-    Returns a list of (L, panels, order) triples; a single spec broadcasts.
-    """
-    specs = []
-    for part in text.split(";"):
+def parse_grid_spec(text: str, d: int):
+    """Parse "-L:L:panels:order", one spec or d of them ";"-separated, into
+    (L per coordinate, panels, order); the specs share panels and order.
+    Messages read after the name of the flag that gave `text`."""
+    parts = text.split(";")
+    if len(parts) not in (1, d):
+        raise ValueError(f"wants 1 or {d} specs, got {len(parts)}")
+    Ls, shapes = [], set()
+    for part in parts:
         pieces = part.strip().split(":")
         if len(pieces) != 4:
-            raise ValueError(f"grid spec {part!r} is not -L:L:panels:order")
+            raise ValueError(f"spec {part!r} is not -L:L:panels:order")
         lo, hi = float(pieces[0]), float(pieces[1])
         if not (lo == -hi and 0.0 < hi < math.inf):
-            raise ValueError(f"grid spec {part!r} must be symmetric about 0 and finite")
+            raise ValueError(f"spec {part!r} must be symmetric about 0 and finite")
         panels, order = int(pieces[2]), int(pieces[3])
         if panels < 1 or order < 1:
-            raise ValueError(f"grid spec {part!r} needs panels >= 1 and order >= 1")
-        specs.append((hi, panels, order))
-    return specs
+            raise ValueError(f"spec {part!r} needs panels >= 1 and order >= 1")
+        Ls.append(hi)
+        shapes.add((panels, order))
+    if len(shapes) > 1:
+        raise ValueError("must use one panels and order on every axis")
+    return tuple(Ls * (d // len(Ls))), panels, order  # one spec broadcasts

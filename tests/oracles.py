@@ -2,10 +2,11 @@
 the kernel's defining power series, the Mehta integral by quadrature, the
 kernel as a multivector, the weight w_k, the generalized Hermite
 functions, each evaluated one point (or one row of points) at a time,
-the weighted sum over a grid's nodes, field sampling on dense coordinate
-arrays, the transform of a Hermite expansion from the eigenvalues alone,
-the blade reassembly matrices from one multivector product per blade, and
-the principal reverse and grade projection of Cl(p,q).  Also three tools
+a grid's node matrix, the weighted sum over its nodes, field sampling on
+dense coordinate arrays, the transform of a Hermite expansion from the
+eigenvalues alone, the blade reassembly matrices from one multivector
+product per blade, and the principal reverse and grade projection of
+Cl(p,q).  Also three tools
 built on the library: explicit translation at a fixed psi order, a printer
 of expression ASTs, and a reader of ClaimReport JSON."""
 
@@ -139,6 +140,15 @@ def eval_h(v, x, ms: MultiplicitySplit):
         s = pts[:, j]
         out *= eval_orthonormal(alpha, beta, nj, s) * np.exp(-0.5 * s * s)
     return float(out[0]) if x.ndim == 1 else out
+
+
+def grid_nodes(grid) -> np.ndarray:
+    """(n_nodes, d) coordinate matrix of a TensorGrid, lexicographic in the
+    axis order."""
+    if not grid.axes:
+        return np.zeros((1, 0))
+    mesh = np.meshgrid(*(ax.nodes for ax in grid.axes), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def integrate(values, grid) -> np.ndarray:

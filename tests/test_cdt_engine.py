@@ -875,7 +875,8 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity(sig02, ms_std, u
     p1, p2 = (build_plan(sig02, ms_std, unit_a, unit_b, L_x=4.0, order=8) for _ in range(2))
     F = forward(gaussian_field(sig02, ms_std), p1)
     for one, other in ((p1, p2), (p1.grid_x, p2.grid_x), (p1.grid_x.axes[0], p2.grid_x.axes[0]),
-                       (F, forward(gaussian_field(sig02, ms_std), p1))):
+                       (F, forward(gaussian_field(sig02, ms_std), p1)),
+                       (gaussian_field(sig02, ms_std), gaussian_field(sig02, ms_std))):
         assert one == one and one != other
         assert {one: 1, other: 2}[one] == 1
     assert cdt_engine._same_grid(p1.grid_x, p2.grid_x)  # the value comparison stays

@@ -20,6 +20,8 @@ from cliffdunkl import quadrature
 from cliffdunkl.cdt_engine import rel_l2_error
 from cliffdunkl.cli import main
 from cliffdunkl.field_io import load_field
+from cliffdunkl.miyachi import check_growth
+from cliffdunkl.quadrature import NodeCountExceeded
 
 from oracles import reports_from_json
 
@@ -628,3 +630,102 @@ def test_cli_paths_exit_codes_and_messages(tmp_path, gauss_file, capsys, argv, c
     if argv[0] == "verify":
         assert len(json.loads(captured.out)) == 28
         assert captured.err.startswith("28 claims measured, 6 flagged")
+
+
+# -- the grid of a sampled field file and one admission rule ----------------
+
+
+def _run(argv, tmp_path, gauss_file, capsys):
+    """(exit code, stdout, stderr, whether O was written) of main() on argv,
+    with S (tmp_path/s.json; an order-8 sampled file on -6:6:1:8 unless the
+    test wrote another), F (an analytic file) and O (an output path)."""
+    paths = {"S": tmp_path / "s.json", "F": gauss_file, "O": tmp_path / "o.json"}
+    if not paths["S"].exists():
+        paths["S"].write_text(json.dumps(_sampled_doc(0.5)))
+    rc = main([str(paths.get(tok, tok)) for tok in argv])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err, paths["O"].exists()
+
+
+def test_in_grid_is_cross_checked_against_a_sampled_file(tmp_path, gauss_file, capsys):
+    # the flag used to be ignored without a word for a sampled file
+    for argv in (["transform", "--field", "S", "--in-grid", "-3:3:2:5", "--out", "O"],
+                 ["inverse", "--field", "S", "--in-grid", "-6:6:1:8;-3:3:1:8",
+                  "--out-grid", "-6:6:1:8", "--out", "O"]):
+        rc, out, err, wrote = _run(argv, tmp_path, gauss_file, capsys)
+        assert rc == 3 and not wrote and not out
+        assert err.startswith("input error: grid: field file says ((6.0, 6.0), 1, 8), --in-grid says ((")
+    for spec in ("-6:6:1:8", "-6:6:1:8;-6:6:1:8"):
+        argv = ["transform", "--field", "S", "--in-grid", spec, "--out-grid", "-9:9:1:8", "--out", "O"]
+        rc, _, err, wrote = _run(argv, tmp_path, gauss_file, capsys)
+        assert rc == 0 and wrote and not err
+
+
+def test_out_grid_disagreeing_with_a_sampled_file_names_the_file(tmp_path, gauss_file, capsys):
+    # it used to blame --in-grid, which was never given
+    argv = ["transform", "--field", "S", "--out-grid", "-6:6:1:16", "--out", "O"]
+    rc, out, err, wrote = _run(argv, tmp_path, gauss_file, capsys)
+    assert rc == 2 and not wrote and not out
+    assert err == "usage error: the field file's grid and --out-grid must agree on panels and order\n"
+
+
+@pytest.mark.parametrize("route", ["build_plan", "translate_explicit", "field_file", "check_growth"])
+def test_every_grid_is_admitted_by_one_rule(tmp_path, gauss_file, capsys, monkeypatch, route):
+    # order 3 on one panel: 6 x 6 nodes x 4 blades, one value over the cap
+    def no_solve(*args, **kwargs):
+        raise AssertionError("Golub-Welsch solve before the value cap")
+
+    field = load_field(gauss_file)
+    monkeypatch.setattr(quadrature, "NODE_CAP", 6 * 6 * 4 - 1)
+    monkeypatch.setattr(quadrature, "gauss_from_recurrence", no_solve)
+    monkeypatch.setattr(quadrature, "build_axis", no_solve)
+    message = "36 nodes x 4 blades = 144 values exceeds cap 143"
+    if route == "check_growth":
+        with pytest.raises(NodeCountExceeded, match=message):
+            check_growth(field, 1.0, 2.0, (2.0, 3.0, 4.0), panels=1, order=3)
+        return
+    small = dict(_sampled_doc(0.5), grid={"L": [3.0, 3.0], "panels": 1, "order": 3},
+                 blades={"1": [[0.5] * 6 for _ in range(6)]})
+    (tmp_path / "s.json").write_text(json.dumps(small))
+    argv = {
+        "build_plan": ["transform", "--field", "F", "--in-grid", "-3:3:1:3",
+                       "--out-grid", "-4:4:1:3", "--out", "O"],
+        "translate_explicit": ["translate", "--field", "F", "--z", "0.1,0.2", "--method", "explicit",
+                               "--in-grid", "-3:3:1:3", "--out", "O"],
+        "field_file": ["transform", "--field", "S", "--out-grid", "-3:3:1:3", "--out", "O"],
+    }[route]
+    rc, out, err, wrote = _run(argv, tmp_path, gauss_file, capsys)
+    assert (rc, out, err, wrote) == (4, "", f"numerical failure: {message}\n", False)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("kappa", [True, 0.5]), ("split", True), ("signature", [False, 2]), ("signature", [0, 2.0]),
+    ("grid.panels", True), ("grid.order", True), ("grid.L", [6.0, True]),
+])
+def test_json_booleans_are_no_numbers_in_a_field_file(tmp_path, gauss_file, capsys, key, value):
+    # `"split": true` used to pass as 1, and the file written after it said so
+    doc = _sampled_doc(0.5)
+    *parents, leaf = key.split(".")
+    (doc[parents[0]] if parents else doc)[leaf] = value
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    argv = ["transform", "--field", "S", "--out-grid", "-6:6:1:8", "--out", "O"]
+    rc, out, err, wrote = _run(argv, tmp_path, gauss_file, capsys)
+    assert rc == 3 and not wrote and not out
+    assert err.startswith(f"input error: {key}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config,keys", [
+    ({"order": 16.9, "L_x": "6", "L_y": True}, ["L_x", "L_y", "order"]),
+    ({"order": True}, ["order"]), ({"panels": "1"}, ["panels"]), ({"p": 0.0}, ["p"]),
+    ({"kappa": [True, 0.7]}, ["kappa"]), ({"z": ["0.6", -0.4]}, ["z"]), ({"z": 0.6}, ["z"]),
+    ({"rtol": None}, ["rtol"]), ({"delta": False}, ["delta"]), ({"a": 1}, ["a"]),
+])
+def test_verify_config_values_of_another_kind_exit_3(tmp_path, capsys, config, keys):
+    # {"order": 16.9, "L_x": "6", "L_y": true} used to run with order 16,
+    # L_x = 6 and L_y = 1 and flag 14 claims
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 3 and not (tmp_path / "r.json").exists()
+    assert err == f"input error: config: ledger settings {keys} differ in kind from their defaults\n"

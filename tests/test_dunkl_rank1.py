@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.special import beta as beta_fn
 from scipy.special import eval_genlaguerre, gammaln, jv, poch
 
+from cliffdunkl import dunkl_rank1
 from cliffdunkl.clifford_core import MultiVector, Signature, modulus, validate_imaginary
 from cliffdunkl.dunkl_rank1 import (
     HERMITE_N_CAP,
@@ -27,6 +29,7 @@ from oracles import (
     SERIES_RADIUS,
     eval_h,
     eval_kernel_block,
+    grid_nodes,
     integrate,
     kernel_ab_series,
     mehta_factor_quadrature,
@@ -279,7 +282,7 @@ def test_mehta_constant_refuses_what_is_not_a_normal_float(block):
 def test_hermite_orthonormality(kappa):
     alpha, beta = hermite_basis(kappa, 12)
     grid = build_grid(MultiplicitySplit((kappa,), 0), 9.0, panels=3, order=24)
-    s = grid.nodes()[:, 0]
+    s = grid_nodes(grid)[:, 0]
     envelope = np.exp(-s * s)
     for m in range(11):
         pm = eval_orthonormal(alpha, beta, m, s)
@@ -368,6 +371,27 @@ def test_kernel_at_float_zero_kappa_is_the_kappa_zero_kernel(kappa):
     assert np.array_equal(A, A0) and np.array_equal(B, B0)
     Ai, Bi = kernel_ab_integral(kappa, t, kernel_rule_order(31.0))
     assert np.array_equal(Ai, np.cos(t)) and np.array_equal(Bi, -np.sin(t))
+
+
+def test_kernel_tabulation_holds_one_block_of_work_at_a_time():
+    # the (argument, rule node) work arrays used to span every argument at
+    # once: 2^18 arguments at order 50 would take two 105 MB arrays
+    t = np.linspace(-30.0, 30.0, 1 << 18)
+    order = kernel_rule_order(30.0)
+    block = dunkl_rank1._KERNEL_BLOCK
+    tracemalloc.start()
+    try:
+        A, B = kernel_ab_integral(0.4, t, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * block * order * 8 + 3 * t.nbytes
+    # every block is the one-call result of its own arguments, bit for bit
+    for start in (0, block, len(t) - block // 2):
+        Ab, Bb = kernel_ab_integral(0.4, t[start:start + block], order)
+        assert np.array_equal(Ab, A[start:start + block]) and np.array_equal(Bb, B[start:start + block])
+    A2, B2 = kernel_ab_integral(0.4, t.reshape(8, -1), order)
+    assert np.array_equal(A2.ravel(), A) and np.array_equal(B2.ravel(), B)
 
 
 @pytest.mark.parametrize("kappa", [1e-17, 1e-300])

@@ -25,7 +25,7 @@ from cliffdunkl.quadrature import (
     power_rule,
 )
 
-from oracles import integrate, weight
+from oracles import grid_nodes, integrate, weight
 
 
 def _ms1(kappa):
@@ -34,13 +34,13 @@ def _ms1(kappa):
 
 def test_gaussian_calibration_k0():
     grid = build_grid(_ms1(0.0), 8.0, panels=8, order=16)
-    val = integrate(np.exp(-grid.nodes()[:, 0] ** 2 / 2.0), grid)
+    val = integrate(np.exp(-grid_nodes(grid)[:, 0] ** 2 / 2.0), grid)
     assert abs(val - math.sqrt(2.0 * math.pi)) < 1e-10
 
 
 def test_gaussian_calibration_k_half():
     grid = build_grid(_ms1(0.5), 8.0, panels=8, order=16)
-    val = integrate(np.exp(-grid.nodes()[:, 0] ** 2 / 2.0), grid)
+    val = integrate(np.exp(-grid_nodes(grid)[:, 0] ** 2 / 2.0), grid)
     assert abs(val - 2.0) < 1e-10
 
 
@@ -48,7 +48,7 @@ def test_gaussian_calibration_k_half():
 def test_even_moments_closed_form(kappa):
     L = 2.0
     grid = build_grid(_ms1(kappa), L, panels=2, order=24)
-    x = grid.nodes()[:, 0]
+    x = grid_nodes(grid)[:, 0]
     for m in range(7):
         got = integrate(x ** (2 * m), grid)
         power = 2 * m + 2 * kappa + 1
@@ -58,7 +58,7 @@ def test_even_moments_closed_form(kappa):
 
 def test_odd_moments_vanish():
     grid = build_grid(_ms1(0.7), 3.0, panels=3, order=16)
-    x = grid.nodes()[:, 0]
+    x = grid_nodes(grid)[:, 0]
     for m in (1, 3, 5):
         assert abs(integrate(x**m, grid)) < 1e-14 * integrate(np.abs(x) ** m, grid)
 
@@ -69,7 +69,7 @@ def test_refinement_converges():
     errors = []
     for order in (4, 8, 16, 32):
         grid = build_grid(_ms1(0.0), 8.0, panels=2, order=order)
-        val = integrate(np.exp(-grid.nodes()[:, 0] ** 2 / 2.0), grid)
+        val = integrate(np.exp(-grid_nodes(grid)[:, 0] ** 2 / 2.0), grid)
         errors.append(abs(val - target))
     for coarse, fine in zip(errors, errors[1:]):
         assert fine < coarse / 10.0 or fine < 1e-12
@@ -104,7 +104,7 @@ def test_cached_weights_match_weight_function():
     ms = MultiplicitySplit((0.3, 0.7), 1)
     grid = build_grid(ms, 4.0, panels=2, order=8)
     wk = np.multiply.outer(grid.axes[0].wk, grid.axes[1].wk).ravel()
-    assert np.allclose(wk, weight(ms, grid.nodes()), rtol=1e-14)
+    assert np.allclose(wk, weight(ms, grid_nodes(grid)), rtol=1e-14)
 
 
 def test_node_cap():
@@ -190,20 +190,28 @@ def test_gauss_from_recurrence_degree_exactness():
 
 
 def test_parse_grid_spec():
-    assert parse_grid_spec("-6:6:1:48") == [(6.0, 1, 48)]
-    assert parse_grid_spec("-6:6:1:48;-9:9:1:48") == [(6.0, 1, 48), (9.0, 1, 48)]
+    assert parse_grid_spec("-6:6:1:48", 1) == ((6.0,), 1, 48)
+    assert parse_grid_spec("-6:6:1:48", 2) == ((6.0, 6.0), 1, 48)
+    assert parse_grid_spec("-6:6:1:48;-9:9:1:48", 2) == ((6.0, 9.0), 1, 48)
+    with pytest.raises(ValueError, match="wants 1 or 2 specs, got 3"):
+        parse_grid_spec("-6:6:1:48;-6:6:1:48;-6:6:1:48", 2)
+    with pytest.raises(ValueError, match="wants 1 or 3 specs, got 2"):
+        parse_grid_spec("-6:6:1:48;-9:9:1:48", 3)
+    for spec in ("-6:6:2:48;-9:9:1:48", "-6:6:1:48;-9:9:1:24"):
+        with pytest.raises(ValueError, match="one panels and order"):
+            parse_grid_spec(spec, 2)
     with pytest.raises(ValueError):
-        parse_grid_spec("6:6:1:48")
+        parse_grid_spec("6:6:1:48", 1)
     with pytest.raises(ValueError):
-        parse_grid_spec("-6:6:1")
+        parse_grid_spec("-6:6:1", 1)
     with pytest.raises(ValueError):
-        parse_grid_spec("-6:5:1:48")
+        parse_grid_spec("-6:5:1:48", 1)
     for spec in ("-6:6:0:48", "-6:6:1:0"):
         with pytest.raises(ValueError, match=">= 1"):
-            parse_grid_spec(spec)
+            parse_grid_spec(spec, 1)
     for spec in ("-inf:inf:1:48", "inf:-inf:1:48", "-6:6:1:48;-inf:inf:1:48"):
         with pytest.raises(ValueError, match="finite"):
-            parse_grid_spec(spec)
+            parse_grid_spec(spec, 2)
 
 
 # -- the rule caches ----------------------------------------------------------

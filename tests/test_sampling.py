@@ -176,9 +176,9 @@ def test_plan_refuses_more_values_than_the_cap_before_tabulating(monkeypatch):
 
 def test_value_cap_boundary(monkeypatch, sig02, ms_std, unit_a, unit_b):
     n_values = 6 * 6 * 4  # order 3, one panel: 6 nodes per axis, 4 blades
-    monkeypatch.setattr(cdt_engine, "NODE_CAP", n_values)
+    monkeypatch.setattr(quadrature, "NODE_CAP", n_values)
     build_plan(sig02, ms_std, unit_a, unit_b, L_x=3.0, order=3)
-    monkeypatch.setattr(cdt_engine, "NODE_CAP", n_values - 1)
+    monkeypatch.setattr(quadrature, "NODE_CAP", n_values - 1)
     with pytest.raises(NodeCountExceeded, match=f"= {n_values} values"):
         build_plan(sig02, ms_std, unit_a, unit_b, L_x=3.0, order=3)
 
@@ -193,11 +193,38 @@ def test_oversized_grids_are_refused_before_any_eigen_solve(monkeypatch, sig02, 
     with pytest.raises(NodeCountExceeded,
                        match=f"9000000 nodes x 4 blades = 36000000 values exceeds cap {NODE_CAP}"):
         build_plan(sig02, ms_std, unit_a, unit_b, L_x=3.0, order=1500)
-    with pytest.raises(NodeCountExceeded, match=f"36000000 nodes exceeds cap {NODE_CAP}"):
+    with pytest.raises(NodeCountExceeded,
+                       match=f"36000000 nodes x 4 blades = 144000000 values exceeds cap {NODE_CAP}"):
         build_grid(ms_std, 3.0, panels=2, order=1500)
     for panels, order in ((0, 1500), (-5, 1500), (1, 0)):
         with pytest.raises(ValueError, match="panels >= 1, order >= 1"):
             build_grid(ms_std, 3.0, panels=panels, order=order)
+
+
+def test_plan_refuses_kernel_quadrants_beyond_the_cap_before_any_grid(monkeypatch):
+    # Cl(0,1) at order 4097: 8194 nodes x 2 blades pass the value cap, but a
+    # kernel quadrant would hold 4097^2 > 2^24 values (134 MB per matrix)
+    def no_work(*args):
+        raise AssertionError("grid or kernel built before the kernel cap")
+
+    monkeypatch.setattr(quadrature, "build_axis", no_work)
+    monkeypatch.setattr(cdt_engine, "eval_kernel_ab", no_work)
+    sig, ms = Signature(0, 1), MultiplicitySplit((0.5,), 0)
+    unit = validate_imaginary(MultiVector.blade(sig, "e1"), "e1")
+    for panels, order in ((1, 4097), (2, 2049)):
+        half = panels * order
+        with pytest.raises(NodeCountExceeded,
+                           match=f"{half} x {half} kernel values per axis exceeds cap {NODE_CAP}"):
+            build_plan(sig, ms, unit, unit, L_x=3.0, panels=panels, order=order)
+
+
+def test_kernel_cap_boundary(monkeypatch, sig02, ms_std, unit_a, unit_b):
+    # order 3, one panel: 3 positive nodes per axis on either side
+    monkeypatch.setattr(cdt_engine, "NODE_CAP", 3 * 3)
+    build_plan(sig02, ms_std, unit_a, unit_b, L_x=3.0, L_y=4.0, order=3)
+    monkeypatch.setattr(cdt_engine, "NODE_CAP", 3 * 3 - 1)
+    with pytest.raises(NodeCountExceeded, match="3 x 3 kernel values per axis exceeds cap 8"):
+        build_plan(sig02, ms_std, unit_a, unit_b, L_x=3.0, L_y=4.0, order=3)
 
 
 @pytest.mark.parametrize("d,order,Lx,Ly", [(2, 48, 8.0, 8.0), (3, 32, 6.0, 10.0), (4, 12, 5.0, 5.0)])
