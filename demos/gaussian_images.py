@@ -9,7 +9,7 @@ normalization pins the fixed point at delta = 1/2.
 
 import numpy as np
 
-from cliffdunkl.cdt_engine import AnalyticField, build_plan, forward, _coords
+from cliffdunkl.cdt_engine import AnalyticField, build_plan, forward
 from cliffdunkl.clifford_core import MultiVector, Signature, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit
 
@@ -35,7 +35,7 @@ for delta in (0.25, 0.5, 1.0, 2.0):
     consts = {}
     for mode, plan in plans.items():
         F = forward(f, plan)
-        y1, y2 = _coords(plan.grid_y)
+        y1, y2 = plan.grid_y.coords()
         ref = np.exp(-(y1**2 + y2**2) / (4.0 * delta))
         scal = F.values[..., 0]
         peak = np.argmax(np.abs(scal))
@@ -48,6 +48,6 @@ for delta in (0.25, 0.5, 1.0, 2.0):
 # sends exp(-|x|^2/2) to itself with constant exactly 1
 f = AnalyticField(sig, ms, {0: lambda x1, x2: np.exp(-(x1**2 + x2**2) / 2.0)})
 F = forward(f, plans["mehta"])
-y1, y2 = _coords(plans["mehta"].grid_y)
+y1, y2 = plans["mehta"].grid_y.coords()
 dev = np.max(np.abs(F.values[..., 0] - np.exp(-(y1**2 + y2**2) / 2.0)))
 print(f"fixed point check: max |F - f| on the y grid = {dev:.2e}")

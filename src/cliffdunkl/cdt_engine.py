@@ -71,6 +71,7 @@ from .clifford_core import (
     blade_label,
     parse_blade,
     structure_tensor,
+    validate_imaginary,
 )
 from .dunkl_rank1 import (
     ArgumentOutOfRadius,
@@ -83,7 +84,7 @@ from .dunkl_rank1 import (
     psi_rule,
     zero_limit,
 )
-from .quadrature import NODE_CAP, NodeCountExceeded, TensorGrid, build_grid
+from .quadrature import TensorGrid, build_grid
 
 CONVOLVE_BUDGET = 1 << 20  # kernel evaluations per output node (= y-grid size)
 _EXPLICIT_CHUNK = 1 << 15  # field values per call in translate_explicit
@@ -150,7 +151,7 @@ class AnalyticField:
     """Field given per blade as a callable (or expression) over x1..xd.
 
     `blades` maps a blade label (or mask) to a function of d coordinate
-    arrays.  The arrays are open (`_coords`): x_j has shape (1, ..., n_j,
+    arrays.  The arrays are open (`TensorGrid.coords`): x_j has shape (1, ..., n_j,
     ..., 1), so a body must be elementwise numpy that broadcasts them, as
     expression fields and `translate_explicit` output are.  Its result is
     broadcast to the grid; one that does not broadcast, or that is not real
@@ -184,7 +185,7 @@ class AnalyticField:
     def sample(self, grid: TensorGrid) -> np.ndarray:
         """Values (*grid.shape, 2^d), a view of a blade-first array, so that
         every blade is written contiguously."""
-        coords = _coords(grid)
+        coords = grid.coords()
         out = np.zeros((self.sig.n_blades,) + grid.shape)
 
         def put(mask):
@@ -239,13 +240,8 @@ class SampledField:
 
     def norm2(self) -> float:
         """Weighted L^2 norm squared: integral of the modulus squared."""
-        w = self.grid.total_weights().reshape(self.grid.shape)
+        w = self.grid.total_weights()
         return float(np.sum(w[..., None] * self.values**2))
-
-
-def _coords(grid: TensorGrid) -> tuple:
-    """Open coordinates: axis j's nodes as an array of shape (1, ..., n_j, ..., 1)."""
-    return np.ix_(*(ax.nodes for ax in grid.axes))
 
 
 def _same_grid(g1: TensorGrid, g2: TensorGrid) -> bool:
@@ -279,7 +275,7 @@ def rel_l2_error(got: SampledField, want: SampledField) -> float:
     ref = want.norm2()
     if ref == 0.0:
         raise ZeroNormField("reference field has zero norm")
-    w = want.grid.total_weights().reshape(want.grid.shape)
+    w = want.grid.total_weights()
     diff = float(np.sum(w[..., None] * (got.values - want.values) ** 2))
     err = math.sqrt(diff / ref)
     if not math.isfinite(err):
@@ -366,12 +362,13 @@ def build_plan(
     """Discretize both sides and tabulate the kernels once.
 
     L_x / L_y are half-widths per coordinate (scalars broadcast); without
-    L_y both sides share one grid.  Before building a grid, the plan
-    refuses kernel quadrants (positive x nodes times positive y nodes) of
-    more than NODE_CAP values (NodeCountExceeded); before tabulating,
-    coordinates with L_x * L_y beyond the kernel radius (ArgumentOutOfRadius
-    from `kernel_coefficients`).  Kernels are tabulated on the positive
-    quadrant of each axis; parity gives the rest.
+    L_y both sides share one grid.  `build_grid` admits the grids: NODE_CAP
+    bounds the values of each grid and, as (panels x order)^2, the kernel
+    quadrant of each axis (positive x nodes times positive y nodes).  Before
+    tabulating, the plan refuses coordinates with L_x * L_y beyond the
+    kernel radius (ArgumentOutOfRadius from `kernel_coefficients`).
+    Kernels are tabulated on the positive quadrant of each axis; parity
+    gives the rest.
     """
     if sig.d != ms.d:
         raise PlanMismatch(f"{ms.d} multiplicities for d={sig.d}")
@@ -382,9 +379,6 @@ def build_plan(
         raise ValueError(f"unknown normalization {normalization!r}")
     if not (math.isfinite(rtol) and rtol > 0.0):
         raise ValueError(f"rtol must be finite and positive, got {rtol!r}")
-    half = panels * order  # positive nodes per axis, on either side
-    if min(panels, order) >= 1 and half * half > NODE_CAP:  # bad specs are build_grid's to refuse
-        raise NodeCountExceeded(f"{half} x {half} kernel values per axis exceeds cap {NODE_CAP}")
     grid_x = build_grid(ms, L_x, panels=panels, order=order)
     grid_y = grid_x if L_y is None else build_grid(ms, L_y, panels=panels, order=order)
     axes = tuple(zip(grid_x.axes, grid_y.axes))
@@ -722,7 +716,7 @@ def _hermite_product_grid(grid: TensorGrid, v: tuple) -> np.ndarray:
     return out
 
 
-def _fit_profile(values: np.ndarray, g: np.ndarray, w: np.ndarray) -> tuple:
+def fit_profile(values: np.ndarray, g: np.ndarray, w: np.ndarray) -> tuple:
     """Weighted least-squares fit values ~ g C with one coefficient vector C
     (values (*shape, k), profile g and weights w (*shape)): C and the
     relative weighted residual."""
@@ -756,8 +750,8 @@ def _eigen_fit(v: tuple, u: tuple, plan: TransformPlan) -> dict:
     vals[..., 0] = hx
     F = forward(SampledField(plan.sig, plan.ms, plan.grid_x, vals), plan)
     hy = _hermite_product_grid(plan.grid_y, v + u)
-    w = plan.grid_y.total_weights().reshape(plan.grid_y.shape)
-    C, shape_residual = _fit_profile(F.values, hy, w)
+    w = plan.grid_y.total_weights()
+    C, shape_residual = fit_profile(F.values, hy, w)
     # C should be lam * (-a)^l(v) * (-b)^l(u) with lam real positive
     unit = (-plan.a.value) ** sum(v) * (-plan.b.value) ** sum(u)
     lam = float(np.dot(C, unit.coeff) / np.dot(unit.coeff, unit.coeff))
@@ -1019,10 +1013,9 @@ def run_claims_ledger(config: dict | None = None) -> list:
     `config` overrides keys of LEDGER_DEFAULTS; a value of another kind
     than its default raises TypeError (`_like`).  The ledger's fields are
     two-dimensional with one coordinate per block, so a config with
-    another key, p + q != 2 or split != 1 raises ValueError.
+    another key, p + q != 2 or split != 1 raises ValueError, as does a
+    delta that is not finite and positive.
     """
-    from .clifford_core import validate_imaginary
-
     config = {} if config is None else config
     if not isinstance(config, Mapping):
         raise ValueError(f"ledger config must be a mapping, got {type(config).__name__}")
@@ -1040,6 +1033,9 @@ def run_claims_ledger(config: dict | None = None) -> list:
     a = validate_imaginary(MultiVector.blade(sig, cfg["a"]), str(cfg["a"]))
     b = validate_imaginary(MultiVector.blade(sig, cfg["b"]), str(cfg["b"]))
     tol = float(cfg["rtol"])
+    delta = float(cfg["delta"])
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     raw = build_plan(
         sig, ms, a, b,
         L_x=cfg["L_x"], L_y=cfg["L_y"],
@@ -1059,25 +1055,30 @@ def run_claims_ledger(config: dict | None = None) -> list:
             )
         )
 
-    delta = float(cfg["delta"])
     gauss = _gaussian_field(sig, ms, delta)
     cp, cq = mehta_constant(ms.kappa_p), mehta_constant(ms.kappa_q)
 
     # Gaussian image: shape e^{-|y|^2/(4 delta)}, constant (2 delta)^-(gamma+d/2).
     # The asserted constant is compared against the literal integral (raw) and
     # the c_p c_q-normalized transform (mehta); only one of the two can match.
-    asserted = (2.0 * delta) ** -(ms.gamma + ms.d / 2.0)
+    try:
+        asserted = (2.0 * delta) ** -(ms.gamma + ms.d / 2.0)
+    except OverflowError:
+        raise OverflowError(f"Gaussian image constant overflows for delta = {delta!r}") from None
     consts = {}
     for mode in ("raw", "mehta"):
         F = forward(gauss, plans[mode])
-        ys = _coords(plans[mode].grid_y)
+        ys = plans[mode].grid_y.coords()
         target = np.exp(-sum(y * y for y in ys) / (4.0 * delta))
-        w = plans[mode].grid_y.total_weights().reshape(plans[mode].grid_y.shape)
-        const = float(np.sum(w * target * F.values[..., 0]) / np.sum(w * target * target))
+        w = plans[mode].grid_y.total_weights()
+        norms = float(np.sum(w * target * target)), F.norm2()
+        if 0.0 in norms:
+            raise ZeroNormField(f"the Gaussian image vanishes on the y grid for delta = {delta!r}")
+        const = float(np.sum(w * target * F.values[..., 0]) / norms[0])
         consts[mode] = const
         off = F.values.copy()
         off[..., 0] -= const * target
-        shape_err = math.sqrt(float(np.sum(w[..., None] * off**2)) / F.norm2())
+        shape_err = math.sqrt(float(np.sum(w[..., None] * off**2)) / norms[1])
         add(f"gaussian-constant-{mode}", asserted, const, "dimensionless",
             _grid_meta(plans[mode]))
         add(f"gaussian-shape-{mode}", 0.0, shape_err, "relative L2 error",
@@ -1091,13 +1092,7 @@ def run_claims_ledger(config: dict | None = None) -> list:
         {0: lambda x1, x2: (1.0 + x1 * x1) * np.exp(-(x1 * x1 + x2 * x2))},
     )
     quat = AnalyticField(
-        sig, ms,
-        {
-            0: lambda x1, x2: x1 * np.exp(-(x1**2 + x2**2)),
-            1: lambda x1, x2: x1 * np.exp(-(x1**2 + x2**2)),
-            2: lambda x1, x2: x1 * np.exp(-(x1**2 + x2**2)),
-            3: lambda x1, x2: x1 * np.exp(-(x1**2 + x2**2)),
-        },
+        sig, ms, dict.fromkeys(range(sig.n_blades), lambda x1, x2: x1 * np.exp(-(x1**2 + x2**2))),
     )
     for mode in ("raw", "mehta"):
         for name, test in (("scalar", poly), ("multivector", quat)):

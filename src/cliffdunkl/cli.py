@@ -13,7 +13,8 @@ read them from).  A command accepts only the flags it reads, spelled in
 full.  Grid SPEC syntax is "-L:L:panels:order" per coordinate, separated
 by ";"; one spec broadcasts to all coordinates.  A grid has one panels
 and order, shared by the input and output grids (one plan covers both
-sides), and holds at most NODE_CAP values, nodes times blades.
+sides), and holds at most NODE_CAP values, nodes times blades, and
+NODE_CAP values per axis, (panels x order)^2, on every route.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .dunkl_rank1 import (
     kernel_coefficients,
 )
 from .field_expr import DepthExceeded, ExprSyntaxError, NonFiniteResult, UnknownCoordinate
-from .field_io import SchemaError, _read_json, load_field, save_field
+from .field_io import SchemaError, load_field, read_json, save_field
 from .miyachi import MiyachiConfig, verdict, verdict_to_json
 from .quadrature import NodeCountExceeded, build_grid, parse_grid_spec
 
@@ -280,7 +281,7 @@ def _cmd_miyachi(args):
 
 
 def _cmd_verify(args):
-    config = _read_json(args.config) if args.config else None
+    config = read_json(args.config) if args.config else None
     try:
         reports = run_claims_ledger(config)
     except _NUMERIC_ERRORS:

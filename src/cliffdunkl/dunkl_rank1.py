@@ -148,11 +148,15 @@ def kernel_rule_order(t_max: float) -> int:
 def kernel_ab_integral(kappa: float, t, order: int) -> tuple:
     """(A, B) from the integral representation with an `order`-node
     Gauss-Jacobi rule; a `zero_limit` kappa gives (cos t, -sin t).  The
-    arguments are summed in blocks of _KERNEL_BLOCK."""
+    arguments are summed in blocks of _KERNEL_BLOCK.  Raises OverflowError,
+    naming kappa, when the rule's recurrence leaves the float range."""
     t = np.asarray(t, dtype=float)
     if zero_limit(kappa):
         return np.cos(t), -np.sin(t)
-    nodes, weights = jacobi_rule(kappa - 1.0, kappa - 1.0, order)
+    try:
+        nodes, weights = jacobi_rule(kappa - 1.0, kappa - 1.0, order)
+    except OverflowError as exc:
+        raise OverflowError(f"kernel rule for kappa = {kappa!r}: {exc}") from None
     m0 = float(weights.sum())
     A, B = np.empty(t.shape), np.empty(t.shape)
     for start in range(0, t.size, _KERNEL_BLOCK):

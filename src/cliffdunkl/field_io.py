@@ -19,13 +19,13 @@ from __future__ import annotations
 import numpy as np
 import orjson
 
-from .cdt_engine import AnalyticField, SampledField, _is_number, _Owned
+from .cdt_engine import AnalyticField, SampledField, _is_number
 from .clifford_core import BladeSyntaxError, Signature, blade_label, parse_blade
 from .dunkl_rank1 import MultiplicitySplit
 from .field_expr import NonFiniteResult, compile_expr
 from .quadrature import build_grid
 
-__all__ = ["SchemaError", "load_field", "save_field"]
+__all__ = ["SchemaError", "load_field", "read_json", "save_field"]
 
 _MAX_DEPTH = 32  # arrays and objects a document may nest; a field file needs 2 + d <= 8
 _NOT_MARKS = bytes(sorted(set(range(256)) - set(b'"[{]}')))  # all but quotes and brackets
@@ -93,7 +93,7 @@ def _depth(data: bytes) -> int:
     return int(np.cumsum(steps).max(initial=0))
 
 
-def _read_json(path):
+def read_json(path):
     """The JSON document in the file at `path`, read with orjson.
 
     Raises SchemaError("$", ...) for text that is not strict JSON: invalid
@@ -114,7 +114,7 @@ def _read_json(path):
 
 def load_field(path):
     """AnalyticField or SampledField, decided by the presence of `grid`."""
-    doc = _read_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
     sig, ms = _parse_header(doc)
@@ -155,7 +155,7 @@ def load_field(path):
         if not np.isfinite(arr).all():  # null reads as NaN
             raise SchemaError(f"blades.{label}", "samples must be finite numbers")
         values[..., masks[label]] = arr
-    return SampledField(sig, ms, grid, _Owned(values))
+    return SampledField(sig, ms, grid, values)
 
 
 def save_field(field, path):

@@ -27,15 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdt_engine import (
-    AnalyticField,
-    TransformPlan,
-    _coords,
-    _fit_profile,
-    _sample_on,
-    build_plan,
-    forward,
-)
+from .cdt_engine import AnalyticField, TransformPlan, build_plan, fit_profile, forward
 from .clifford_core import MultiVector, blade_label, modulus
 from .quadrature import build_grid
 
@@ -173,13 +165,13 @@ def check_growth(f, alpha: float, n: float, ladder, *, panels: int = 1, order: i
     values = []
     for L in ladder:
         grid = build_grid(f.ms, L, panels=panels, order=order)
-        vals = _sample_on(f, grid, f.sig, f.ms)
-        xs = _coords(grid)
+        vals = f.sample(grid)
+        xs = grid.coords()
         expo = alpha * sum(x * x for x in xs) + _log_modulus(vals)
         if math.isinf(n):
             values.append(float(np.max(expo)))
             continue
-        logw = np.log(grid.total_weights().reshape(grid.shape))
+        logw = np.log(grid.total_weights())
         terms = (logw + n * expo).ravel()
         terms = terms[np.isfinite(terms)]
         if terms.size == 0:
@@ -213,13 +205,13 @@ def check_log(F, beta: float, lam: float, ladder) -> ConditionReport:
         grid = field.grid
         if any(ax.L < L - 1e-12 for ax in grid.axes):
             raise ValueError(f"the field grid of rung L = {L!r} does not cover it")
-        ys = _coords(grid)
+        ys = grid.coords()
         inside = np.ones(grid.shape, dtype=bool)
         for y in ys:
             inside &= np.abs(y) <= L + 1e-12
         logarg = _log_modulus(field.values) + beta * sum(y * y for y in ys) - math.log(lam)
         integrand = np.where(inside, np.maximum(logarg, 0.0), 0.0)
-        qw = grid.quad_weights().reshape(grid.shape)
+        qw = grid.quad_weights()
         values.append(float(np.sum(qw * integrand)))
     return ConditionReport("log-plus", _decide(values), ladder, tuple(values))
 
@@ -248,9 +240,9 @@ def verdict(f, config: MiyachiConfig, plan: TransformPlan) -> MiyachiVerdict:
     cond2 = check_log(rung_fields, config.beta, config.lam, config.ladder)
     C = residual = lam_ok = None
     if case == "boundary" and cond1.status == "finite" and cond2.status == "finite":
-        vals = _sample_on(f, plan.grid_x, f.sig, f.ms)
-        g = np.exp(-config.alpha * sum(x * x for x in _coords(plan.grid_x)))
-        coeff, residual = _fit_profile(vals, g, g)  # weight g: the far tail cannot dominate
+        vals = f.sample(plan.grid_x)
+        g = np.exp(-config.alpha * sum(x * x for x in plan.grid_x.coords()))
+        coeff, residual = fit_profile(vals, g, g)  # weight g: the far tail cannot dominate
         C = MultiVector(f.sig, coeff)
         lam_ok = bool(modulus(C) <= config.lam)
     return MiyachiVerdict(case, cond1, cond2, C, residual, lam_ok)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -37,7 +37,7 @@ __all__ = [
     "NODE_CAP",
 ]
 
-NODE_CAP = 1 << 24  # values per grid (nodes x 2^d blades); `build_plan` also caps kernel values per axis
+NODE_CAP = 1 << 24  # values per grid (nodes x 2^d blades), and (panels x order)^2 per axis
 
 
 class RecurrenceBreakdown(ArithmeticError):
@@ -72,34 +72,40 @@ def gauss_from_recurrence(alpha, beta, order: int):
 
 
 def jacobi_recurrence(n: int, a: float, b: float):
-    """Monic recurrence coefficients for the weight (1-t)^a (1+t)^b on (-1,1)."""
+    """Monic recurrence coefficients for the weight (1-t)^a (1+t)^b on (-1,1).
+    Raises OverflowError, naming a and b, when one leaves the float range."""
     if a <= -1.0 or b <= -1.0:
         raise ValueError("Jacobi exponents must exceed -1")
     if n < 1:
         raise ValueError("need n >= 1")
     alpha = np.zeros(n)
     beta = np.zeros(n)
-    # total mass 2^(a+b+1) B(a+1, b+1), in log space: the gamma factors
-    # overflow on their own once a + b + 2 > 171
-    beta[0] = math.exp(
-        (a + b + 1.0) * math.log(2.0)
-        + math.lgamma(a + 1.0)
-        + math.lgamma(b + 1.0)
-        - math.lgamma(a + b + 2.0)
-    )
-    alpha[0] = (b - a) / (a + b + 2.0)
-    for k in range(n):
-        s = 2.0 * k + a + b
-        if k >= 1:
-            alpha[k] = (b * b - a * a) / (s * (s + 2.0))
-        if k == 1:
-            # cancelled form; the generic one is 0/0 when a + b = -1
-            beta[1] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
-        elif k >= 2:
-            beta[k] = (
-                4.0 * k * (k + a) * (k + b) * (k + a + b)
-                / (s * s * (s + 1.0) * (s - 1.0))
-            )
+    try:
+        # total mass 2^(a+b+1) B(a+1, b+1), in log space: the gamma factors
+        # overflow on their own once a + b + 2 > 171
+        beta[0] = math.exp(
+            (a + b + 1.0) * math.log(2.0)
+            + math.lgamma(a + 1.0)
+            + math.lgamma(b + 1.0)
+            - math.lgamma(a + b + 2.0)
+        )
+        alpha[0] = (b - a) / (a + b + 2.0)
+        for k in range(n):
+            s = 2.0 * k + a + b
+            if k >= 1:
+                alpha[k] = (b * b - a * a) / (s * (s + 2.0))
+            if k == 1:
+                # cancelled form; the generic one is 0/0 when a + b = -1
+                beta[1] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
+            elif k >= 2:
+                beta[k] = (
+                    4.0 * k * (k + a) * (k + b) * (k + a + b)
+                    / (s * s * (s + 1.0) * (s - 1.0))
+                )
+    except OverflowError:  # a Python-float exp, lgamma or power
+        beta[0] = math.inf
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all() and (beta > 0.0).all()):
+        raise OverflowError(f"Jacobi recurrence leaves the float range for a = {a!r}, b = {b!r}")
     return alpha, beta
 
 
@@ -152,9 +158,10 @@ def build_axis(kappa: float, L: float, panels: int, order: int) -> Grid1D:
     """Uniform panels per side, split at 0; singular inner panel gets the
     x^(2 kappa)-weighted Gauss rule (exposed as effective dx weights).
 
-    Raises OverflowError when a weight factor is not a finite float: the
-    inner panel's x^(2 kappa) rule or |L|^(2 kappa) itself overflows
-    once 2 kappa ln L nears 709 (kappa = 200 at L = 6).
+    Raises OverflowError, naming kappa and L, when a weight factor is not
+    a finite float: the inner panel's x^(2 kappa) rule or |L|^(2 kappa)
+    itself overflows once 2 kappa ln L nears 709 (kappa = 200 at L = 6),
+    and the rule's Jacobi recurrence from kappa = 517 on.
     """
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
@@ -163,27 +170,28 @@ def build_axis(kappa: float, L: float, panels: int, order: int) -> Grid1D:
     h = L / panels
     xs = []
     ws = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(panels):
-            lo, hi = i * h, (i + 1) * h
-            if i == 0 and kappa > 0.0:
-                n, w = power_rule(2.0 * kappa, hi, order)
-                w = w / n ** (2.0 * kappa)
-            else:
-                t, w0 = jacobi_rule(0.0, 0.0, order)
-                n = lo + (hi - lo) / 2.0 * (t + 1.0)
-                w = (hi - lo) / 2.0 * w0
-            xs.append(n)
-            ws.append(w)
-        pos = np.concatenate(xs)
-        wpos = np.concatenate(ws)
-        nodes = np.concatenate([-pos[::-1], pos])
-        weights = np.concatenate([wpos[::-1], wpos])
-        wk = np.abs(nodes) ** (2.0 * kappa) if kappa > 0.0 else np.ones_like(nodes)
-    if not (np.isfinite(weights).all() and np.isfinite(wk).all()):
-        raise OverflowError(
-            f"quadrature weights overflow for kappa = {kappa!r} on (-{L!r}, {L!r})"
-        )
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(panels):
+                lo, hi = i * h, (i + 1) * h
+                if i == 0 and kappa > 0.0:
+                    n, w = power_rule(2.0 * kappa, hi, order)
+                    w = w / n ** (2.0 * kappa)
+                else:
+                    t, w0 = jacobi_rule(0.0, 0.0, order)
+                    n = lo + (hi - lo) / 2.0 * (t + 1.0)
+                    w = (hi - lo) / 2.0 * w0
+                xs.append(n)
+                ws.append(w)
+            pos = np.concatenate(xs)
+            wpos = np.concatenate(ws)
+            nodes = np.concatenate([-pos[::-1], pos])
+            weights = np.concatenate([wpos[::-1], wpos])
+            wk = np.abs(nodes) ** (2.0 * kappa) if kappa > 0.0 else np.ones_like(nodes)
+        if not (np.isfinite(weights).all() and np.isfinite(wk).all()):
+            raise OverflowError("a weight is not a finite float")
+    except OverflowError as exc:  # also from the inner panel's rule or its scale
+        raise OverflowError(f"quadrature weights overflow for kappa = {kappa!r} on (-{L!r}, {L!r})") from exc
     for arr in (nodes, weights, wk):
         arr.flags.writeable = False
     return Grid1D(
@@ -215,36 +223,35 @@ class TensorGrid:
     def n_nodes(self) -> int:
         return int(np.prod(self.shape)) if self.axes else 1
 
+    def coords(self) -> tuple:
+        """Open coordinates: axis j's nodes as an array of shape (1, ..., n_j, ..., 1)."""
+        return np.ix_(*(ax.nodes for ax in self.axes))
+
     def quad_weights(self) -> np.ndarray:
-        """Plain dx quadrature weight per node."""
-        return self._outer(tuple(ax.weights for ax in self.axes))
+        """Plain dx quadrature weight per node, an array of `shape`."""
+        return reduce(np.multiply.outer, [ax.weights for ax in self.axes], np.ones(()))
 
     def total_weights(self) -> np.ndarray:
-        """quadrature weight times cached w_k, per node."""
-        return self._outer(
-            tuple(ax.weights * ax.wk for ax in self.axes)
-        )
-
-    @staticmethod
-    def _outer(factors) -> np.ndarray:
-        out = np.ones(1)
-        for f in factors:
-            out = np.multiply.outer(out, f)
-        return out.ravel()
+        """Quadrature weight times cached w_k per node, an array of `shape`."""
+        return reduce(np.multiply.outer, [ax.weights * ax.wk for ax in self.axes], np.ones(()))
 
 
 def build_grid(ms, L, panels: int = 4, order: int = 12) -> TensorGrid:
     """TensorGrid for a multiplicity vector (or anything with a .kappa).
 
-    L may be a scalar (broadcast) or one half-width per coordinate.  More
-    than NODE_CAP values, nodes times 2^d blades, are refused before any
-    eigen-solve (NodeCountExceeded).
+    L may be a scalar (broadcast) or one half-width per coordinate.  Before
+    any eigen-solve, NodeCountExceeded refuses more than NODE_CAP values per
+    axis, (panels x order)^2, which bounds a plan's kernel quadrant and a
+    rule's order x order Jacobi matrix; then per grid, nodes times 2^d blades.
     """
     kappas = tuple(getattr(ms, "kappa", ms))
     d = len(kappas)
     if panels < 1 or order < 1:
         raise ValueError("need L > 0, panels >= 1, order >= 1")
-    n_nodes = (2 * panels * order) ** d
+    half = panels * order  # positive nodes per axis
+    if half * half > NODE_CAP:
+        raise NodeCountExceeded(f"{half} x {half} values per axis, (panels x order)^2, exceeds cap {NODE_CAP}")
+    n_nodes = (2 * half) ** d
     n_values = n_nodes * 2**d
     if n_values > NODE_CAP:
         raise NodeCountExceeded(f"{n_nodes} nodes x {2**d} blades = {n_values} values exceeds cap {NODE_CAP}")

@@ -160,7 +160,7 @@ def integrate(values, grid) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape[0] != grid.n_nodes:
         raise ValueError(f"expected {grid.n_nodes} values, got {arr.shape[0]}")
-    return np.einsum("n,n...->...", grid.total_weights(), arr)
+    return np.einsum("n,n...->...", grid.total_weights().ravel(), arr)
 
 
 def sample_dense(field, grid) -> np.ndarray:

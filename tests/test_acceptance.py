@@ -38,7 +38,7 @@ from cliffdunkl.cdt_engine import (
     translate_explicit,
     translate_spectral,
 )
-from cliffdunkl.cdt_engine import _coords, _eigen_fit, _sample_on
+from cliffdunkl.cdt_engine import _eigen_fit, _sample_on
 from cliffdunkl.miyachi import MiyachiConfig, check_log, verdict
 from cliffdunkl.field_io import load_field, save_field
 from cliffdunkl.field_expr import (
@@ -70,7 +70,7 @@ def test_criterion_1_gaussian_image_shape(sig02, ms_std, unit_a, unit_b):
     worst = 0.0
     for delta in (0.5, 1.0):
         F = forward(gaussian_field(sig02, ms_std, delta=delta), plan)
-        y1, y2 = _coords(plan.grid_y)
+        y1, y2 = plan.grid_y.coords()
         ref = np.exp(-(y1**2 + y2**2) / (4.0 * delta))
         scal = F.values[..., 0]
         peak_at = np.argmax(np.abs(scal))

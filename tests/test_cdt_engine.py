@@ -56,7 +56,7 @@ from cliffdunkl.cdt_engine import (
     translate_explicit,
     translate_spectral,
 )
-from cliffdunkl.cdt_engine import _Work, _coords, _fold, _sample_on, _unfold
+from cliffdunkl.cdt_engine import _Work, _fold, _sample_on, _unfold
 from cliffdunkl import cdt_engine
 from cliffdunkl.quadrature import build_grid
 
@@ -226,7 +226,7 @@ def test_gaussian_maps_to_gaussian(sig02, ms_std, unit_a, unit_b, delta, mode):
     const = (2.0 * delta) ** -(ms_std.gamma + ms_std.d / 2.0)
     if mode == "raw":
         const /= cp * cq
-    y1, y2 = _coords(plan.grid_y)
+    y1, y2 = plan.grid_y.coords()
     want = _scalar_sampled(plan.grid_y, sig02, ms_std,
                            const * np.exp(-(y1**2 + y2**2) / (4.0 * delta)))
     assert rel_l2_error(F, want) <= 1e-12
@@ -237,7 +237,7 @@ def test_mehta_mode_fixes_the_bi_gaussian(sig02, ms_std, unit_a, unit_b):
     plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=8.5, L_y=8.5,
                       normalization="mehta")
     F = forward(gaussian_field(sig02, ms_std, delta=0.5), plan)
-    y1, y2 = _coords(plan.grid_y)
+    y1, y2 = plan.grid_y.coords()
     want = _scalar_sampled(plan.grid_y, sig02, ms_std, np.exp(-(y1**2 + y2**2) / 2.0))
     assert rel_l2_error(F, want) <= 1e-12
 
@@ -246,7 +246,7 @@ def test_kappa_zero_gaussian_is_classical(sig02, ms00, plan00):
     # kappa = 0 collapses to the plane-wave transform: integral of
     # e^{-|x|^2} e^{-i x.y} dx = pi e^{-|y|^2/4}
     F = forward(gaussian_field(sig02, ms00), plan00)
-    y1, y2 = _coords(plan00.grid_y)
+    y1, y2 = plan00.grid_y.coords()
     want = _scalar_sampled(plan00.grid_y, sig02, ms00,
                            np.pi * np.exp(-(y1**2 + y2**2) / 4.0))
     assert rel_l2_error(F, want) <= 1e-12
@@ -436,7 +436,7 @@ def test_translation_kappa_zero_is_the_classical_shift(sig02, ms00, unit_a, unit
     plan = build_plan(sig02, ms00, unit_a, unit_b, L_x=6.5, L_y=9.0)
     f = gaussian_field(sig02, ms00)
     got = translate_spectral(f, (0.6, -0.4), plan)
-    x1, x2 = _coords(plan.grid_x)
+    x1, x2 = plan.grid_x.coords()
     want = _scalar_sampled(plan.grid_x, sig02, ms00,
                            np.exp(-((x1 - 0.6) ** 2 + (x2 + 0.4) ** 2)))
     assert rel_l2_error(got, want) <= 1e-7
@@ -456,7 +456,7 @@ def test_translated_gaussian_closed_form(sig02, ms_std, unit_a, unit_b):
         B = s / (2.0 * kap + 1.0) * mpmath.hyp0f1(kap + 1.5, (s * s) / 4.0)
         return float(A + B)
 
-    x1, x2 = _coords(plan.grid_x)
+    x1, x2 = plan.grid_x.coords()
     E1 = np.vectorize(lambda s: e_real(ms_std.kappa[0], s))(2.0 * x1 * z[0])
     E2 = np.vectorize(lambda s: e_real(ms_std.kappa[1], s))(2.0 * x2 * z[1])
     want = np.exp(-(x1**2 + x2**2) - (z[0] ** 2 + z[1] ** 2)) * E1 * E2
@@ -537,7 +537,7 @@ def test_convolution_kappa_zero_closed_form(sig02, ms00, unit_a, unit_b):
     plan = build_plan(sig02, ms00, unit_a, unit_b, L_x=7.0, L_y=7.0)
     g = gaussian_field(sig02, ms00)
     got = convolve(g, g, plan)
-    x1, x2 = _coords(plan.grid_x)
+    x1, x2 = plan.grid_x.coords()
     want = _scalar_sampled(plan.grid_x, sig02, ms00,
                            (np.pi / 2.0) * np.exp(-(x1**2 + x2**2) / 2.0))
     assert rel_l2_error(got, want) <= 1e-9

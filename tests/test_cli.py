@@ -503,6 +503,12 @@ def test_miyachi_bad_ladder_exits_2(tmp_path, gauss_file, capsys):
     ([1, 2], 3),
     ({"kapa": [0.5, 0.5]}, 3),  # a misspelt key is not silently ignored
     ({"L_x": 18.0, "L_y": 18.0}, 4),  # beyond the kernel radius
+    # delta used to reach the ledger unchecked: ZeroDivisionError tracebacks
+    # at 0 and 1e300, a bare range error at 1e-300, and 28 claims at -1
+    ({"delta": 0}, 3),
+    ({"delta": -1}, 3),
+    ({"delta": 1e300}, 4),  # the Gaussian vanishes on the grid
+    ({"delta": 1e-300}, 4),  # its image constant (2 delta)^-2 overflows
 ])
 def test_verify_config_errors(tmp_path, capsys, config, code):
     cfg = tmp_path / "cfg.json"
@@ -511,6 +517,7 @@ def test_verify_config_errors(tmp_path, capsys, config, code):
     err = capsys.readouterr().err
     assert rc == code
     assert ("input error" if code == 3 else "numerical failure") in err
+    assert "delta" not in config or "delta" in err  # the message names what failed
 
 
 def test_signature_beyond_six_generators(tmp_path, capsys):
@@ -669,33 +676,77 @@ def test_out_grid_disagreeing_with_a_sampled_file_names_the_file(tmp_path, gauss
     assert err == "usage error: the field file's grid and --out-grid must agree on panels and order\n"
 
 
-@pytest.mark.parametrize("route", ["build_plan", "translate_explicit", "field_file", "check_growth"])
+@pytest.mark.parametrize("route", ["build_plan", "translate_explicit", "field_file", "check_growth",
+                                   "build_plan_d1", "translate_explicit_d1", "field_file_d1",
+                                   "check_growth_d1"])
 def test_every_grid_is_admitted_by_one_rule(tmp_path, gauss_file, capsys, monkeypatch, route):
-    # order 3 on one panel: 6 x 6 nodes x 4 blades, one value over the cap
+    # d = 2, order 3 on one panel: 6 x 6 nodes x 4 blades, one value over the
+    # cap.  d = 1, order 5: 10 nodes x 2 blades pass a cap of 24, but 5 x 5
+    # values per axis (a kernel quadrant, and at most the rule's Jacobi
+    # matrix) do not; only `build_plan` used to refuse those
     def no_solve(*args, **kwargs):
-        raise AssertionError("Golub-Welsch solve before the value cap")
+        raise AssertionError("Golub-Welsch solve before the cap")
 
+    route, d1 = route.removesuffix("_d1"), route.endswith("_d1")
+    if d1:
+        gauss_file = tmp_path / "g1.json"
+        gauss_file.write_text(json.dumps({"signature": [0, 1], "kappa": [0.5], "split": 0,
+                                          "blades": {"1": "exp(-x1^2)"}}))
+        small = {"signature": [0, 1], "kappa": [0.5], "split": 0,
+                 "grid": {"L": [3.0], "panels": 1, "order": 5}, "blades": {"1": [0.5] * 10}}
+        cap, order, message = 24, 5, "5 x 5 values per axis, (panels x order)^2, exceeds cap 24"
+    else:
+        small = dict(_sampled_doc(0.5), grid={"L": [3.0, 3.0], "panels": 1, "order": 3},
+                     blades={"1": [[0.5] * 6 for _ in range(6)]})
+        cap, order, message = 6 * 6 * 4 - 1, 3, "36 nodes x 4 blades = 144 values exceeds cap 143"
     field = load_field(gauss_file)
-    monkeypatch.setattr(quadrature, "NODE_CAP", 6 * 6 * 4 - 1)
+    monkeypatch.setattr(quadrature, "NODE_CAP", cap)
     monkeypatch.setattr(quadrature, "gauss_from_recurrence", no_solve)
     monkeypatch.setattr(quadrature, "build_axis", no_solve)
-    message = "36 nodes x 4 blades = 144 values exceeds cap 143"
     if route == "check_growth":
-        with pytest.raises(NodeCountExceeded, match=message):
-            check_growth(field, 1.0, 2.0, (2.0, 3.0, 4.0), panels=1, order=3)
+        with pytest.raises(NodeCountExceeded, match=re.escape(message)):
+            check_growth(field, 1.0, 2.0, (2.0, 3.0, 4.0), panels=1, order=order)
         return
-    small = dict(_sampled_doc(0.5), grid={"L": [3.0, 3.0], "panels": 1, "order": 3},
-                 blades={"1": [[0.5] * 6 for _ in range(6)]})
     (tmp_path / "s.json").write_text(json.dumps(small))
+    spec = f"-3:3:1:{order}"
     argv = {
-        "build_plan": ["transform", "--field", "F", "--in-grid", "-3:3:1:3",
-                       "--out-grid", "-4:4:1:3", "--out", "O"],
-        "translate_explicit": ["translate", "--field", "F", "--z", "0.1,0.2", "--method", "explicit",
-                               "--in-grid", "-3:3:1:3", "--out", "O"],
-        "field_file": ["transform", "--field", "S", "--out-grid", "-3:3:1:3", "--out", "O"],
+        "build_plan": ["transform", "--field", "F", "--in-grid", spec,
+                       "--out-grid", f"-4:4:1:{order}", "--b", "e1", "--out", "O"],
+        "translate_explicit": ["translate", "--field", "F", "--z", ",".join(["0.1", "0.2"][:field.sig.d]),
+                               "--method", "explicit", "--in-grid", spec, "--out", "O"],
+        "field_file": ["transform", "--field", "S", "--out-grid", spec, "--b", "e1", "--out", "O"],
     }[route]
     rc, out, err, wrote = _run(argv, tmp_path, gauss_file, capsys)
     assert (rc, out, err, wrote) == (4, "", f"numerical failure: {message}\n", False)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["transform", "--field", "F", "--in-grid", "-1e200:1e200:1:4", "--out-grid", "-1:1:1:4",
+      "--out", "O"], "quadrature weights overflow for kappa = 0.3 on (-1e+200, 1e+200)"),
+    (["eigencheck", "--sig", "0,2", "--kappa", "0.3,0.7", "--v", "0", "--u", "0",
+      "--in-grid", "-1e200:1e200:1:4", "--out-grid", "-1:1:1:4"],
+     "quadrature weights overflow for kappa = 0.3 on (-1e+200, 1e+200)"),
+    (["miyachi", "--field", "F", "--alpha", "1", "--beta", "1", "--lambda", "1",
+      "--ladder", "1e300,2e300,3e300"], "quadrature weights overflow for kappa = 0.3 on (-3e+300, 3e+300)"),
+    (["verify", "--config", "C", "--out", "O"],
+     "quadrature weights overflow for kappa = 0.3 on (-1e+200, 1e+200)"),
+    (["kernel", "--kappa", "1e200", "--t", "1"], "kernel rule for kappa = 1e+200: "),
+    (["kernel", "--kappa", "1e80", "--t", "1"], "kernel rule for kappa = 1e+80: "),
+    (["translate", "--field", "D1", "--method", "explicit", "--b", "e1", "--z", "0.5", "--out", "O"],
+     "quadrature weights overflow for kappa = 100000.0 on (-6.0, 6.0)"),
+], ids=["transform", "eigencheck", "miyachi", "verify", "kernel", "kernel-norms", "translate-explicit"])
+def test_in_range_parameters_that_overflow_name_kappa_or_L(tmp_path, gauss_file, capsys, argv, named):
+    # these ended in "(34, 'Numerical result out of range')" or "math range
+    # error", and kernel --kappa 1e80 in a RecurrenceBreakdown traceback
+    paths = {"F": gauss_file, "C": tmp_path / "c.json", "D1": tmp_path / "d1.json",
+             "O": tmp_path / "o.json"}
+    paths["C"].write_text(json.dumps({"L_x": 1e200}))
+    paths["D1"].write_text(json.dumps({"signature": [0, 1], "kappa": [1e5], "split": 0,
+                                       "blades": {"1": "exp(-x1^2)"}}))
+    rc = main([str(paths.get(tok, tok)) for tok in argv])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, paths["O"].exists()) == (4, "", False)
+    assert captured.err.startswith(f"numerical failure: {named}") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key,value", [

@@ -2,7 +2,8 @@
 an `__all__` list; every third-party module the package imports is a
 declared dependency; no module imports a name it never uses, and every
 private module-level function or class has a caller in the package, so
-deleted code leaves neither imports nor helpers behind."""
+deleted code leaves neither imports nor helpers behind; and no module
+imports another's private name, so each private name has one owner."""
 
 import ast
 import importlib
@@ -76,3 +77,21 @@ def test_every_private_helper_is_used_in_the_package():
     unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
     assert defined, "the scan found no private helper at all"
     assert not unused, f"private helpers nothing in the package uses: {unused}"
+
+
+# `field_io` reads `_is_number` from `cdt_engine` until the claims ledger
+# leaves the engine (ROADMAP item 7); nothing else may cross a module border
+PRIVATE_IMPORTS_ALLOWED = {("field_io", "_is_number")}
+
+
+def test_no_module_imports_a_private_name_from_another():
+    imports, crossing = 0, set()
+    for source in SOURCES[0].parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("cliffdunkl")):
+                imports += 1
+                crossing.update((source.stem, alias.name) for alias in node.names
+                                if alias.name.startswith("_"))
+    assert imports, "the scan found no import from the package at all"
+    unowned = sorted(crossing - PRIVATE_IMPORTS_ALLOWED)
+    assert not unowned, f"private names imported across modules: {unowned}"

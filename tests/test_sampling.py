@@ -6,6 +6,8 @@ blade's slot.  Elementwise bodies must give exactly the values they give
 on the dense meshgrid (`oracles.sample_dense`), bit for bit.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,7 +205,8 @@ def test_oversized_grids_are_refused_before_any_eigen_solve(monkeypatch, sig02, 
 
 def test_plan_refuses_kernel_quadrants_beyond_the_cap_before_any_grid(monkeypatch):
     # Cl(0,1) at order 4097: 8194 nodes x 2 blades pass the value cap, but a
-    # kernel quadrant would hold 4097^2 > 2^24 values (134 MB per matrix)
+    # kernel quadrant would hold 4097^2 > 2^24 values (134 MB per matrix);
+    # `build_grid` refuses the axis before it builds one
     def no_work(*args):
         raise AssertionError("grid or kernel built before the kernel cap")
 
@@ -213,18 +216,22 @@ def test_plan_refuses_kernel_quadrants_beyond_the_cap_before_any_grid(monkeypatc
     unit = validate_imaginary(MultiVector.blade(sig, "e1"), "e1")
     for panels, order in ((1, 4097), (2, 2049)):
         half = panels * order
-        with pytest.raises(NodeCountExceeded,
-                           match=f"{half} x {half} kernel values per axis exceeds cap {NODE_CAP}"):
+        message = f"{half} x {half} values per axis, (panels x order)^2, exceeds cap {NODE_CAP}"
+        with pytest.raises(NodeCountExceeded, match=re.escape(message)):
             build_plan(sig, ms, unit, unit, L_x=3.0, panels=panels, order=order)
 
 
-def test_kernel_cap_boundary(monkeypatch, sig02, ms_std, unit_a, unit_b):
-    # order 3, one panel: 3 positive nodes per axis on either side
-    monkeypatch.setattr(cdt_engine, "NODE_CAP", 3 * 3)
-    build_plan(sig02, ms_std, unit_a, unit_b, L_x=3.0, L_y=4.0, order=3)
-    monkeypatch.setattr(cdt_engine, "NODE_CAP", 3 * 3 - 1)
-    with pytest.raises(NodeCountExceeded, match="3 x 3 kernel values per axis exceeds cap 8"):
-        build_plan(sig02, ms_std, unit_a, unit_b, L_x=3.0, L_y=4.0, order=3)
+def test_kernel_cap_boundary(monkeypatch):
+    # Cl(0,1), order 5, one panel: 5 positive nodes per axis on either side,
+    # so 25 kernel values per axis against 10 nodes x 2 blades = 20 values
+    sig, ms = Signature(0, 1), MultiplicitySplit((0.5,), 0)
+    unit = validate_imaginary(MultiVector.blade(sig, "e1"), "e1")
+    monkeypatch.setattr(quadrature, "NODE_CAP", 5 * 5)
+    build_plan(sig, ms, unit, unit, L_x=3.0, L_y=4.0, order=5)
+    monkeypatch.setattr(quadrature, "NODE_CAP", 5 * 5 - 1)
+    message = "5 x 5 values per axis, (panels x order)^2, exceeds cap 24"
+    with pytest.raises(NodeCountExceeded, match=re.escape(message)):
+        build_plan(sig, ms, unit, unit, L_x=3.0, L_y=4.0, order=5)
 
 
 @pytest.mark.parametrize("d,order,Lx,Ly", [(2, 48, 8.0, 8.0), (3, 32, 6.0, 10.0), (4, 12, 5.0, 5.0)])

@@ -13,7 +13,6 @@ import pytest
 
 from cliffdunkl.cdt_engine import (
     AnalyticField,
-    _coords,
     build_plan,
     convolve,
     translate_spectral,
@@ -64,7 +63,7 @@ def _rel_max(got, want):
 def test_translation_at_kappa_zero_is_the_shift(case):
     plan = _plan(case, (0.0,) * 3)
     got = translate_spectral(_two_blade_field(plan), Z, plan).values
-    shifted = [x - z for x, z in zip(_coords(plan.grid_x), Z)]
+    shifted = [x - z for x, z in zip(plan.grid_x.coords(), Z)]
     want = np.zeros_like(got)
     for m, body in _two_blade_field(plan).blades.items():
         want[..., m] = body(*shifted)
@@ -79,7 +78,7 @@ def test_convolution_at_kappa_zero_is_the_gaussian_closed_form(case):
     cf, cg = np.random.default_rng(3).uniform(-1.5, 1.5, (2, plan.sig.n_blades))
     got = convolve(_gaussian(plan, cf, A, U), _gaussian(plan, cg, B, V), plan).values
     coef = np.einsum("i,j,ijk->k", cf, cg, structure_tensor(plan.sig))
-    profile = (np.pi / (A + B)) ** 1.5 * _gauss(_coords(plan.grid_x), A * B / (A + B), U + V)
+    profile = (np.pi / (A + B)) ** 1.5 * _gauss(plan.grid_x.coords(), A * B / (A + B), U + V)
     assert _rel_max(got, profile[..., None] * coef) <= 1e-6
 
 
