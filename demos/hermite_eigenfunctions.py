@@ -10,7 +10,7 @@ factor is exactly 1, so the whole spectrum sits on the 4 units
 {1, -a, -b, ab} and their opposites.
 """
 
-from cliffdunkl.cdt_engine import build_plan, _eigen_fit
+from cliffdunkl.cdt_engine import build_plan, eigen_fit
 from cliffdunkl.clifford_core import MultiVector, Signature, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit
 
@@ -24,7 +24,7 @@ print(f"{'v':>3} {'u':>3} {'lambda':>18} {'direction':>22} {'residual':>10}")
 for level in range(5):
     for lv in range(level + 1):
         lu = level - lv
-        fit = _eigen_fit((lv,), (lu,), plan)
+        fit = eigen_fit((lv,), (lu,), plan)
         unit = MultiVector.scalar(sig, 1.0)
         for _ in range(lv):
             unit = unit * (-a.value)

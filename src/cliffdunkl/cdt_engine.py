@@ -589,9 +589,10 @@ def inverse(F, plan: TransformPlan) -> SampledField:
 class ClaimReport:
     """One measured identity or constant, compared against its assertion.
 
-    `status` is "pass" when the measurement agrees within tolerance
-    (|measured/paper - 1| <= tol, or |measured| <= tol when the asserted
-    value is 0); otherwise "flagged", keeping the measured value.
+    `status` is "pass" when the measurement agrees within the rtol of the
+    plan that measured it (|measured/paper - 1| <= rtol, or |measured| <=
+    rtol when the asserted value is 0); otherwise "flagged", keeping the
+    measured value.
     """
 
     claim: str
@@ -605,24 +606,34 @@ class ClaimReport:
     units: str
 
     @classmethod
-    def make(cls, claim, paper, measured, tol, grid, sig, kappa, units) -> "ClaimReport":
+    def make(cls, claim, paper, measured, units, plan: TransformPlan) -> "ClaimReport":
+        """The report of a claim measured with `plan`, which gives the
+        tolerance and the recorded grids, signature and kappa."""
         paper = float(paper)
         measured = float(measured)
         if paper == 0.0:
             ratio = None
-            ok = abs(measured) <= tol
+            ok = abs(measured) <= plan.rtol
         else:
             ratio = measured / paper
-            ok = abs(ratio - 1.0) <= tol
+            ok = abs(ratio - 1.0) <= plan.rtol
+        L_x, panels, order = plan.grid_x.spec
         return cls(
             claim=claim,
             paper_value=paper,
             measured_value=measured,
             ratio=ratio,
             status="pass" if ok else "flagged",
-            grid=dict(grid),
-            sig=str(sig),
-            kappa=tuple(float(k) for k in kappa),
+            grid={
+                "L_x": list(L_x),
+                "L_y": list(plan.grid_y.spec[0]),
+                "panels": panels,
+                "order": order,
+                "nodes_per_axis": list(plan.grid_x.shape),
+                "normalization": plan.normalization,
+            },
+            sig=str(plan.sig),
+            kappa=tuple(float(k) for k in plan.ms.kappa),
             units=units,
         )
 
@@ -632,18 +643,6 @@ class ClaimReport:
 
 def reports_to_json(reports) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
-
-
-def _grid_meta(plan: TransformPlan) -> dict:
-    L_x, panels, order = plan.grid_x.spec
-    return {
-        "L_x": list(L_x),
-        "L_y": list(plan.grid_y.spec[0]),
-        "panels": panels,
-        "order": order,
-        "nodes_per_axis": list(plan.grid_x.shape),
-        "normalization": plan.normalization,
-    }
 
 
 def _block_constant(ms: MultiplicitySplit) -> float:
@@ -672,8 +671,8 @@ def _block_constant(ms: MultiplicitySplit) -> float:
     return value
 
 
-def plancherel_ratio(f, plan: TransformPlan) -> tuple:
-    """|forward(f)|^2 / |f|^2 in the weighted norms, with a ClaimReport.
+def plancherel_ratio(f, plan: TransformPlan) -> ClaimReport:
+    """The ClaimReport of |forward(f)|^2 / |f|^2 in the weighted norms.
 
     The asserted constant is stated for the unnormalized transform; for a
     mehta-mode plan it is rescaled by (c_p c_q)^2 before comparison.
@@ -692,17 +691,7 @@ def plancherel_ratio(f, plan: TransformPlan) -> tuple:
     ratio = forward(fin, plan).norm2() / n_in
     if not math.isfinite(ratio):
         raise OverflowError(f"Plancherel ratio is {ratio!r}: the field or its image overflows")
-    report = ClaimReport.make(
-        "plancherel-constant",
-        paper,
-        ratio,
-        plan.rtol,
-        _grid_meta(plan),
-        plan.sig,
-        plan.ms.kappa,
-        "dimensionless",
-    )
-    return ratio, report
+    return ClaimReport.make("plancherel-constant", paper, ratio, "dimensionless", plan)
 
 
 # -- Hermite eigenfunctions -----------------------------------------------
@@ -742,8 +731,15 @@ def eigen_indices(v, u, ms: MultiplicitySplit) -> tuple:
     return v, u
 
 
-def _eigen_fit(v: tuple, u: tuple, plan: TransformPlan) -> dict:
-    """Forward a Hermite product and fit F(y) = h(y) * C, C a constant."""
+def _levels(v, u) -> str:
+    """The claim-name suffix of Hermite indices v and u, as "v1-u0.2"."""
+    return f"v{'.'.join(map(str, v))}-u{'.'.join(map(str, u))}"
+
+
+def eigen_fit(v: tuple, u: tuple, plan: TransformPlan) -> dict:
+    """Forward a Hermite product and fit F(y) = h(y) * C, C a constant:
+    C, its factor "lambda" along (-a)^l(v) (-b)^l(u), and the relative
+    "shape_residual" and "unit_residual" of the two fits."""
     v, u = eigen_indices(v, u, plan.ms)
     hx = _hermite_product_grid(plan.grid_x, v + u)
     vals = np.zeros(plan.grid_x.shape + (plan.sig.n_blades,))
@@ -772,21 +768,18 @@ def eigencheck(v, u, plan: TransformPlan) -> ClaimReport:
     report regardless of the eigenvalue.  Indices `eigen_indices` refuses
     raise ValueError.
     """
-    return _eigen_report(v, u, _eigen_fit(v, u, plan), plan)
+    return _eigen_report(v, u, eigen_fit(v, u, plan), plan)
 
 
 def _eigen_report(v, u, fit: dict, plan: TransformPlan) -> ClaimReport:
-    """The eigenvalue ClaimReport of an `_eigen_fit` result."""
+    """The eigenvalue ClaimReport of an `eigen_fit` result."""
     paper = _block_constant(plan.ms) * plan.mode_scale
     report = ClaimReport.make(
-        f"eigenvalue-v{'.'.join(map(str, v))}-u{'.'.join(map(str, u))}",
+        f"eigenvalue-{_levels(v, u)}",
         paper,
         fit["lambda"],
-        plan.rtol,
-        _grid_meta(plan),
-        plan.sig,
-        plan.ms.kappa,
         "dimensionless",
+        plan,
     )
     if fit["shape_residual"] > plan.rtol or fit["unit_residual"] > plan.rtol:
         report = replace(report, status="flagged")
@@ -1032,7 +1025,6 @@ def run_claims_ledger(config: dict | None = None) -> list:
         raise ValueError("the ledger needs p + q = 2, two multiplicities and split = 1")
     a = validate_imaginary(MultiVector.blade(sig, cfg["a"]), str(cfg["a"]))
     b = validate_imaginary(MultiVector.blade(sig, cfg["b"]), str(cfg["b"]))
-    tol = float(cfg["rtol"])
     delta = float(cfg["delta"])
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
@@ -1040,20 +1032,15 @@ def run_claims_ledger(config: dict | None = None) -> list:
         sig, ms, a, b,
         L_x=cfg["L_x"], L_y=cfg["L_y"],
         panels=cfg["panels"], order=cfg["order"],
-        normalization="raw", rtol=tol,
+        normalization="raw", rtol=float(cfg["rtol"]),
     )
     # the modes differ only in the scale applied after the contractions
     plans = {"raw": raw, "mehta": replace(raw, normalization="mehta")}
     _c_squared(plans["raw"])  # an underflowing (c_p c_q)^2 stops the ledger before any transform
-    meta = _grid_meta(plans["raw"])
     reports = []
 
-    def add(claim, paper, measured, units, grid=None):
-        reports.append(
-            ClaimReport.make(
-                claim, paper, measured, tol, grid or meta, sig, ms.kappa, units
-            )
-        )
+    def add(claim, paper, measured, units, plan=raw):
+        reports.append(ClaimReport.make(claim, paper, measured, units, plan))
 
     gauss = _gaussian_field(sig, ms, delta)
     cp, cq = mehta_constant(ms.kappa_p), mehta_constant(ms.kappa_q)
@@ -1079,10 +1066,8 @@ def run_claims_ledger(config: dict | None = None) -> list:
         off = F.values.copy()
         off[..., 0] -= const * target
         shape_err = math.sqrt(float(np.sum(w[..., None] * off**2)) / norms[1])
-        add(f"gaussian-constant-{mode}", asserted, const, "dimensionless",
-            _grid_meta(plans[mode]))
-        add(f"gaussian-shape-{mode}", 0.0, shape_err, "relative L2 error",
-            _grid_meta(plans[mode]))
+        add(f"gaussian-constant-{mode}", asserted, const, "dimensionless", plans[mode])
+        add(f"gaussian-shape-{mode}", 0.0, shape_err, "relative L2 error", plans[mode])
     add("gaussian-constant-raw-oracle", asserted / (cp * cq), consts["raw"],
         "dimensionless")
 
@@ -1096,16 +1081,14 @@ def run_claims_ledger(config: dict | None = None) -> list:
     )
     for mode in ("raw", "mehta"):
         for name, test in (("scalar", poly), ("multivector", quat)):
-            ref = SampledField(
-                sig, ms, plans[mode].grid_x, _sample_on(test, plans[mode].grid_x, sig, ms)
-            )
+            ref = SampledField(sig, ms, plans[mode].grid_x, test.sample(plans[mode].grid_x))
             back = inverse(forward(test, plans[mode]), plans[mode])
             add(
                 f"inversion-roundtrip-{name}-{mode}",
                 0.0,
                 rel_l2_error(back, ref),
                 "relative L2 error",
-                _grid_meta(plans[mode]),
+                plans[mode],
             )
 
     # Plancherel: constancy across fields, asserted constant, classical limit
@@ -1117,25 +1100,25 @@ def run_claims_ledger(config: dict | None = None) -> list:
         AnalyticField(sig, ms, {3: lambda x1, x2: x2 * np.exp(-(x1**2 + x2**2))}),
     ]
     measured = [plancherel_ratio(fld, plans["raw"]) for fld in fields]
-    ratios = [ratio for ratio, _ in measured]
+    ratios = [report.measured_value for report in measured]
     spread = (max(ratios) - min(ratios)) / ratios[0]
     add("plancherel-constancy", 0.0, spread, "relative spread")
-    reports.append(measured[0][1])  # the Gaussian's, against the asserted constant
+    reports.append(measured[0])  # the Gaussian's, against the asserted constant
     add("plancherel-vs-gaussian-oracle", cp**-2 * cq**-2, ratios[0], "dimensionless")
 
     # Eigenfunctions: shape residual and eigenvalue, raw mode
     lam_oracle = cp**-1 * cq**-1
     for v, u in (((0,), (0,)), ((1,), (0,)), ((0,), (2,)), ((2,), (1,))):
-        fit = _eigen_fit(v, u, plans["raw"])
+        fit = eigen_fit(v, u, plans["raw"])
         add(
-            f"eigen-shape-v{'.'.join(map(str, v))}-u{'.'.join(map(str, u))}",
+            f"eigen-shape-{_levels(v, u)}",
             0.0,
             max(fit["shape_residual"], fit["unit_residual"]),
             "relative residual",
         )
         reports.append(_eigen_report(v, u, fit, plans["raw"]))
         add(
-            f"eigenvalue-oracle-v{'.'.join(map(str, v))}-u{'.'.join(map(str, u))}",
+            f"eigenvalue-oracle-{_levels(v, u)}",
             lam_oracle,
             fit["lambda"],
             "dimensionless",
@@ -1143,7 +1126,7 @@ def run_claims_ledger(config: dict | None = None) -> list:
 
     # Translation: tau_0 identity and explicit/spectral agreement
     z = tuple(float(t) for t in cfg["z"])
-    ref = SampledField(sig, ms, plans["raw"].grid_x, _sample_on(gauss, plans["raw"].grid_x, sig, ms))
+    ref = SampledField(sig, ms, plans["raw"].grid_x, gauss.sample(plans["raw"].grid_x))
     add(
         "translation-zero-identity",
         0.0,
@@ -1153,9 +1136,7 @@ def run_claims_ledger(config: dict | None = None) -> list:
     if all(k > 0.0 for k in ms.kappa):
         spec = translate_spectral(gauss, z, plans["raw"])
         expl = translate_explicit(gauss, z, ms)
-        expl_s = SampledField(
-            sig, ms, plans["raw"].grid_x, _sample_on(expl, plans["raw"].grid_x, sig, ms)
-        )
+        expl_s = SampledField(sig, ms, plans["raw"].grid_x, expl.sample(plans["raw"].grid_x))
         add(
             "translation-explicit-vs-spectral",
             0.0,

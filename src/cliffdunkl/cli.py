@@ -213,8 +213,8 @@ def _cmd_roundtrip(args):
 def _cmd_plancherel(args):
     f = _load(args)
     plan = _plan(args, f.sig, f.ms, *_sides(args, f.sig.d, f))
-    ratio, report = plancherel_ratio(f, plan)
-    print(f"plancherel ratio |F|^2/|f|^2 = {ratio!r}")
+    report = plancherel_ratio(f, plan)
+    print(f"plancherel ratio |F|^2/|f|^2 = {report.measured_value!r}")
     print(
         f"claim {report.claim}: asserted {report.paper_value!r}, measured "
         f"{report.measured_value!r} [{report.status}]"

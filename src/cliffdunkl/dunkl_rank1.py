@@ -254,12 +254,17 @@ def psi_rule(kappa: float, order: int):
     """Nodes and weights integrating f against the translation density
     psi_kappa(t) = Gamma(kappa+1/2)/(sqrt(pi) Gamma(kappa)) (1+t)(1-t^2)^(kappa-1),
     whose total mass is exactly 1.  A `zero_limit` kappa gets its limit
-    delta_{+1}: the node pair (-1, +1) with weights (0, 1)."""
+    delta_{+1}: the node pair (-1, +1) with weights (0, 1).  Raises
+    OverflowError, naming kappa, when the rule's recurrence leaves the
+    float range."""
     if kappa <= 0.0:
         raise ValueError("psi density needs kappa > 0")
     if zero_limit(kappa):
         return np.array([-1.0, 1.0]), np.array([0.0, 1.0])
-    nodes, weights = jacobi_rule(kappa - 1.0, kappa - 1.0, order)
+    try:
+        nodes, weights = jacobi_rule(kappa - 1.0, kappa - 1.0, order)
+    except OverflowError as exc:
+        raise OverflowError(f"psi rule for kappa = {kappa!r}: {exc}") from None
     # log space: Gamma(kappa + 1/2) alone overflows from kappa ~ 171 on
     const = math.exp(math.lgamma(kappa + 0.5) - math.lgamma(kappa) - 0.5 * math.log(math.pi))
     w = const * weights * (1.0 + nodes)

@@ -56,10 +56,10 @@ class MiyachiConfig:
     ladder: tuple = (2.0, 3.0, 4.0, 5.0)
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):  # NaN fails too
-            raise ValueError("alpha and beta must be positive")
-        if not self.lam > 0.0:
-            raise ValueError("lambda must be positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):  # NaN fails too
+            raise ValueError("alpha and beta must be positive and finite")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         if not self.exponent >= 1.0:
             raise ValueError("exponent must be in [1, inf]")
         object.__setattr__(self, "ladder", _ladder(self.ladder))
@@ -113,8 +113,8 @@ def verdict_to_json(v: MiyachiVerdict) -> str:
 
 def classify(alpha: float, beta: float) -> str:
     """vanishing / boundary / subcritical by alpha*beta against 1/4."""
-    if not (alpha > 0.0 and beta > 0.0):  # NaN fails too
-        raise ValueError("alpha and beta must be positive")
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):  # NaN fails too
+        raise ValueError("alpha and beta must be positive and finite")
     prod = alpha * beta
     if abs(prod - 0.25) <= BOUNDARY_TOL:
         return "boundary"
@@ -157,8 +157,8 @@ def check_growth(f, alpha: float, n: float, ladder, *, panels: int = 1, order: i
     """
     if not isinstance(f, AnalyticField):
         raise TypeError("the growth condition samples f on every rung, so it needs an analytic field")
-    if not alpha > 0.0:  # NaN fails too
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:  # NaN fails too
+        raise ValueError("alpha must be positive and finite")
     if not n >= 1.0:
         raise ValueError("exponent must be in [1, inf]")
     ladder = _ladder(ladder)
@@ -194,8 +194,8 @@ def check_log(F, beta: float, lam: float, ladder) -> ConditionReport:
     Unweighted Lebesgue measure.  F holds one SampledField per rung, each
     with a grid covering its rung; nodes outside the rung are left out.
     """
-    if not (beta > 0.0 and lam > 0.0):  # NaN fails too
-        raise ValueError("beta and lambda must be positive")
+    if not (0.0 < beta < math.inf and 0.0 < lam < math.inf):  # NaN fails too
+        raise ValueError("beta and lambda must be positive and finite")
     ladder = _ladder(ladder)
     fields = list(F)
     if len(fields) != len(ladder):
@@ -234,7 +234,7 @@ def verdict(f, config: MiyachiConfig, plan: TransformPlan) -> MiyachiVerdict:
         rung_plan = build_plan(
             plan.sig, plan.ms, plan.a, plan.b,
             L_x=L_x, L_y=float(L), panels=panels, order=order,
-            normalization=plan.normalization, rtol=plan.rtol,
+            normalization=plan.normalization,
         )
         rung_fields.append(forward(f, rung_plan))
     cond2 = check_log(rung_fields, config.beta, config.lam, config.ladder)

@@ -38,7 +38,7 @@ from cliffdunkl.cdt_engine import (
     translate_explicit,
     translate_spectral,
 )
-from cliffdunkl.cdt_engine import _eigen_fit, _sample_on
+from cliffdunkl.cdt_engine import _sample_on, eigen_fit
 from cliffdunkl.miyachi import MiyachiConfig, check_log, verdict
 from cliffdunkl.field_io import load_field, save_field
 from cliffdunkl.field_expr import (
@@ -117,11 +117,11 @@ def test_criterion_3_plancherel_constancy(sig02, ms_std, plan_std, unit_a, unit_
         AnalyticField(sig02, ms_std, {0: lambda x1, x2: np.cos(x1) * g(x1, x2),
                                       3: lambda x1, x2: x1 * x2 * g(x1, x2)}),
     ]
-    ratios = [plancherel_ratio(f, plan_std)[0] for f in fields]
+    ratios = [plancherel_ratio(f, plan_std).measured_value for f in fields]
     spread = (max(ratios) - min(ratios)) / abs(np.mean(ratios))
     ms0 = MultiplicitySplit((0.0, 0.0), 1)
     plan0 = build_plan(sig02, ms0, unit_a, unit_b, L_x=7.0, L_y=7.0)
-    r0 = plancherel_ratio(AnalyticField(sig02, ms0, {0: g}), plan0)[0]
+    r0 = plancherel_ratio(AnalyticField(sig02, ms0, {0: g}), plan0).measured_value
     dev0 = abs(r0 / (2.0 * math.pi) ** 2 - 1.0)
     ok = spread <= 1e-6 and dev0 <= 1e-6
     _report(3, "plancherel constancy", ok,
@@ -132,7 +132,7 @@ def test_criterion_4_eigenfunction_structure(plan_std):
     lams, worst = [], 0.0
     for lv in range(5):
         for lu in range(5 - lv):
-            fit = _eigen_fit((lv,), (lu,), plan_std)
+            fit = eigen_fit((lv,), (lu,), plan_std)
             lams.append(fit["lambda"])
             worst = max(worst, fit["shape_residual"], fit["unit_residual"])
     spread = (max(lams) - min(lams)) / abs(np.mean(lams))

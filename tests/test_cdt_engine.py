@@ -330,31 +330,30 @@ def test_plancherel_ratio_is_field_independent(sig02, ms_std, plan_std):
             3: lambda x1, x2: x2 * np.exp(-(x1**2 + x2**2)),
         }),
     ]
-    ratios = [plancherel_ratio(f, plan_std)[0] for f in fields]
+    ratios = [plancherel_ratio(f, plan_std).measured_value for f in fields]
     assert (max(ratios) - min(ratios)) / ratios[0] <= 1e-10
 
 
 def test_plancherel_raw_constant_and_flag(sig02, ms_std, plan_std):
     # measured constant is c_p^-2 c_q^-2; the asserted one differs, so the
     # report must flag while keeping the measurement
-    ratio, report = plancherel_ratio(gaussian_field(sig02, ms_std), plan_std)
+    report = plancherel_ratio(gaussian_field(sig02, ms_std), plan_std)
     cp = mehta_constant(ms_std.kappa_p)
     cq = mehta_constant(ms_std.kappa_q)
-    assert abs(ratio * (cp * cq) ** 2 - 1.0) <= 1e-10
+    assert abs(report.measured_value * (cp * cq) ** 2 - 1.0) <= 1e-10
     assert report.claim == "plancherel-constant"
     assert report.status == "flagged"
-    assert report.measured_value == ratio
 
 
 def test_plancherel_mehta_is_unitary(sig02, ms_std, plan_std_mehta):
-    ratio, _ = plancherel_ratio(gaussian_field(sig02, ms_std), plan_std_mehta)
+    ratio = plancherel_ratio(gaussian_field(sig02, ms_std), plan_std_mehta).measured_value
     assert abs(ratio - 1.0) <= 1e-10
 
 
 def test_plancherel_kappa_zero_gives_two_pi_squared(sig02, ms00, unit_a, unit_b):
     # wider box: the image Gaussian decays like e^{-|y|^2/4}
     plan = build_plan(sig02, ms00, unit_a, unit_b, L_x=7.0, L_y=7.0)
-    ratio, _ = plancherel_ratio(gaussian_field(sig02, ms00), plan)
+    ratio = plancherel_ratio(gaussian_field(sig02, ms00), plan).measured_value
     assert abs(ratio / (2.0 * np.pi) ** 2 - 1.0) <= 1e-9
 
 
@@ -635,11 +634,8 @@ def test_ledger_stops_on_the_constant_before_any_transform():
 
 
 def test_claim_report_json_roundtrip_is_bit_exact(sig02, ms_std, plan_std):
-    _, rep = plancherel_ratio(gaussian_field(sig02, ms_std), plan_std)
-    synthetic = ClaimReport.make(
-        "adversarial", 1e-300, 0.1 + 0.2, 1e-6,
-        {"L_x": [8.0], "order": 48}, "Cl(0,2)", (0.3, 0.7), "dimensionless",
-    )
+    rep = plancherel_ratio(gaussian_field(sig02, ms_std), plan_std)
+    synthetic = ClaimReport.make("adversarial", 1e-300, 0.1 + 0.2, "dimensionless", plan_std)
     text = reports_to_json([rep, synthetic])
     back = reports_from_json(text)
     assert back == [rep, synthetic]
@@ -650,13 +646,13 @@ def test_claim_report_json_roundtrip_is_bit_exact(sig02, ms_std, plan_std):
     assert parsed[1]["measured_value"] == 0.1 + 0.2
 
 
-def test_claim_report_pass_and_flag_rules():
-    grid = {"order": 8}
-    ok = ClaimReport.make("c", 2.0, 2.0 + 1e-9, 1e-6, grid, "s", (0.0,), "u")
+def test_claim_report_pass_and_flag_rules(plan_std):
+    assert plan_std.rtol == 1e-6
+    ok = ClaimReport.make("c", 2.0, 2.0 + 1e-9, "u", plan_std)
     assert ok.status == "pass" and abs(ok.ratio - 1.0) <= 1e-6
-    bad = ClaimReport.make("c", 2.0, 2.1, 1e-6, grid, "s", (0.0,), "u")
+    bad = ClaimReport.make("c", 2.0, 2.1, "u", plan_std)
     assert bad.status == "flagged"
-    zero = ClaimReport.make("c", 0.0, 5e-7, 1e-6, grid, "s", (0.0,), "u")
+    zero = ClaimReport.make("c", 0.0, 5e-7, "u", plan_std)
     assert zero.status == "pass" and zero.ratio is None
 
 
@@ -679,6 +675,26 @@ def test_default_ledger_flags_exactly_the_asserted_constants():
         assert by_name[name].status == "pass"
     assert by_name["plancherel-constant"].measured_value == pytest.approx(
         by_name["plancherel-vs-gaussian-oracle"].paper_value, rel=1e-12)
+
+
+def test_each_ledger_claim_records_the_plan_that_measured_it():
+    # rtol = 1e-7 lies below the round-trip and tau_0 errors (1.5e-7 to
+    # 6.4e-7) that the default 1e-6 passes, so it moves their statuses
+    default, tight = run_claims_ledger(), run_claims_ledger({"rtol": 1e-7})
+    assert [r.claim for r in tight] == [r.claim for r in default]
+    assert any(r.status != d.status for r, d in zip(tight, default))
+    sides = {"L_x": [8.0, 8.0], "L_y": [8.0, 8.0], "panels": 1, "order": 48}
+    for reports, rtol in ((default, 1e-6), (tight, 1e-7)):
+        for r in reports:
+            mode = "mehta" if r.claim.endswith("-mehta") else "raw"
+            assert r.grid == dict(sides, nodes_per_axis=[96, 96], normalization=mode), r.claim
+            assert (r.sig, r.kappa) == (str(Signature(0, 2)), (0.3, 0.7)), r.claim
+            ok = (abs(r.measured_value) <= rtol if r.paper_value == 0.0
+                  else abs(r.measured_value / r.paper_value - 1.0) <= rtol)
+            # an eigenvalue claim is also flagged by the residuals of its fit
+            assert r.status == ("pass" if ok else "flagged") or (
+                r.claim.startswith("eigenvalue-v") and r.status == "flagged"), r.claim
+    assert sum(r.grid["normalization"] == "mehta" for r in default) == 4
 
 
 def test_ledger_accepts_config_overrides():

@@ -495,6 +495,18 @@ def test_miyachi_bad_ladder_exits_2(tmp_path, gauss_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag,code", [("--alpha", 2), ("--beta", 2), ("--lambda", 2), ("--exponent", 0)])
+def test_miyachi_infinite_rates_exit_2(gauss_file, capsys, flag, code):
+    # an infinite alpha or beta overflows every rung of its condition to
+    # Infinity, and lambda = inf passes |C| <= lambda vacuously; n = inf is
+    # the documented exponent of the boundary case
+    values = {"--alpha": "1", "--beta": "0.25", "--lambda": "3", flag: "inf"}
+    rc = main(["miyachi", "--field", str(gauss_file), "--in-grid", "-6:6:1:16",
+               *(x for kv in values.items() for x in kv)])
+    assert rc == code
+    assert ("usage error" in capsys.readouterr().err) == (code == 2)
+
+
 @pytest.mark.parametrize("config,code", [
     ({"rtol": -1}, 3),
     ({"kappa": [-1, 0]}, 3),

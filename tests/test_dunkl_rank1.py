@@ -360,6 +360,13 @@ def test_psi_rule_mass_and_mean(kappa):
     assert abs(want - 1.0 / (2.0 * kappa + 1.0)) < 1e-12
 
 
+def test_psi_rule_names_kappa_when_its_rule_overflows():
+    # the Jacobi recurrence leaves the float range; as for the kernel rule,
+    # the message names kappa, not only the rule's a and b
+    with pytest.raises(OverflowError, match=r"^psi rule for kappa = 1e\+80: Jacobi recurrence"):
+        psi_rule(1e80, 16)
+
+
 @pytest.mark.parametrize("kappa", [1e-17, 1e-300])
 def test_kernel_at_float_zero_kappa_is_the_kappa_zero_kernel(kappa):
     # kappa - 1 == -1 in float64: no Jacobi rule exists, and the kernel

@@ -3,7 +3,8 @@ an `__all__` list; every third-party module the package imports is a
 declared dependency; no module imports a name it never uses, and every
 private module-level function or class has a caller in the package, so
 deleted code leaves neither imports nor helpers behind; and no module
-imports another's private name, so each private name has one owner."""
+imports another's private name, so each private name has one owner; nor
+does a demo, which shows the public API."""
 
 import ast
 import importlib
@@ -20,6 +21,7 @@ MODULES = ["cliffdunkl"] + [
     f"cliffdunkl.{m.name}" for m in pkgutil.iter_modules(cliffdunkl.__path__)
 ]
 SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "cliffdunkl").glob("[!_]*.py"))
+DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -95,3 +97,15 @@ def test_no_module_imports_a_private_name_from_another():
     assert imports, "the scan found no import from the package at all"
     unowned = sorted(crossing - PRIVATE_IMPORTS_ALLOWED)
     assert not unowned, f"private names imported across modules: {unowned}"
+
+
+def test_no_demo_imports_a_private_name():
+    imports, private = 0, set()
+    for demo in DEMOS:
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("cliffdunkl"):
+                imports += 1
+                private.update((demo.stem, alias.name) for alias in node.names
+                               if alias.name.startswith("_"))
+    assert imports, "the scan found no import from the package in the demos"
+    assert not private, f"private names imported by demos: {sorted(private)}"

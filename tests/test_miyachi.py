@@ -199,6 +199,28 @@ def test_checkers_refuse_the_parameters_the_config_refuses(sig02, ms_std, unit_a
             check_growth(f, alpha, 2.0, ladder)
 
 
+@pytest.mark.parametrize("alpha,beta,lam", [
+    (math.inf, 0.3, 1.0), (0.5, math.inf, 1.0), (0.5, 0.3, math.inf),
+])
+def test_checkers_refuse_infinite_rates(sig02, ms_std, unit_a, unit_b, alpha, beta, lam):
+    # an infinite alpha or beta overflows every rung to inf, and lambda = inf
+    # passes |C| <= lambda vacuously
+    f = gaussian_field(sig02, ms_std)
+    F = forward(f, build_plan(sig02, ms_std, unit_a, unit_b, L_x=4.0, L_y=5.0, order=8))
+    ladder = (2.0, 3.0, 4.0)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        MiyachiConfig(alpha, beta, lam, ladder=ladder)
+    if lam < math.inf:
+        with pytest.raises(ValueError, match="alpha and beta must be positive and finite"):
+            classify(alpha, beta)
+    if alpha < math.inf:
+        with pytest.raises(ValueError, match="beta and lambda must be positive and finite"):
+            check_log([F] * len(ladder), beta, lam, ladder)
+    else:
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            check_growth(f, alpha, 2.0, ladder)
+
+
 # -- log-plus condition -------------------------------------------------------
 
 
