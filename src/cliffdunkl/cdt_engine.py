@@ -367,8 +367,8 @@ def build_plan(
     quadrant of each axis (positive x nodes times positive y nodes).  Before
     tabulating, the plan refuses coordinates with L_x * L_y beyond the
     kernel radius (ArgumentOutOfRadius from `kernel_coefficients`).
-    Kernels are tabulated on the positive quadrant of each axis; parity
-    gives the rest.
+    Kernels are tabulated on the triangle of the positive quadrant of each
+    axis, where t = x_i x_k L_y / L_x is symmetric; parity gives the rest.
     """
     if sig.d != ms.d:
         raise PlanMismatch(f"{ms.d} multiplicities for d={sig.d}")
@@ -383,16 +383,20 @@ def build_plan(
     grid_y = grid_x if L_y is None else build_grid(ms, L_y, panels=panels, order=order)
     axes = tuple(zip(grid_x.axes, grid_y.axes))
     tables = tuple(kernel_coefficients(k, t_max=ax.L * ay.L) for k, (ax, ay) in zip(ms.kappa, axes))
+    n = panels * order  # positive nodes of every axis, on either side
+    upper = np.less_equal.outer(np.arange(n), np.arange(n))
     mats = []
     for table, (ax, ay) in zip(tables, axes):
-        n, m = len(ax) // 2, len(ay) // 2
-        A, B = eval_kernel_ab(table, np.outer(ax.nodes[n:], ay.nodes[m:]).ravel())
-        A, B = A.reshape(n, m), B.reshape(n, m)
-        wx, wy = (ax.weights * ax.wk)[n:, None], (ay.weights * ay.wk)[m:, None]
-        pair = np.stack((wx * A, wx * B)), np.stack((wy * A.T, -wy * B.T))
-        for M in pair:
+        pos = ax.nodes[n:]
+        AB = np.empty((2, n, n))
+        AB[0][upper], AB[1][upper] = eval_kernel_ab(table, np.outer(pos, pos)[upper] * (ay.L / ax.L))
+        AB = np.where(upper, AB, AB.transpose(0, 2, 1))
+        wx, wy = (ax.weights * ax.wk)[n:, None], (ay.weights * ay.wk)[n:, None]
+        fwd, inv = AB * wx, AB.transpose(0, 2, 1) * wy
+        inv[1] *= -1.0
+        for M in (fwd, inv):
             M.flags.writeable = False
-        mats.append(pair)
+        mats.append((fwd, inv))
     return TransformPlan(
         sig=sig,
         ms=ms,

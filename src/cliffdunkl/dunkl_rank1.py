@@ -13,8 +13,9 @@ the kernel is evaluated from Poisson's integral (Rosler, LNM 1817),
     A(t) = 1 - (1/m0) int_{-1}^{1} 2 sin^2(t s / 2) (1 - s^2)^(kappa-1) ds,
     B(t) = -(1/m0) int_{-1}^{1} s sin(t s) (1 - s^2)^(kappa-1) ds,
 
-m0 = B(1/2, kappa), with the package's Gauss-Jacobi rules.  The power
-series above cancels catastrophically in float64 (its error floor is
+m0 = B(1/2, kappa), with the package's Gauss-Jacobi rules, summed over half
+the rule: the weight is symmetric and both integrands are even in s.  The
+power series above cancels catastrophically in float64 (its error floor is
 eps * e^|t|), so it only serves the tests as an oracle.  Writing
 cos(t s) = 1 - 2 sin^2(t s / 2) makes E(0) = (1, 0) exact, where the
 cosine sum would round A(0) to 1 + O(eps).  The integral form also keeps
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 KERNEL_RADIUS_CAP = 300.0  # max |x y| a kernel table accepts; tested to there against mpmath
-_KERNEL_BLOCK = 1 << 14  # arguments per block of kernel_ab_integral: a 128 x 128 kernel quadrant
+_KERNEL_BLOCK = 1 << 14  # arguments per block of kernel_ab_integral: the triangle of a 180 x 180 quadrant
 
 
 class ArgumentOutOfRadius(ValueError):
@@ -147,7 +148,9 @@ def kernel_rule_order(t_max: float) -> int:
 
 def kernel_ab_integral(kappa: float, t, order: int) -> tuple:
     """(A, B) from the integral representation with an `order`-node
-    Gauss-Jacobi rule; a `zero_limit` kappa gives (cos t, -sin t).  The
+    Gauss-Jacobi rule; a `zero_limit` kappa gives (cos t, -sin t).  Each
+    mirrored node pair folds into one node (s+ - s-)/2 with weight w+ + w-
+    (an odd order's zero node adds nothing; m0 sums the full rule).  The
     arguments are summed in blocks of _KERNEL_BLOCK.  Raises OverflowError,
     naming kappa, when the rule's recurrence leaves the float range."""
     t = np.asarray(t, dtype=float)
@@ -158,15 +161,17 @@ def kernel_ab_integral(kappa: float, t, order: int) -> tuple:
     except OverflowError as exc:
         raise OverflowError(f"kernel rule for kappa = {kappa!r}: {exc}") from None
     m0 = float(weights.sum())
+    s = 0.5 * (nodes[::-1] - nodes)[:order // 2]  # ascending nodes: pair j is (order - 1 - j, j)
+    w = (weights[::-1] + weights)[:order // 2]
     A, B = np.empty(t.shape), np.empty(t.shape)
     for start in range(0, t.size, _KERNEL_BLOCK):
         rows = slice(start, start + _KERNEL_BLOCK)
-        phase = np.multiply.outer(t.reshape(-1)[rows], nodes)
-        half = np.multiply(phase, 0.5)  # in place from here: two (block, node) arrays at most
+        phase = np.multiply.outer(t.reshape(-1)[rows], s)
+        half = np.multiply(phase, 0.5)  # in place from here: two (block, order // 2) arrays
         np.sin(half, out=half)
         half *= half
-        A.reshape(-1)[rows] = 1.0 - half @ (2.0 * weights) / m0
-        B.reshape(-1)[rows] = np.sin(phase, out=phase) @ -(weights * nodes) / m0
+        A.reshape(-1)[rows] = 1.0 - half @ (2.0 * w) / m0
+        B.reshape(-1)[rows] = np.sin(phase, out=phase) @ -(w * s) / m0
         del phase, half  # before the next block's arrays exist
     return A, B
 
@@ -174,11 +179,11 @@ def kernel_ab_integral(kappa: float, t, order: int) -> tuple:
 def eval_kernel_ab(table: KernelTable, t) -> tuple:
     """(A(t), B(t)) with E(x, -u y) = A + u B, E(x, +u y) = A - u B, t = x y.
 
-    Raises ArgumentOutOfRadius for |t| beyond the table's t_max.
+    Raises ArgumentOutOfRadius for |t| beyond the table's t_max, or NaN.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > table.t_max):
-        raise ArgumentOutOfRadius(f"|t| exceeds validity radius {table.t_max}")
+    if not np.all(np.abs(t) <= table.t_max):  # False for NaN
+        raise ArgumentOutOfRadius(f"|t| exceeds validity radius {table.t_max} or is not a finite number")
     A, B = kernel_ab_integral(table.kappa, t, kernel_rule_order(table.t_max))
     if t.ndim == 0:
         return float(A), float(B)

@@ -221,9 +221,9 @@ def verdict(f, config: MiyachiConfig, plan: TransformPlan) -> MiyachiVerdict:
     Gaussian constant.
 
     The transform is evaluated per rung on output grids scaled to the rung
-    (the input grid and kernels come from the plan's settings).  The fit
-    weights nodes by e^{-alpha|x|^2} so the tail cannot dominate, and C is
-    reported with its residual and the |C| <= lambda comparison.
+    (the input grid comes from the plan, which also serves the rung its y
+    grid is).  The fit weights nodes by e^{-alpha|x|^2} so the tail cannot
+    dominate, and C is reported with its residual and the |C| <= lambda check.
     """
     case = classify(config.alpha, config.beta)
     L_x, panels, order = plan.grid_x.spec
@@ -231,7 +231,8 @@ def verdict(f, config: MiyachiConfig, plan: TransformPlan) -> MiyachiVerdict:
                          panels=panels, order=order)
     rung_fields = []
     for L in config.ladder:
-        rung_plan = build_plan(
+        rung = ((L,) * plan.sig.d, panels, order)
+        rung_plan = plan if plan.grid_y.spec == rung else build_plan(
             plan.sig, plan.ms, plan.a, plan.b,
             L_x=L_x, L_y=float(L), panels=panels, order=order,
             normalization=plan.normalization,

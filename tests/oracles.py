@@ -1,5 +1,6 @@
 """References for the tests, computed apart from the library's routes:
-the kernel's defining power series, the Mehta integral by quadrature, the
+the kernel's defining power series, its Poisson integral summed over every
+node of the Gauss-Jacobi rule, the Mehta integral by quadrature, the
 kernel as a multivector, the weight w_k, the generalized Hermite
 functions, each evaluated one point (or one row of points) at a time,
 a grid's node matrix, the weighted sum over its nodes, field sampling on
@@ -26,7 +27,7 @@ from cliffdunkl.dunkl_rank1 import (
     hermite_basis,
 )
 from cliffdunkl.field_expr import Add, Const, Coord, Div, Exp, Mul, Neg, Pow, Sub
-from cliffdunkl.quadrature import build_axis
+from cliffdunkl.quadrature import build_axis, jacobi_rule
 
 COEFF_CAP = 400
 SERIES_RADIUS = 4.0  # series error floor eps*e^|t| stays below ~1e-13 here
@@ -81,6 +82,19 @@ def kernel_ab_series(kappa: float, t) -> tuple:
     odd_pows = even_pows[:n_odd] * t
     odd_coeff = c[1 : 2 * n_odd : 2] * np.where(np.arange(n_odd) % 2, 1.0, -1.0)
     B = _kahan_poly(odd_coeff, odd_pows)
+    return A, B
+
+
+def kernel_ab_full_rule(kappa: float, t, order: int) -> tuple:
+    """(A, B) from Poisson's integral summed over all `order` nodes of the
+    Gauss-Jacobi rule for (1 - s^2)^(kappa - 1), both mirrored halves and
+    an odd order's zero node included; kappa must have a Jacobi rule."""
+    t = np.asarray(t, dtype=float)
+    nodes, weights = jacobi_rule(kappa - 1.0, kappa - 1.0, order)
+    m0 = float(weights.sum())
+    phase = np.multiply.outer(t, nodes)
+    A = 1.0 - np.sin(0.5 * phase) ** 2 @ (2.0 * weights) / m0
+    B = np.sin(phase) @ -(weights * nodes) / m0
     return A, B
 
 

@@ -35,6 +35,7 @@ from cliffdunkl.clifford_core import (
 from cliffdunkl.dunkl_rank1 import (
     ArgumentOutOfRadius,
     MultiplicitySplit,
+    eval_kernel_ab,
     mehta_constant,
 )
 from cliffdunkl.cdt_engine import (
@@ -57,7 +58,7 @@ from cliffdunkl.cdt_engine import (
     translate_spectral,
 )
 from cliffdunkl.cdt_engine import _Work, _fold, _sample_on, _unfold
-from cliffdunkl import cdt_engine
+from cliffdunkl import cdt_engine, dunkl_rank1
 from cliffdunkl.quadrature import build_grid
 
 from conftest import gaussian_field
@@ -90,6 +91,55 @@ def ms00(sig02):
 @pytest.fixture(scope="module")
 def plan00(sig02, ms00, unit_a, unit_b):
     return build_plan(sig02, ms00, unit_a, unit_b, L_x=6.0, L_y=6.0)
+
+
+# -- kernel tables ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("kappa,L_x,L_y,panels,order", [
+    ((0.3, 0.7), 8.0, 8.0, 1, 48),  # the ledger's grid
+    ((0.4, 1.1), 6.0, 10.0, 1, 32),  # L_x != L_y
+    ((0.05, 2.5), 5.0, 7.0, 3, 11),  # three panels
+    ((0.0, 1e-17), 6.0, 9.0, 2, 16),  # kappa = 0 and a zero-limit kappa
+])
+def test_plan_kernels_match_a_full_quadrant_evaluation(sig02, unit_a, unit_b,
+                                                      kappa, L_x, L_y, panels, order):
+    # the plan evaluates the triangle of t = x_i x_k L_y / L_x and mirrors
+    # it; the quadrant x_i y_k differs from that t by rounding only
+    plan = build_plan(sig02, MultiplicitySplit(kappa, 1), unit_a, unit_b,
+                      L_x=L_x, L_y=L_y, panels=panels, order=order)
+    sides = zip(plan.tables, plan.grid_x.axes, plan.grid_y.axes, plan.fwd_mats, plan.inv_mats)
+    for table, ax, ay, fwd, inv in sides:
+        n = len(ax) // 2
+        A, B = eval_kernel_ab(table, np.outer(ax.nodes[n:], ay.nodes[n:]))
+        wx, wy = (ax.weights * ax.wk)[n:, None], (ay.weights * ay.wk)[n:, None]
+        for got, want in ((fwd, np.stack((wx * A, wx * B))), (inv, np.stack((wy * A.T, -wy * B.T)))):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("L_y", [None, 8.0])
+def test_one_grid_plan_kernels_are_exactly_symmetric(sig02, ms_std, unit_a, unit_b, L_y):
+    # fwd = (w A, w B) and inv = (w A^T, -w B^T) with one w: bit-equal
+    # exactly when A and B are symmetric
+    plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=8.0, L_y=L_y, panels=2, order=9)
+    for fwd, inv in zip(plan.fwd_mats, plan.inv_mats):
+        assert np.array_equal(inv[0], fwd[0]) and np.array_equal(inv[1], -fwd[1])
+
+
+@pytest.mark.parametrize("L_y,panels,order", [(None, 1, 48), (10.0, 3, 7)])
+def test_plan_tabulates_one_triangle_per_axis(monkeypatch, sig02, ms_std, unit_a, unit_b,
+                                              L_y, panels, order):
+    sizes = []
+    tabulate = dunkl_rank1.kernel_ab_integral
+
+    def counted(kappa, t, order):
+        sizes.append(np.size(t))
+        return tabulate(kappa, t, order)
+
+    monkeypatch.setattr(dunkl_rank1, "kernel_ab_integral", counted)
+    build_plan(sig02, ms_std, unit_a, unit_b, L_x=6.0, L_y=L_y, panels=panels, order=order)
+    n = panels * order
+    assert sizes == [n * (n + 1) // 2] * 2
 
 
 # -- linearity and operator structure --------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import hyp0f1
 
-from cliffdunkl import quadrature
+from cliffdunkl import dunkl_rank1, quadrature
 from cliffdunkl.cdt_engine import rel_l2_error
 from cliffdunkl.cli import main
 from cliffdunkl.field_io import load_field
@@ -132,6 +132,27 @@ def test_miyachi_boundary_verdict(tmp_path, capsys):
     assert doc["C"]["1"] == pytest.approx(2.0, abs=1e-9)
     assert doc["lambda_check"] is True
     assert [r["L"] for r in doc["ladder"]] == [2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize("ladder", ["2,3,4,5", "2,3,4,5,6,7"])
+def test_miyachi_tabulates_two_kernels_per_rung(tmp_path, capsys, monkeypatch, ladder):
+    # the command's plan has the last rung as its y grid, so the verdict
+    # transforms that rung with it instead of tabulating it again
+    calls = []
+    tabulate = dunkl_rank1.kernel_ab_integral
+
+    def counted(kappa, t, order):
+        calls.append(kappa)
+        return tabulate(kappa, t, order)
+
+    monkeypatch.setattr(dunkl_rank1, "kernel_ab_integral", counted)
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(_gauss_doc()))
+    rc = main(["miyachi", "--field", str(f), "--alpha", "1", "--beta", "0.25",
+               "--lambda", "3", "--ladder", ladder, "--in-grid", "-8:8:1:16"])
+    assert rc == 0
+    rungs = len(json.loads(capsys.readouterr().out)["ladder"])
+    assert len(calls) == 2 * rungs
 
 
 def test_miyachi_ladder_flag(tmp_path, capsys):

@@ -31,6 +31,7 @@ from oracles import (
     eval_kernel_block,
     grid_nodes,
     integrate,
+    kernel_ab_full_rule,
     kernel_ab_series,
     mehta_factor_quadrature,
     series_coefficients,
@@ -195,6 +196,18 @@ def test_kernel_to_the_radius_cap(kappa):
         assert abs(b + t / (2.0 * kappa + 1.0) * float(mpmath.hyp0f1(kappa + 1.5, z))) <= 2e-13
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 48, 65, 217])
+@pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.7, 5.0, 60.0])
+def test_folded_rule_matches_the_full_rule(kappa, order):
+    # half the rule: mirrored node pairs folded, an odd order's zero node
+    # dropped; orders 1 and 2 have no pair or one
+    t = np.linspace(-KERNEL_RADIUS_CAP, KERNEL_RADIUS_CAP, 2001)
+    A, B = kernel_ab_integral(kappa, t, order)
+    A_ref, B_ref = kernel_ab_full_rule(kappa, t, order)
+    assert np.max(np.abs(A - A_ref)) <= 1e-13
+    assert np.max(np.abs(B - B_ref)) <= 1e-13
+
+
 @pytest.mark.parametrize("kappa", [0.0, 0.25, 0.5, 1.0, 2.0])
 def test_kernel_bound(kappa):
     table = kernel_coefficients(kappa, t_max=20.0)
@@ -207,6 +220,15 @@ def test_radius_enforced():
     table = kernel_coefficients(0.5, t_max=10.0)
     with pytest.raises(ArgumentOutOfRadius):
         eval_kernel_ab(table, 10.5)
+
+
+@pytest.mark.parametrize("t", [math.nan, [0.5, math.nan, -2.0], [[1.0], [-math.inf]]])
+def test_kernel_refuses_arguments_that_are_not_finite(t):
+    # |nan| > t_max is False, so the check must refuse what is not within
+    # the radius rather than accept what is not beyond it
+    table = kernel_coefficients(0.5, t_max=10.0)
+    with pytest.raises(ArgumentOutOfRadius, match="not a finite number"):
+        eval_kernel_ab(table, t)
 
 
 def test_kernel_block_cases():
@@ -382,7 +404,8 @@ def test_kernel_at_float_zero_kappa_is_the_kappa_zero_kernel(kappa):
 
 def test_kernel_tabulation_holds_one_block_of_work_at_a_time():
     # the (argument, rule node) work arrays used to span every argument at
-    # once: 2^18 arguments at order 50 would take two 105 MB arrays
+    # once: 2^18 arguments at order 50 would take two 105 MB arrays; the
+    # folded rule makes them (block, order // 2)
     t = np.linspace(-30.0, 30.0, 1 << 18)
     order = kernel_rule_order(30.0)
     block = dunkl_rank1._KERNEL_BLOCK
@@ -392,7 +415,7 @@ def test_kernel_tabulation_holds_one_block_of_work_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * block * order * 8 + 3 * t.nbytes
+    assert peak < 2 * block * (order // 2) * 8 + 3 * t.nbytes
     # every block is the one-call result of its own arguments, bit for bit
     for start in (0, block, len(t) - block // 2):
         Ab, Bb = kernel_ab_integral(0.4, t[start:start + block], order)

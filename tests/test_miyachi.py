@@ -408,6 +408,21 @@ def test_verdict_json_schema(sig02, ms_std, unit_a, unit_b):
     assert doc2["C"] is None and doc2["residual"] is None
 
 
+@pytest.mark.parametrize("normalization", ["raw", "mehta"])
+def test_verdict_reads_only_the_x_side_of_its_plan(sig02, ms_std, unit_a, unit_b, normalization):
+    # a plan whose y grid is a rung serves that rung; the verdict is the
+    # same, byte for byte, as from a plan whose y grid is no rung
+    cfg = MiyachiConfig(1.0, 0.25, 3.0, exponent=math.inf)
+    f = AnalyticField(sig02, ms_std, {
+        0: lambda x1, x2: 2.0 * np.exp(-(x1**2 + x2**2)),
+        3: lambda x1, x2: -0.5 * np.exp(-(x1**2 + x2**2)),
+    })
+    texts = {verdict_to_json(verdict(f, cfg, build_plan(sig02, ms_std, unit_a, unit_b, L_x=8.0,
+                                                        L_y=L_y, order=24, normalization=normalization)))
+             for L_y in (3.0, 5.0, 7.0)}
+    assert len(texts) == 1
+
+
 def test_verdict_rungs_respect_the_mehta_invariance(sig02, ms_std, unit_a, unit_b):
     # the raw and mehta transforms differ by a constant, which the log
     # condition absorbs into lambda: scaled verdict agrees
