@@ -86,7 +86,6 @@ from .dunkl_rank1 import (
 )
 from .quadrature import TensorGrid, build_grid
 
-CONVOLVE_BUDGET = 1 << 20  # kernel evaluations per output node (= y-grid size)
 _EXPLICIT_CHUNK = 1 << 15  # field values per call in translate_explicit
 _PSI_ORDERS = (8, 16, 32, 64)  # psi orders the adaptive translate_explicit tries, in turn
 _PSI_RTOL = 1e-14  # agreement of two successive orders, relative max norm
@@ -99,10 +98,6 @@ class PlanMismatch(ValueError):
 
 
 class ZeroNormField(ValueError):
-    pass
-
-
-class NodeBudgetExceeded(RuntimeError):
     pass
 
 
@@ -505,14 +500,17 @@ def _contract(X: np.ndarray, plan: TransformPlan, inverse: bool, blades,
     (C, k, k') matrices `blades`.  Each step is one batched GEMM that
     contracts the leading axis and appends the output axis, so nothing is
     transposed; without a blade step the result is blade-first, (C, k, *half).
+
+    Class bit j has stride 2^(d-1-j) in C order, so axis j splits the
+    class axis as (2^j, 2, 2^(d-1-j)) and its (even, odd) pair (2, n, m)
+    broadcasts over the rest as M[:, None]; no matrix is copied per class.
     """
-    bits = _parity_classes(plan.ms.d, plan.ms.split)[0]
-    mats = plan.inv_mats if inverse else plan.fwd_mats
-    steps = [mats[j][bits[:, j]] for j in range(plan.ms.d)]
+    d, mats = plan.ms.d, plan.inv_mats if inverse else plan.fwd_mats
+    steps = [((2**j, 2, 2**(d - 1 - j)), M[:, None]) for j, M in enumerate(mats)]
     C, shape = X.shape[0], list(X.shape[1:])
-    for M in steps if blades is None else steps + [blades]:
-        lhs = X.reshape(C, M.shape[-2], -1).transpose(0, 2, 1)
-        X = np.matmul(lhs, M, out=work.next(lhs.shape[:2] + M.shape[-1:]))
+    for classes, M in steps if blades is None else steps + [((C,), blades)]:
+        lhs = X.reshape(classes + (M.shape[-2], -1)).swapaxes(-1, -2)
+        X = np.matmul(lhs, M, out=work.next(lhs.shape[:-1] + M.shape[-1:]))
         shape = shape[1:] + [M.shape[-1]]
     return X.reshape([C] + shape)
 
@@ -944,14 +942,7 @@ def convolve(f, g, plan: TransformPlan) -> SampledField:
     tau_z is scalar, so swapping the z and y integrations leaves pointwise
     products of the contracted classes of f and g (`_scalar_operator`).
     The result depends neither on the units nor on the normalization mode.
-    CONVOLVE_BUDGET caps the kernel evaluations per output node (= the
-    y-grid size).
     """
-    if plan.grid_y.n_nodes > CONVOLVE_BUDGET:
-        raise NodeBudgetExceeded(
-            f"{plan.grid_y.n_nodes} kernel evaluations per output node "
-            f"exceeds {CONVOLVE_BUDGET}"
-        )
     Phi = _partial_transform(_sample_on(f, plan.grid_x, plan.sig, plan.ms), plan, False)
     values = _scalar_operator(Phi, _sample_on(g, plan.grid_x, plan.sig, plan.ms), plan)
     return _result(plan, plan.grid_x, values)

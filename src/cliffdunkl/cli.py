@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage error (including a non-finite or
 out-of-range numeric flag), 3 input/schema error (field file or verify
-config), 4 numerical failure (kernel radius, node budget, a Mehta
+config), 4 numerical failure (kernel radius, node cap, a Mehta
 constant that underflows, other overflow), 5 claims ledger ran but
 flagged at least one claim (data, not a crash -- scripts branch on it).
 
@@ -28,7 +28,6 @@ import numpy as np
 
 from .cdt_engine import (
     AnalyticField,
-    NodeBudgetExceeded,
     PlanMismatch,
     SampledField,
     ZeroNormField,
@@ -74,7 +73,7 @@ _INPUT_ERRORS = (
     FileNotFoundError, IsADirectoryError,
 )
 _NUMERIC_ERRORS = (
-    ArgumentOutOfRadius, NodeBudgetExceeded, NodeCountExceeded,
+    ArgumentOutOfRadius, NodeCountExceeded,
     NonFiniteResult, ZeroNormField, OverflowError, FloatingPointError,
 )
 _DEFAULT_GRID = "-6:6:1:48"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import orjson
 
-from .cdt_engine import AnalyticField, SampledField, _is_number
+from .cdt_engine import AnalyticField, SampledField
 from .clifford_core import BladeSyntaxError, Signature, blade_label, parse_blade
 from .dunkl_rank1 import MultiplicitySplit
 from .field_expr import NonFiniteResult, compile_expr
@@ -58,7 +58,7 @@ def _parse_header(doc: dict):
     except ValueError as e:
         raise SchemaError("signature", str(e)) from e
     kappa = _require(doc, "kappa", list, "")
-    if len(kappa) != sig.d or not all(map(_is_number, kappa)):
+    if len(kappa) != sig.d or not all(type(v) in (int, float) for v in kappa):  # exact types: true is no number
         raise SchemaError("kappa", f"expected {sig.d} numbers")
     split = _require(doc, "split", int, "")
     if not 0 <= split <= sig.d:
@@ -134,7 +134,7 @@ def load_field(path):
 
     grid_doc = _require(doc, "grid", dict, "")
     Ls = _require(grid_doc, "L", list, "grid.")
-    if len(Ls) != sig.d or not all(_is_number(v) and v > 0 for v in Ls):
+    if len(Ls) != sig.d or not all(type(v) in (int, float) and v > 0 for v in Ls):
         raise SchemaError("grid.L", f"expected {sig.d} positive numbers")
     panels = _require(grid_doc, "panels", int, "grid.")
     order = _require(grid_doc, "order", int, "grid.")

@@ -85,7 +85,7 @@ class MiyachiVerdict:
 
     def to_dict(self) -> dict:
         rungs = [
-            {"L": L, "I": i_val, "J": j_val}
+            {"L": L, "I": _json_number(i_val), "J": _json_number(j_val)}
             for L, i_val, j_val in zip(
                 self.condition1.ladder, self.condition1.values, self.condition2.values
             )
@@ -107,8 +107,13 @@ class MiyachiVerdict:
         }
 
 
+def _json_number(value: float) -> float | None:
+    """The value, or None (JSON null) where it overflowed: JSON has no infinity."""
+    return value if math.isfinite(value) else None
+
+
 def verdict_to_json(v: MiyachiVerdict) -> str:
-    return json.dumps(v.to_dict(), indent=2)
+    return json.dumps(v.to_dict(), indent=2, allow_nan=False)
 
 
 def classify(alpha: float, beta: float) -> str:

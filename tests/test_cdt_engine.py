@@ -41,7 +41,6 @@ from cliffdunkl.dunkl_rank1 import (
 from cliffdunkl.cdt_engine import (
     AnalyticField,
     ClaimReport,
-    NodeBudgetExceeded,
     PlanMismatch,
     SampledField,
     ZeroNormField,
@@ -605,14 +604,6 @@ def test_convolution_is_bilinear_in_the_left_slot(sig02, ms_std, unit_a, unit_b)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_convolution_budget_is_enforced(sig02, ms_std, unit_a, unit_b, monkeypatch):
-    plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=5.0, L_y=5.0, order=12)
-    f = gaussian_field(sig02, ms_std)
-    monkeypatch.setattr(cdt_engine, "CONVOLVE_BUDGET", plan.grid_y.n_nodes - 1)
-    with pytest.raises(NodeBudgetExceeded):
-        convolve(f, f, plan)
-
-
 # -- constants ------------------------------------------------------------------
 
 
@@ -960,23 +951,26 @@ def test_sampled_field_copies_the_callers_array(sig02, ms_std, plan_std):
     assert SampledField(sig02, ms_std, plan_std.grid_x, sample).values.flags.c_contiguous
 
 
-def test_transform_memory_stays_within_two_work_buffers(unit_a, unit_b):
+@pytest.mark.parametrize("p, q, kappa, order", [(0, 3, (0.3, 0.7, 0.5), 16),
+                                                (0, 2, (0.3, 0.7), 64)], ids=["d3", "d2"])
+def test_transform_memory_stays_within_two_work_buffers(p, q, kappa, order):
+    # NODE_CAP bounds a field; these multiples of it bound each operation.
     # forward of an analytic field holds the samples plus two work buffers,
     # inverse of a sampled field the two buffers only; translation adds its
-    # delta_z classes (1/8 of a field here) and convolution f's classes and
-    # the two class-product arrays; the slack covers the per-class half
-    # matrices and other arrays of a few kB
-    sig = Signature(0, 3)
-    ms = MultiplicitySplit((0.3, 0.7, 0.5), 1)
+    # delta_z classes (1/2^d of a field) and convolution f's classes and the
+    # two class-product arrays; the slack covers the plan-sized half
+    # matrices, which broadcast over the classes, and arrays of a few kB
+    sig = Signature(p, q)
+    ms = MultiplicitySplit(kappa, 1)
     a = validate_imaginary(MultiVector.blade(sig, "e1"), "e1")
     b = validate_imaginary(MultiVector.blade(sig, "e2"), "e2")
-    plan = build_plan(sig, ms, a, b, L_x=5.0, L_y=5.0, order=16)
-    f = gaussian_field(sig, ms, blades=range(8))
+    plan = build_plan(sig, ms, a, b, L_x=5.0, L_y=5.0, order=order)
+    f = gaussian_field(sig, ms, blades=range(sig.n_blades))
     F = forward(f, plan)
     field_bytes = F.values.nbytes
     slack = 128 * 1024
     for run, budget in ((lambda: forward(f, plan), 3), (lambda: inverse(F, plan), 2),
-                        (lambda: translate_spectral(f, (0.4, -0.3, 0.2), plan), 4),
+                        (lambda: translate_spectral(f, (0.4, -0.3, 0.2)[:sig.d], plan), 4),
                         (lambda: convolve(f, f, plan), 6)):
         tracemalloc.start()
         try:

@@ -5,8 +5,11 @@ entry point.  Grid and z values beginning with "-" are passed as separate
 tokens on purpose: the dash-binding preprocessing must keep them values.
 """
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,10 +19,11 @@ import numpy as np
 import pytest
 from scipy.special import hyp0f1
 
-from cliffdunkl import dunkl_rank1, quadrature
+import cliffdunkl
+from cliffdunkl import cli, dunkl_rank1, quadrature
 from cliffdunkl.cdt_engine import rel_l2_error
 from cliffdunkl.cli import main
-from cliffdunkl.field_io import load_field
+from cliffdunkl.field_io import load_field, read_json
 from cliffdunkl.miyachi import check_growth
 from cliffdunkl.quadrature import NodeCountExceeded
 
@@ -526,6 +530,46 @@ def test_miyachi_infinite_rates_exit_2(gauss_file, capsys, flag, code):
                *(x for kv in values.items() for x in kv)])
     assert rc == code
     assert ("usage error" in capsys.readouterr().err) == (code == 2)
+
+
+@pytest.mark.parametrize("rates,statuses", [
+    (["--alpha", "800", "--beta", "0.0003125", "--lambda", "1", "--exponent", "inf"],
+     ("growing", "finite")),
+    (["--alpha", "1e308", "--beta", "1e308", "--lambda", "1"], ("growing", "growing")),
+], ids=["boundary", "vanishing"])
+def test_miyachi_writes_an_overflowed_rung_as_null(tmp_path, gauss_file, capsys, rates, statuses):
+    # finite rates whose rung integrals overflow: the report stays strict
+    # JSON that the package's own reader accepts
+    out = tmp_path / "verdict.json"
+    rc = main(["miyachi", "--field", str(gauss_file), "--in-grid", "-6:6:1:16", *rates,
+               "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    doc = read_json(out)
+    assert (doc["condition1"], doc["condition2"]) == statuses
+    for rung in doc["ladder"]:
+        for key, status in zip("IJ", statuses):
+            assert (rung[key] is None) == (status == "growing")
+
+
+# package exceptions that no command can raise, each with the reason
+UNMAPPED_EXCEPTIONS = {
+    "SignatureMismatch": "every command builds its fields and units in one signature",
+    "RecurrenceBreakdown": "jacobi_recurrence hands gauss_from_recurrence only positive norms",
+}
+
+
+def test_every_package_exception_has_an_exit_code():
+    mapped = cli._INPUT_ERRORS + cli._NUMERIC_ERRORS
+    found = []
+    for info in pkgutil.iter_modules(cliffdunkl.__path__):
+        module = importlib.import_module(f"cliffdunkl.{info.name}")
+        found += [cls for cls in vars(module).values() if inspect.isclass(cls)
+                  and issubclass(cls, BaseException) and cls.__module__ == module.__name__]
+    assert cli._Usage in found and len(found) > len(UNMAPPED_EXCEPTIONS) + 1
+    unmapped = sorted(cls.__name__ for cls in found
+                      if cls is not cli._Usage and not issubclass(cls, mapped))
+    assert unmapped == sorted(UNMAPPED_EXCEPTIONS)
 
 
 @pytest.mark.parametrize("config,code", [

@@ -81,11 +81,6 @@ def test_every_private_helper_is_used_in_the_package():
     assert not unused, f"private helpers nothing in the package uses: {unused}"
 
 
-# `field_io` reads `_is_number` from `cdt_engine` until the claims ledger
-# leaves the engine (ROADMAP item 7); nothing else may cross a module border
-PRIVATE_IMPORTS_ALLOWED = {("field_io", "_is_number")}
-
-
 def test_no_module_imports_a_private_name_from_another():
     imports, crossing = 0, set()
     for source in SOURCES[0].parent.glob("*.py"):
@@ -95,8 +90,7 @@ def test_no_module_imports_a_private_name_from_another():
                 crossing.update((source.stem, alias.name) for alias in node.names
                                 if alias.name.startswith("_"))
     assert imports, "the scan found no import from the package at all"
-    unowned = sorted(crossing - PRIVATE_IMPORTS_ALLOWED)
-    assert not unowned, f"private names imported across modules: {unowned}"
+    assert not crossing, f"private names imported across modules: {sorted(crossing)}"
 
 
 def test_no_demo_imports_a_private_name():
