@@ -258,10 +258,12 @@ def eval_orthonormal(alpha: np.ndarray, beta: np.ndarray, n: int, s) -> np.ndarr
 def psi_rule(kappa: float, order: int):
     """Nodes and weights integrating f against the translation density
     psi_kappa(t) = Gamma(kappa+1/2)/(sqrt(pi) Gamma(kappa)) (1+t)(1-t^2)^(kappa-1),
-    whose total mass is exactly 1.  A `zero_limit` kappa gets its limit
-    delta_{+1}: the node pair (-1, +1) with weights (0, 1).  Raises
-    OverflowError, naming kappa, when the rule's recurrence leaves the
-    float range."""
+    whose total mass is exactly 1.  The nodes are exactly antisymmetric,
+    t == -t[::-1]: each mirrored pair of the Gauss-Jacobi rule folds into
+    +-(t+ - t-)/2, and its base weights into their mean, before the factor
+    (1 + t).  A `zero_limit` kappa gets its limit delta_{+1}: the node pair
+    (-1, +1) with weights (0, 1).  Raises OverflowError, naming kappa, when
+    the rule's recurrence leaves the float range."""
     if kappa <= 0.0:
         raise ValueError("psi density needs kappa > 0")
     if zero_limit(kappa):
@@ -272,5 +274,5 @@ def psi_rule(kappa: float, order: int):
         raise OverflowError(f"psi rule for kappa = {kappa!r}: {exc}") from None
     # log space: Gamma(kappa + 1/2) alone overflows from kappa ~ 171 on
     const = math.exp(math.lgamma(kappa + 0.5) - math.lgamma(kappa) - 0.5 * math.log(math.pi))
-    w = const * weights * (1.0 + nodes)
-    return nodes, w
+    t = 0.5 * (nodes - nodes[::-1])
+    return t, const * (0.5 * (weights + weights[::-1])) * (1.0 + t)

@@ -237,38 +237,74 @@ def eval_expr(ast, xs) -> np.ndarray:
     Division by zero and non-finite results raise NonFiniteResult; x^0 is 1
     everywhere, including at 0.
     """
-    out = _eval(ast, tuple(np.asarray(x, dtype=float) for x in xs))
+    out = _eval(ast, tuple(np.asarray(x, dtype=float) for x in xs))[0]
     if not np.all(np.isfinite(out)):
         raise NonFiniteResult("expression produced a non-finite value")
     return out
 
 
-def _eval(node, xs):
+_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
+
+
+def _eval(node, xs) -> tuple:
+    """(value, owned): owned when the evaluator created the array itself, so
+    that a later operation may write into it.  Each operation writes into an
+    owned operand of the result's shape (ufunc `out=`), so a call allocates
+    about one array per branch of the tree, not one per node; the values
+    are those of the plain operators."""
     if isinstance(node, Const):
-        return np.asarray(node.value)
+        return np.asarray(node.value), False
     if isinstance(node, Coord):
-        return xs[node.j - 1]
-    if isinstance(node, Add):
-        return _eval(node.left, xs) + _eval(node.right, xs)
-    if isinstance(node, Sub):
-        return _eval(node.left, xs) - _eval(node.right, xs)
-    if isinstance(node, Mul):
-        return _eval(node.left, xs) * _eval(node.right, xs)
+        return xs[node.j - 1], False
     if isinstance(node, Div):
         denom = _eval(node.right, xs)
-        if np.any(denom == 0.0):
+        if np.any(denom[0] == 0.0):
             raise NonFiniteResult("division by zero")
-        return _eval(node.left, xs) / denom
+        return _binary(np.divide, _eval(node.left, xs), denom)
+    if isinstance(node, (Add, Sub, Mul)):
+        return _binary(_UFUNCS[type(node)], _eval(node.left, xs), _eval(node.right, xs))
     if isinstance(node, Pow):
+        base, owned = _eval(node.base, xs)
         if node.n == 0:
-            return np.ones_like(np.asarray(_eval(node.base, xs), dtype=float))
-        return _eval(node.base, xs) ** node.n
+            return _owned(np.ones_like(np.asarray(base, dtype=float)))
+        if not owned:
+            return _owned(base ** node.n)
+        if node.n == 2:  # numpy's own fast path for ** 2, to the same values
+            return np.square(base, out=base), True
+        return np.power(base, node.n, out=base), True
     if isinstance(node, Exp):
         with np.errstate(over="ignore"):
-            return np.exp(_eval(node.arg, xs))
+            return _unary(np.exp, _eval(node.arg, xs))
     if isinstance(node, Neg):
-        return -_eval(node.arg, xs)
+        return _unary(np.negative, _eval(node.arg, xs))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _binary(ufunc, left: tuple, right: tuple) -> tuple:
+    """ufunc over two (value, owned) operands, written into the first owned
+    one whose shape is the result's."""
+    (a, own_a), (b, own_b) = left, right
+    if own_a and _holds(a, b):
+        return ufunc(a, b, out=a), True
+    if own_b and _holds(b, a):
+        return ufunc(a, b, out=b), True
+    return _owned(ufunc(a, b))
+
+
+def _holds(a, b) -> bool:
+    """Whether a has the shape of a result broadcast from a and b."""
+    return b.ndim == 0 or a.shape == b.shape or a.shape == np.broadcast(a, b).shape
+
+
+def _unary(ufunc, arg: tuple) -> tuple:
+    a, owned = arg
+    return (ufunc(a, out=a), True) if owned else _owned(ufunc(a))
+
+
+def _owned(value) -> tuple:
+    """(value, owned) for a fresh result; a 0-d one is not reused, so that
+    scalars stay numpy scalars as the plain operators leave them."""
+    return value, isinstance(value, np.ndarray) and value.ndim > 0
 
 
 def compile_expr(text: str, d: int):

@@ -26,7 +26,7 @@ from cliffdunkl.dunkl_rank1 import (
     eval_orthonormal,
     hermite_basis,
 )
-from cliffdunkl.field_expr import Add, Const, Coord, Div, Exp, Mul, Neg, Pow, Sub
+from cliffdunkl.field_expr import Add, Const, Coord, Div, Exp, Mul, Neg, NonFiniteResult, Pow, Sub
 from cliffdunkl.quadrature import build_axis, jacobi_rule
 
 COEFF_CAP = 400
@@ -298,6 +298,38 @@ def to_string(ast) -> str:
     """Canonical text of an expression AST with minimal parentheses; for
     every AST the parser can produce, parse_expr(to_string(ast)) == ast."""
     return _render(ast, 1)
+
+
+def eval_plain(ast, xs):
+    """`field_expr.eval_expr` by the plain numpy operators, one fresh array
+    per node: the reference for the library, which writes into its own
+    temporaries instead.  Raises NonFiniteResult as the library does."""
+    def ev(node):
+        if isinstance(node, Const):
+            return np.asarray(node.value)
+        if isinstance(node, Coord):
+            return xs[node.j - 1]
+        if isinstance(node, Div):
+            denom = ev(node.right)
+            if np.any(denom == 0.0):
+                raise NonFiniteResult("division by zero")
+            return ev(node.left) / denom
+        if isinstance(node, (Add, Sub, Mul)):
+            op = {Add: np.add, Sub: np.subtract, Mul: np.multiply}[type(node)]
+            return op(ev(node.left), ev(node.right))
+        if isinstance(node, Pow):
+            base = ev(node.base)
+            return np.ones_like(np.asarray(base, dtype=float)) if node.n == 0 else base ** node.n
+        if isinstance(node, Exp):
+            return np.exp(ev(node.arg))
+        return -ev(node.arg)
+
+    xs = tuple(np.asarray(x, dtype=float) for x in xs)
+    with np.errstate(over="ignore"):
+        out = ev(ast)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteResult("expression produced a non-finite value")
+    return out
 
 
 def reports_from_json(text: str) -> list:

@@ -13,6 +13,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -494,6 +495,22 @@ def test_explicit_translation_reads_only_the_input_grid(tmp_path, gauss_file):
         want = np.multiply.outer(want, np.exp(-(ax.nodes**2 + z * z)) * E)
     assert np.max(np.abs(got.values[..., 0] - want)) <= 1e-11 * np.max(np.abs(want))
     assert not got.values[..., 1:].any()
+
+
+def test_explicit_translation_at_d3_on_the_default_grid_exits_4(tmp_path, capsys):
+    # 96^3 points x (2 x 8)^3 branches is 3.6e9 field values at the lowest
+    # psi order, over 2^30: refused before the probe, instead of minutes
+    field = tmp_path / "g3.json"
+    field.write_text(json.dumps({"signature": [0, 3], "kappa": [0.3, 0.7, 0.5], "split": 1,
+                                 "blades": {"1": "exp(-(x1^2+x2^2+x3^2))"}}))
+    start = time.perf_counter()
+    rc = main(["translate", "--field", str(field), "--z", "0.6,-0.4,0.2", "--method", "explicit",
+               "--out", str(tmp_path / "o.json")])
+    assert time.perf_counter() - start < 5.0
+    assert (rc, capsys.readouterr().err) == (4, (
+        "numerical failure: explicit translation of 884736 points at psi order 8 costs 3623878656 "
+        "field values, over the cap 1073741824; use --method spectral\n"))
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_kernel_at_large_kappa_exits_0(capsys):

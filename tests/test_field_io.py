@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import orjson
@@ -33,7 +34,7 @@ from cliffdunkl.field_io import SchemaError, _depth, load_field, save_field
 from cliffdunkl.quadrature import build_grid
 
 from conftest import gaussian_field
-from oracles import to_string
+from oracles import eval_plain, to_string
 
 
 # -- parsing ------------------------------------------------------------------
@@ -158,6 +159,48 @@ def test_print_parse_fixpoint(ast):
     text = to_string(ast)
     assert parse_expr(text, 3) == ast
     assert to_string(parse_expr(text, 3)) == text
+
+
+_SHAPES = [(), (4, 1, 1), (1, 5, 1), (1, 1, 3), (4, 5, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expr_nodes(3), st.tuples(*[st.sampled_from(_SHAPES)] * 3), st.integers(0, 2**32 - 1))
+def test_eval_matches_the_plain_operators_bit_for_bit(ast, shapes, seed):
+    # eval_expr writes into its own temporaries; the values, their type and
+    # shape, and the caller's arrays stay as the plain operators leave them
+    rng = np.random.default_rng(seed)
+    xs = [rng.uniform(-3.0, 3.0, shape) for shape in shapes]
+    copies = [x.copy() for x in xs]
+    outcomes = []
+    for evaluate in (eval_plain, eval_expr):
+        try:
+            with np.errstate(all="ignore"):  # overflow, inf - inf: refused either way
+                outcomes.append(evaluate(ast, xs))
+        except NonFiniteResult as exc:
+            outcomes.append(str(exc))
+    want, got = outcomes
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert all(np.array_equal(x, c) for x, c in zip(xs, copies))
+
+
+@pytest.mark.parametrize("text,sizes", [
+    ("-1.3*exp(-0.8*(x1^2+x2^2))", 1.5),
+    ("(0.3 + 0.2*x1 - 0.4*x2 + 0.1*x1*x2)*exp(-0.9*(x1^2+x2^2))", 2.5),
+])
+def test_eval_writes_into_its_own_temporaries(text, sizes):
+    # one field-sized array per branch of the tree that holds one, not one
+    # per node: the plain operators peak at 2.29 and 3.29 result sizes here
+    x1, x2 = np.random.default_rng(3).uniform(-2.0, 2.0, (2, 1024, 32))
+    ast = parse_expr(text, 2)
+    tracemalloc.start()
+    try:
+        got = eval_expr(ast, (x1, x2[:, :1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sizes * got.nbytes
 
 
 def test_rendering_disambiguates_sign_and_power():

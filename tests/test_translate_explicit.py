@@ -5,11 +5,13 @@ adaptive psi order against fixed orders."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import hyp0f1
 
+from cliffdunkl import cdt_engine
 from cliffdunkl.cdt_engine import (
     _EXPLICIT_CHUNK,
     LEDGER_DEFAULTS,
@@ -26,7 +28,7 @@ from cliffdunkl.cdt_engine import (
 )
 from cliffdunkl.clifford_core import MultiVector, Signature, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit, psi_rule, zero_limit
-from cliffdunkl.quadrature import build_grid
+from cliffdunkl.quadrature import NodeCountExceeded, build_grid
 
 from oracles import translate_at_order
 
@@ -129,7 +131,7 @@ def test_explicit_accepts_a_field_returning_a_scalar():
 
 def test_explicit_field_calls_are_few_and_bounded():
     # a 96^2 sample at order 48 used to call the field (2 * 48)^2 = 9216 times;
-    # the counts below are those of that fixed order
+    # the call counts below are at that order
     calls, sizes = [], []
 
     def body(x1, x2):
@@ -144,13 +146,18 @@ def test_explicit_field_calls_are_few_and_bounded():
     translate_at_order(f, (0.6, -0.4), ms, 48).sample(grid)
     assert len(calls) < 9216 / 3
     assert max(sizes) <= _EXPLICIT_CHUNK
-    # a kappa = 0 axis has one branch, so the other axis's 96 ride along:
-    # one call per chunk of points
+    # 96^2 nodes are 48^2 keys (|x1|, |x2|), each with 32 x 32 branches at order 16
+    sizes.clear()
+    translate_at_order(f, (0.6, -0.4), ms, 16).sample(grid)
+    assert sum(sizes) == 48**2 * 32**2 == 2_359_296
+    # a kappa = 0 axis has one branch, so the other axis's 96 ride along;
+    # x2 and -x2 share their field arguments, so the field sees 96 x 48
+    # keys (x1, |x2|): one call per chunk of keys
     calls.clear()
     ms = MultiplicitySplit((0.0, 0.7), 1)
     f = AnalyticField(Signature(0, 2), ms, {0: body})
     translate_at_order(f, (0.6, -0.4), ms, 48).sample(build_grid(ms, 8.0, panels=1, order=48))
-    assert len(calls) == math.ceil(9216 / (_EXPLICIT_CHUNK // 96))
+    assert len(calls) == math.ceil(96 * 48 / (_EXPLICIT_CHUNK // 96)) == 14
 
 
 def test_explicit_gaussian_closed_form_at_large_kappa():
@@ -320,3 +327,100 @@ def test_probe_includes_the_largest_coordinates():
     got = _translated(body, (0.5,), (1.5,))(x)
     want = _translated(body, (0.5,), (1.5,), order=64)(x)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# -- one field evaluation per mirrored point class ------------------------------
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.3, 0.7, 5.0, 200.0])
+@pytest.mark.parametrize("order", [1, 2, 7, 8, 16, 33, 64])
+def test_psi_nodes_are_exactly_antisymmetric(kappa, order):
+    t, w = psi_rule(kappa, order)
+    assert np.array_equal(t, -t[::-1])
+    assert np.all(np.diff(t) > 0.0) and np.all(w >= 0.0)
+    assert abs(w.sum() - 1.0) <= 1e-13  # psi has mass 1
+
+
+def test_mirrored_coordinates_get_bit_identical_arguments():
+    x = np.concatenate((np.random.default_rng(2).uniform(-5.0, 5.0, 200), [0.0, -0.0, 1e-300, 300.0]))
+    rule = psi_rule(0.7, 16)
+    for zj in (0.6, -0.4, 0.0):
+        plus, minus = _branch_table(x, zj, rule), _branch_table(-x, zj, rule)
+        assert plus[0].tobytes() == minus[0].tobytes()
+        assert not np.array_equal(plus[1], minus[1])
+
+
+@pytest.mark.parametrize("kappa,order", [
+    ((0.4,), 48), ((0.3, 0.7), 8), ((0.0, 0.7), 8), ((0.0, 0.0), 8), ((0.3, 0.0, 0.7), 4),
+])
+def test_a_point_is_bit_identical_whichever_points_share_the_call(kappa, order):
+    # each set holds the base points, in a shuffled order: alone, among
+    # strangers, among their mirror partners (some coordinates negated) and
+    # duplicates, and across more than one chunk of keys
+    d = len(kappa)
+    rng = np.random.default_rng(7 * d)
+    z = (0.6, -0.4, 0.5)[:d]
+    base = np.concatenate((rng.uniform(-3.0, 3.0, (40, d)), np.zeros((1, d)), -np.zeros((1, d))))
+    mirrors = base * rng.choice([-1.0, 1.0], base.shape)
+    strangers = rng.uniform(-3.0, 3.0, (3000 if d < 3 else 600, d))
+    alone = _translated(_body, kappa, z, order)(*base.T)
+    for extra in (strangers, mirrors, np.concatenate((mirrors, base, strangers, -strangers))):
+        pts = np.concatenate((base, extra))
+        perm = rng.permutation(len(pts))
+        got = np.empty(len(pts))
+        got[perm] = _translated(_body, kappa, z, order)(*pts[perm].T)
+        assert np.array_equal(got[:len(base)], alone)
+
+
+def test_explicit_sample_memory_stays_within_fourteen_chunks():
+    # the 96^2 sample the ledger takes, adaptive order, output included:
+    # every chunk's tables and field temporaries are bounded by
+    # _EXPLICIT_CHUNK values, however the keys fall
+    ms = MultiplicitySplit(LEDGER_DEFAULTS["kappa"], 1)
+    sig = Signature(0, 2)
+    grid = build_grid(ms, LEDGER_DEFAULTS["L_x"], panels=1, order=LEDGER_DEFAULTS["order"])
+    shifted = translate_explicit(_gaussian_field(sig, ms, LEDGER_DEFAULTS["delta"]), LEDGER_DEFAULTS["z"], ms)
+    shifted.sample(grid)  # warm the rule caches
+    tracemalloc.start()
+    try:
+        shifted.sample(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * _EXPLICIT_CHUNK * 8
+
+
+def test_explicit_translation_is_admitted_by_its_field_values(monkeypatch):
+    # cost = points x prod_j (2 order on a Roesler axis, 1 on a shift axis);
+    # cos(60 x) never settles, so the probe climbs: with a cap that admits
+    # the final pass at order 8 only, the pass at order 32 (which could
+    # return 16) is refused before it runs
+    x = np.linspace(-8.0, 8.0, 300)
+    widths = []
+
+    def body(x1):
+        widths.append(np.shape(x1)[-1])
+        return np.cos(60.0 * x1)
+
+    ms = MultiplicitySplit((0.5,), 0)
+    f = translate_explicit(AnalyticField(Signature(0, 1), ms, {0: body}), (2.0,), ms)
+    monkeypatch.setattr(cdt_engine, "_EXPLICIT_CAP", 300 * 16)
+    with pytest.raises(NodeCountExceeded, match=r"^explicit translation of 300 points at psi order 16 "
+                                                r"costs 9600 field values, over the cap 4800; "
+                                                r"use --method spectral$"):
+        f.blades[0](x)
+    assert widths and max(widths) == 2 * 16
+    # the lowest order already over the cap: refused before any field call
+    widths.clear()
+    monkeypatch.setattr(cdt_engine, "_EXPLICIT_CAP", 300 * 16 - 1)
+    with pytest.raises(NodeCountExceeded, match="at psi order 8 "):
+        f.blades[0](x)
+    assert widths == []
+    # a shift axis counts one branch: 300 points x 1 x 16 at order 8
+    ms = MultiplicitySplit((0.0, 0.5), 1)
+    g = translate_explicit(AnalyticField(Signature(0, 2), ms, {0: lambda x1, x2: x1 + x2}), (0.3, 0.4), ms)
+    monkeypatch.setattr(cdt_engine, "_EXPLICIT_CAP", 300 * 16 - 1)
+    with pytest.raises(NodeCountExceeded, match="of 300 points at psi order 8 costs 4800 "):
+        g.blades[0](x, x)
+    monkeypatch.setattr(cdt_engine, "_EXPLICIT_CAP", 300 * 16)
+    assert np.allclose(g.blades[0](x, x), 2.0 * x - 0.7, rtol=0.0, atol=1e-12)
