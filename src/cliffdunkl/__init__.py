@@ -4,7 +4,7 @@ Modules:
     clifford_core -- Cl(p,q) blade arithmetic, scalar product, units
     quadrature    -- weighted Gauss rules, panelled grids, grid specs
     dunkl_rank1   -- rank-one Dunkl kernels, Mehta constants, generalized
-                     Hermite family, translation density
+                     Hermite family, Roesler translation (translate_explicit)
     cdt_engine    -- the transforms, inversion, Plancherel/eigen checks,
                      translation, convolution, claims ledger
     miyachi       -- Miyachi trichotomy checker

@@ -33,7 +33,8 @@ the kernel conjugation (B -> -B) and constants.  Translation and
 convolution are scalar operators (each unit enters every path an even
 number of times), and translation by z is convolution with delta_z, so
 both take class products between the contractions of one pipeline
-(`_scalar_operator`).
+(`_scalar_operator`).  `translate_explicit` instead applies Roesler's
+formula blade by blade (`dunkl_rank1.roesler_translate`).
 
 Analytic fields are sampled one blade body per blade.  From 2^20 sampled
 values on, the bodies are dealt out to the calling thread and to usable
@@ -59,7 +60,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -81,16 +82,10 @@ from .dunkl_rank1 import (
     hermite_basis,
     kernel_coefficients,
     mehta_constant,
-    psi_rule,
-    zero_limit,
+    roesler_translate,
 )
-from .quadrature import NodeCountExceeded, TensorGrid, build_grid
+from .quadrature import TensorGrid, build_grid
 
-_EXPLICIT_CHUNK = 1 << 15  # field values per call in translate_explicit
-_EXPLICIT_CAP = 1 << 30  # field values one explicit pass may cost, points x prod_j branches
-_PSI_ORDERS = (8, 16, 32, 64)  # psi orders the adaptive translate_explicit tries, in turn
-_PSI_RTOL = 1e-14  # agreement of two successive orders, relative max norm
-_PROBE_STRIDE = 16  # every k-th key joins the order probe, with all of its points
 _PARALLEL_MIN = 1 << 20  # values from which `_each` shares its items out to threads
 
 
@@ -824,202 +819,17 @@ def translate_spectral(f, z, plan: TransformPlan) -> SampledField:
     return _result(plan, plan.grid_x, values)
 
 
-def _branch_table(x: np.ndarray, zj: float, rule) -> tuple:
-    """(coordinates, coefficients), each (len(x), branches): x - z with 1 at
-    kappa_j = 0.  Else each psi node (t, w) is taken at sign(x) t, which is
-    the node w[::-1] weighs for x < 0 (the nodes are antisymmetric), and
-    gives +-Omega with w (1 +- (x-z)/Omega)/2, Omega = sqrt(x^2 + z^2 -
-    2 |x| z t), both w/2 in the limit Omega = 0.  So the coordinates depend
-    on |x| alone: x and -x get bit-identical ones."""
-    if rule is None:
-        return (x - zj)[:, None], np.ones((x.size, 1))
-    t, w = rule
-    a = np.abs(x)
-    om = np.sqrt(np.maximum((a * a)[:, None] + zj * zj - (2.0 * zj * a)[:, None] * t, 0.0))
-    ratio = np.divide((x - zj)[:, None], om, out=np.zeros_like(om), where=om > 0.0)
-    w = np.where((x < 0.0)[:, None], w[::-1], w)
-    return np.hstack((om, -om)), 0.5 * np.hstack((w * (1.0 + ratio), w * (1.0 - ratio)))
-
-
-def _psi_rules(kappa, order: int) -> list:
-    """One psi rule of `order` nodes per axis, None for an exact shift."""
-    return [None if zero_limit(k) else psi_rule(k, order) for k in kappa]
-
-
-def _admit(points: int, kappa, order: int) -> None:
-    """Refuse an explicit pass over `points` at psi `order` that costs more
-    than `_EXPLICIT_CAP` field values: points x prod_j w_j, w_j = 2 order on
-    a Roesler axis and 1 on a shift axis.  Raises NodeCountExceeded."""
-    cost = points * math.prod(1 if zero_limit(k) else 2 * order for k in kappa)
-    if cost > _EXPLICIT_CAP:
-        raise NodeCountExceeded(
-            f"explicit translation of {points} points at psi order {order} costs {cost} field values, "
-            f"over the cap {_EXPLICIT_CAP}; use --method spectral"
-        )
-
-
-def _mirror_classes(pts: list, rules: list) -> tuple:
-    """(order, starts): the flattened points `pts` grouped by their key,
-    |x_j| on a Roesler axis and x_j on a shift axis, bit for bit.  `order`
-    sorts the points by key, and key k holds the points
-    order[starts[k]:starts[k + 1]].  Points of one key, up to 2^d mirror
-    images of each other, share every field argument (`_branch_table`).
-    """
-    bits = np.stack([x if r is None else np.abs(x) for x, r in zip(pts, rules)]).view(np.int64)
-    order = np.lexsort(bits[::-1])
-    bits = bits[:, order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(bits[:, 1:] != bits[:, :-1], axis=0)
-    return order, np.append(np.flatnonzero(first), order.size)
-
-
-def _explicit_pass(fn, pts: list, z: np.ndarray, rules: list) -> np.ndarray:
-    """tau_z fn at the flattened points `pts`, one psi rule per axis.
-
-    The field is called on the keys of `_mirror_classes` only, at most
-    `_EXPLICIT_CHUNK` values per call (`_explicit_chunk`).  Each point
-    accumulates as it would alone, the per-row contraction with its own
-    coefficients in the same branch order, so its value is bit-identical
-    whichever other points share the call.
-    """
-    widths = [1 if r is None else 2 * len(r[0]) for r in rules]
-    step = max(1, _EXPLICIT_CHUNK // max(widths))
-    order, starts = _mirror_classes(pts, rules)
-    out = np.empty(pts[0].size)
-    for k in range(0, starts.size - 1, step):
-        bounds = starts[k:k + step + 1]
-        idx = order[bounds[0]:bounds[-1]]
-        out[idx] = _explicit_chunk(fn, [x[idx] for x in pts], z, rules, widths, bounds - bounds[0])
-    return out
-
-
-def _explicit_chunk(fn, pts: list, z: np.ndarray, rules: list, widths: list, bounds) -> np.ndarray:
-    """tau_z fn at the points `pts`, sorted by key: key k holds the points
-    bounds[k]:bounds[k + 1].
-
-    The field sees one row per key.  The axis with the most branches rides
-    along as a trailing array axis, and Python loops over the other axes'
-    branches.  That axis tabulates its coefficients per key at the sign of
-    the key's first point, and again at the other sign for the keys whose
-    points take both; on a mirrored grid every key does, and both tables
-    line up with the field values, so neither is gathered.  Every other
-    axis tabulates per distinct coordinate.  Each point reads its own rows.
-    """
-    inner = int(np.argmax(widths))
-    outer = [j for j in range(len(pts)) if j != inner]
-    heads, n_keys = bounds[:-1], bounds.size - 1
-    rows = np.repeat(np.arange(n_keys), np.diff(bounds))
-    neg = pts[inner] < 0.0
-    flip = neg != neg[heads][rows]
-    both = np.unique(rows[flip])
-    irow = rows.copy()
-    irow[flip] = n_keys + np.searchsorted(both, rows[flip])
-    head_x = pts[inner][heads]
-    args, coef = _branch_table(head_x, z[inner], rules[inner])
-    flipped = _branch_table(-head_x[both], z[inner], rules[inner])[1] if both.size else None
-    tables = {}
-    for j in outer:
-        _, first, at = np.unique(pts[j].view(np.int64), return_index=True, return_inverse=True)
-        a, c = _branch_table(pts[j][first], z[j], rules[j])
-        tables[j] = (a, at[heads], None if rules[j] is None else c, at)
-    call, sums, acc = [args] * len(pts), np.empty(n_keys + both.size), np.zeros(rows.size)
-    for branch in itertools.product(*(range(widths[j]) for j in outer)):
-        c = None
-        for j, b in zip(outer, branch):
-            a, head_at, cj, at = tables[j]
-            call[j] = a[head_at, b:b + 1]
-            if cj is not None:
-                c = cj[at, b] if c is None else c * cj[at, b]
-        vals = np.broadcast_to(np.asarray(fn(*call), dtype=float), args.shape)
-        np.einsum("ij,ij->i", vals, coef, out=sums[:n_keys])
-        if both.size:
-            np.einsum("ij,ij->i", vals if both.size == n_keys else vals[both], flipped, out=sums[n_keys:])
-        t = sums[irow]
-        if c is not None:
-            t *= c
-        acc += t
-    return acc
-
-
-def _psi_order(fn, pts: list, z: np.ndarray, kappa) -> tuple:
-    """(order, estimate): the psi order for tau_z fn at `pts`, and the error
-    estimate behind it.
-
-    A probe of every `_PROBE_STRIDE`-th key of `_mirror_classes`, with all
-    of its points, plus the keys of the largest |x_j| on each axis (where
-    |x_j z_j|, and so the integrand's variation, peaks), runs at the orders
-    of `_PSI_ORDERS` in turn until two successive results agree to
-    `_PSI_RTOL` in relative max norm; the lower order of that pair is
-    returned with their difference.  Without agreement the last order is
-    returned with the last difference.  Before each probe pass, `_admit`
-    checks the cost of the final pass over all of `pts` at the lowest order
-    the probe could still return.  Exact shifts on every axis, or no
-    points, need no probe: (first order, 0.0).
-    """
-    n = pts[0].size
-    if n == 0 or all(zero_limit(k) for k in kappa):
-        return _PSI_ORDERS[0], 0.0
-    _admit(n, kappa, _PSI_ORDERS[0])
-    rules = _psi_rules(kappa, _PSI_ORDERS[0])
-    order, starts = _mirror_classes(pts, rules)
-    key = np.repeat(np.arange(starts.size - 1), np.diff(starts))  # of each sorted point
-    chosen = np.zeros(starts.size - 1, dtype=bool)
-    chosen[::_PROBE_STRIDE] = True
-    chosen[[key[np.argmax(np.abs(x[order]))] for x in pts]] = True
-    probe = [x[order[chosen[key]]] for x in pts]
-    prev = _explicit_pass(fn, probe, z, rules)
-    for low, high in zip(_PSI_ORDERS, _PSI_ORDERS[1:]):
-        _admit(n, kappa, low)
-        cur = _explicit_pass(fn, probe, z, _psi_rules(kappa, high))
-        diff, scale = np.max(np.abs(cur - prev)), np.max(np.abs(cur))
-        est = float(diff / scale) if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
-        if est <= _PSI_RTOL:
-            return low, est
-        prev = cur
-    return high, est
-
-
 def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit) -> AnalyticField:
-    """Rank-one (Roesler) translation of an analytic field, blade by blade.
-
-    A kappa_j > 0 coordinate applies the one-dimensional formula
-
-        (tau f)(x) = 1/2 int f(+Omega) (1 + (x-z)/Omega) psi(t) dt
-                   + 1/2 int f(-Omega) (1 - (x-z)/Omega) psi(t) dt
-
-    with a Gauss-Jacobi rule for psi_kappa; a kappa_j = 0 coordinate (or
-    one too small to tell from 0, see `zero_limit`) is the exact shift
-    x_j - z_j.  Coordinates enter separately, so tau f sums the field over
-    the product of the axes' branch tables, weighted by the product of the
-    branch coefficients.  Omega depends on |x_j| alone, so the field is
-    evaluated once per key (|x_j| on a Roesler axis, x_j on a shift axis)
-    and shared by the up to 2^d mirrored points of that key, in chunks of
-    at most `_EXPLICIT_CHUNK` field values.
-
-    The psi order is chosen per call of a returned blade callable: a probe
-    of the requested points' keys runs at orders 8, 16, 32 and 64 until
-    two successive orders agree to 1e-14 (relative, max norm), and every
-    point then runs at the lower order of that pair, or at 64 if no pair
-    agrees.  The integrand is entire in t for an entire field, so the rule
-    converges spectrally.  A call whose final pass would cost more than
-    `_EXPLICIT_CAP` (2^30) field values, points x prod_j (2 order on a
-    Roesler axis), raises NodeCountExceeded, before the probe when its
-    lowest possible order already costs that much.
-    """
+    """Rank-one (Roesler) translation of an analytic field: each blade is
+    `dunkl_rank1.roesler_translate` of f's.  Raises TypeError for a field
+    that is not analytic, PlanMismatch for other multiplicities than `ms`,
+    and ValueError for a z that is not d finite numbers (`_shift`)."""
     if not isinstance(f, AnalyticField):
         raise TypeError("explicit translation needs an analytic field")
     if f.ms != ms:
         raise PlanMismatch("field multiplicities differ")
     z = _shift(z, ms.d)
-
-    def translated(*X, fn):
-        X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
-        pts = [x.ravel() for x in X]
-        order = _psi_order(fn, pts, z, ms.kappa)[0]
-        _admit(pts[0].size, ms.kappa, order)
-        return _explicit_pass(fn, pts, z, _psi_rules(ms.kappa, order)).reshape(X[0].shape)
-
-    blades = {mask: partial(translated, fn=fn) for mask, fn in f.blades.items()}
+    blades = {mask: lambda *X, fn=fn: roesler_translate(fn, X, z, ms.kappa) for mask, fn in f.blades.items()}
     return AnalyticField(f.sig, ms, blades)
 
 
@@ -1164,7 +974,7 @@ def run_claims_ledger(config: dict | None = None) -> list:
     for mode in ("raw", "mehta"):
         for name, test in (("scalar", poly), ("multivector", quat)):
             ref = SampledField(sig, ms, plans[mode].grid_x, test.sample(plans[mode].grid_x))
-            back = inverse(forward(test, plans[mode]), plans[mode])
+            back = inverse(forward(ref, plans[mode]), plans[mode])
             add(
                 f"inversion-roundtrip-{name}-{mode}",
                 0.0,
@@ -1212,11 +1022,11 @@ def run_claims_ledger(config: dict | None = None) -> list:
     add(
         "translation-zero-identity",
         0.0,
-        rel_l2_error(translate_spectral(gauss, (0.0,) * ms.d, plans["raw"]), ref),
+        rel_l2_error(translate_spectral(ref, (0.0,) * ms.d, plans["raw"]), ref),
         "relative L2 error",
     )
     if all(k > 0.0 for k in ms.kappa):
-        spec = translate_spectral(gauss, z, plans["raw"])
+        spec = translate_spectral(ref, z, plans["raw"])
         expl = translate_explicit(gauss, z, ms)
         expl_s = SampledField(sig, ms, plans["raw"].grid_x, expl.sample(plans["raw"].grid_x))
         add(

@@ -199,9 +199,9 @@ def _cmd_inverse(args):
 def _cmd_roundtrip(args):
     f = _load(args)
     plan = _plan(args, f.sig, f.ms, *_sides(args, f.sig.d, f))
-    back = inverse(forward(f, plan), plan)
     want = f if isinstance(f, SampledField) else SampledField(
         f.sig, f.ms, plan.grid_x, f.sample(plan.grid_x))
+    back = inverse(forward(want, plan), plan)
     err = rel_l2_error(back, want)
     print(f"roundtrip relative L2 error: {err:.6e}")
     if args.out:

@@ -1,5 +1,5 @@
 """Rank-one (Z2) Dunkl machinery: kernel, Mehta constants, generalized
-Hermite recurrences and the translation density psi_kappa.
+Hermite recurrences and Roesler's translation with its density psi_kappa.
 
 The one-dimensional Dunkl operator T f = f' + kappa (f(x) - f(-x))/x acts
 on monomials as T x^n = n x^(n-1) for even n and (n + 2 kappa) x^(n-1) for
@@ -27,13 +27,14 @@ kernel table accepts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import jacobi_rule
+from .quadrature import NodeCountExceeded, jacobi_rule
 
 __all__ = [
     "MultiplicitySplit",
@@ -47,11 +48,17 @@ __all__ = [
     "hermite_basis",
     "eval_orthonormal",
     "psi_rule",
+    "roesler_translate",
     "kernel_rule_order",
 ]
 
 KERNEL_RADIUS_CAP = 300.0  # max |x y| a kernel table accepts; tested to there against mpmath
 _KERNEL_BLOCK = 1 << 14  # arguments per block of kernel_ab_integral: the triangle of a 180 x 180 quadrant
+_EXPLICIT_CHUNK = 1 << 15  # field values per call in roesler_translate
+_EXPLICIT_CAP = 1 << 30  # field values one explicit pass may cost, points x prod_j branches
+_PSI_ORDERS = (8, 16, 32, 64)  # psi orders the adaptive roesler_translate tries, in turn
+_PSI_RTOL = 1e-14  # agreement of two successive orders, relative max norm
+_PROBE_STRIDE = 16  # every k-th key joins the order probe, with all of its points
 
 
 class ArgumentOutOfRadius(ValueError):
@@ -255,19 +262,20 @@ def eval_orthonormal(alpha: np.ndarray, beta: np.ndarray, n: int, s) -> np.ndarr
     return p
 
 
+# -- Roesler's translation --------------------------------------------------
+
+
 def psi_rule(kappa: float, order: int):
     """Nodes and weights integrating f against the translation density
     psi_kappa(t) = Gamma(kappa+1/2)/(sqrt(pi) Gamma(kappa)) (1+t)(1-t^2)^(kappa-1),
     whose total mass is exactly 1.  The nodes are exactly antisymmetric,
     t == -t[::-1]: each mirrored pair of the Gauss-Jacobi rule folds into
     +-(t+ - t-)/2, and its base weights into their mean, before the factor
-    (1 + t).  A `zero_limit` kappa gets its limit delta_{+1}: the node pair
-    (-1, +1) with weights (0, 1).  Raises OverflowError, naming kappa, when
-    the rule's recurrence leaves the float range."""
-    if kappa <= 0.0:
-        raise ValueError("psi density needs kappa > 0")
-    if zero_limit(kappa):
-        return np.array([-1.0, 1.0]), np.array([0.0, 1.0])
+    (1 + t).  Raises ValueError for a `zero_limit` kappa, which has no
+    Jacobi rule (translation is then the plain shift), and OverflowError,
+    naming kappa, when the rule's recurrence leaves the float range."""
+    if kappa <= 0.0 or zero_limit(kappa):
+        raise ValueError(f"psi density needs kappa > 2^-54, got {kappa!r}")
     try:
         nodes, weights = jacobi_rule(kappa - 1.0, kappa - 1.0, order)
     except OverflowError as exc:
@@ -276,3 +284,182 @@ def psi_rule(kappa: float, order: int):
     const = math.exp(math.lgamma(kappa + 0.5) - math.lgamma(kappa) - 0.5 * math.log(math.pi))
     t = 0.5 * (nodes - nodes[::-1])
     return t, const * (0.5 * (weights + weights[::-1])) * (1.0 + t)
+
+
+def _branch_table(x: np.ndarray, zj: float, rule) -> tuple:
+    """(coordinates, coefficients), each (len(x), branches): x - z with 1 at
+    kappa_j = 0.  Else each psi node (t, w) is taken at sign(x) t, which is
+    the node w[::-1] weighs for x < 0 (the nodes are antisymmetric), and
+    gives +-Omega with w (1 +- (x-z)/Omega)/2, Omega = sqrt(x^2 + z^2 -
+    2 |x| z t), both w/2 in the limit Omega = 0.  So the coordinates depend
+    on |x| alone: x and -x get bit-identical ones."""
+    if rule is None:
+        return (x - zj)[:, None], np.ones((x.size, 1))
+    t, w = rule
+    a = np.abs(x)
+    om = np.sqrt(np.maximum((a * a)[:, None] + zj * zj - (2.0 * zj * a)[:, None] * t, 0.0))
+    ratio = np.divide((x - zj)[:, None], om, out=np.zeros_like(om), where=om > 0.0)
+    w = np.where((x < 0.0)[:, None], w[::-1], w)
+    return np.hstack((om, -om)), 0.5 * np.hstack((w * (1.0 + ratio), w * (1.0 - ratio)))
+
+
+def _psi_rules(kappa, order: int) -> list:
+    """One psi rule of `order` nodes per axis, None for an exact shift."""
+    return [None if zero_limit(k) else psi_rule(k, order) for k in kappa]
+
+
+def _admit(points: int, kappa, order: int) -> None:
+    """Refuse an explicit pass over `points` at psi `order` that costs more
+    than `_EXPLICIT_CAP` field values: points x prod_j w_j, w_j = 2 order on
+    a Roesler axis and 1 on a shift axis.  Raises NodeCountExceeded."""
+    cost = points * math.prod(1 if zero_limit(k) else 2 * order for k in kappa)
+    if cost > _EXPLICIT_CAP:
+        raise NodeCountExceeded(f"explicit translation of {points} points at psi order {order} costs {cost} "
+                                f"field values, over the cap {_EXPLICIT_CAP}; use --method spectral")
+
+
+def _mirror_classes(pts: list, kappa) -> tuple:
+    """(order, starts): the flattened points `pts` grouped by their key,
+    |x_j| on a Roesler axis and x_j on a shift axis, bit for bit, at any psi
+    order.  `order` sorts the points by key, and key k holds the points
+    order[starts[k]:starts[k + 1]].  Points of one key, up to 2^d mirror
+    images of each other, share every field argument (`_branch_table`).
+    """
+    bits = np.stack([x if zero_limit(k) else np.abs(x) for x, k in zip(pts, kappa)]).view(np.int64)
+    order = np.lexsort(bits[::-1])
+    bits = bits[:, order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(bits[:, 1:] != bits[:, :-1], axis=0)
+    return order, np.append(np.flatnonzero(first), order.size)
+
+
+def _explicit_pass(fn, pts: list, z: np.ndarray, rules: list, classes: tuple) -> np.ndarray:
+    """tau_z fn at the flattened points `pts`, one psi rule per axis, with
+    the points' `classes` from `_mirror_classes`.
+
+    The field is called on the keys of those classes only, at most
+    `_EXPLICIT_CHUNK` values per call (`_explicit_chunk`).  Each point
+    accumulates as it would alone, the per-row contraction with its own
+    coefficients in the same branch order, so its value is bit-identical
+    whichever other points share the call.
+    """
+    widths = [1 if r is None else 2 * len(r[0]) for r in rules]
+    step = max(1, _EXPLICIT_CHUNK // max(widths))
+    order, starts = classes
+    out = np.empty(pts[0].size)
+    for k in range(0, starts.size - 1, step):
+        bounds = starts[k:k + step + 1]
+        idx = order[bounds[0]:bounds[-1]]
+        out[idx] = _explicit_chunk(fn, [x[idx] for x in pts], z, rules, widths, bounds - bounds[0])
+    return out
+
+
+def _explicit_chunk(fn, pts: list, z: np.ndarray, rules: list, widths: list, bounds) -> np.ndarray:
+    """tau_z fn at the points `pts`, sorted by key: key k holds the points
+    bounds[k]:bounds[k + 1].
+
+    The field sees one row per key.  The axis with the most branches rides
+    along as a trailing array axis, and Python loops over the other axes'
+    branches.  That axis tabulates its coefficients per key at the sign of
+    the key's first point, and again at the other sign for the keys whose
+    points take both; on a mirrored grid every key does, and both tables
+    line up with the field values, so neither is gathered.  Every other
+    axis tabulates per distinct coordinate.  Each point reads its own rows.
+    """
+    inner = int(np.argmax(widths))
+    outer = [j for j in range(len(pts)) if j != inner]
+    heads, n_keys = bounds[:-1], bounds.size - 1
+    rows = np.repeat(np.arange(n_keys), np.diff(bounds))
+    neg = pts[inner] < 0.0
+    flip = neg != neg[heads][rows]
+    both = np.unique(rows[flip])
+    irow = rows.copy()
+    irow[flip] = n_keys + np.searchsorted(both, rows[flip])
+    head_x = pts[inner][heads]
+    args, coef = _branch_table(head_x, z[inner], rules[inner])
+    flipped = _branch_table(-head_x[both], z[inner], rules[inner])[1] if both.size else None
+    tables = {}
+    for j in outer:
+        _, first, at = np.unique(pts[j].view(np.int64), return_index=True, return_inverse=True)
+        a, c = _branch_table(pts[j][first], z[j], rules[j])
+        tables[j] = (a, at[heads], None if rules[j] is None else c, at)
+    call, sums, acc = [args] * len(pts), np.empty(n_keys + both.size), np.zeros(rows.size)
+    for branch in itertools.product(*(range(widths[j]) for j in outer)):
+        c = None
+        for j, b in zip(outer, branch):
+            a, head_at, cj, at = tables[j]
+            call[j] = a[head_at, b:b + 1]
+            if cj is not None:
+                c = cj[at, b] if c is None else c * cj[at, b]
+        vals = np.broadcast_to(np.asarray(fn(*call), dtype=float), args.shape)
+        np.einsum("ij,ij->i", vals, coef, out=sums[:n_keys])
+        if both.size:
+            np.einsum("ij,ij->i", vals if both.size == n_keys else vals[both], flipped, out=sums[n_keys:])
+        t = sums[irow]
+        if c is not None:
+            t *= c
+        acc += t
+    return acc
+
+
+def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple) -> tuple:
+    """(order, estimate): the psi order for tau_z fn at `pts`, and its error estimate.
+
+    A probe of every `_PROBE_STRIDE`-th of the points' `classes`, with all
+    of its points, plus the classes of the largest |x_j| on each axis (where
+    |x_j z_j|, and so the integrand's variation, peaks), runs at the orders
+    of `_PSI_ORDERS` in turn until two successive results agree to
+    `_PSI_RTOL` in relative max norm: the lower order of that pair is
+    returned with their difference, else the last order with the last
+    difference.  The probe keeps the key order, so its classes are runs of
+    the chosen class sizes.  Before each later pass (the caller admits the
+    first), `_admit` checks the final pass at the lowest order the probe
+    could still return.  No points, or exact shifts only: (first order, 0.0).
+    """
+    n = pts[0].size
+    if n == 0 or all(zero_limit(k) for k in kappa):
+        return _PSI_ORDERS[0], 0.0
+    order, sizes = classes[0], np.diff(classes[1])
+    key = np.repeat(np.arange(sizes.size), sizes)  # of each sorted point
+    chosen = np.zeros(sizes.size, dtype=bool)
+    chosen[::_PROBE_STRIDE] = True
+    chosen[[key[np.argmax(np.abs(x[order]))] for x in pts]] = True
+    probe = [x[order[chosen[key]]] for x in pts]
+    probe_classes = np.arange(probe[0].size), np.append(0, np.cumsum(sizes[chosen]))
+    prev = _explicit_pass(fn, probe, z, _psi_rules(kappa, _PSI_ORDERS[0]), probe_classes)
+    for low, high in zip(_PSI_ORDERS, _PSI_ORDERS[1:]):
+        _admit(n, kappa, low)
+        cur = _explicit_pass(fn, probe, z, _psi_rules(kappa, high), probe_classes)
+        diff, scale = np.max(np.abs(cur - prev)), np.max(np.abs(cur))
+        est = float(diff / scale) if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
+        if est <= _PSI_RTOL:
+            return low, est
+        prev = cur
+    return high, est
+
+
+def roesler_translate(fn, X, z: np.ndarray, kappa) -> np.ndarray:
+    """Rank-one (Roesler) translation tau_z fn at the points X, a tuple of
+    d broadcastable coordinate arrays, in their broadcast shape; z holds d
+    finite floats.  A kappa_j > 0 coordinate applies
+
+        (tau f)(x) = 1/2 int f(+Omega) (1 + (x-z)/Omega) psi(t) dt
+                   + 1/2 int f(-Omega) (1 - (x-z)/Omega) psi(t) dt
+
+    with the Gauss-Jacobi rule `psi_rule`; a `zero_limit` kappa_j is the
+    exact shift x_j - z_j.  So tau f sums fn over the product of the axes'
+    branch tables, weighted by the product of their coefficients, and fn
+    is evaluated once per mirror class of points, grouped once per call
+    (`_mirror_classes`).  A probe picks the psi order per call from 8, 16,
+    32 and 64 (`_psi_order`); the integrand is entire in t for an entire
+    field, so the rule converges spectrally.  A pass that would cost more
+    than 2^30 field values, points x prod_j (2 order on a Roesler axis),
+    raises NodeCountExceeded (`_admit`), as early as the probe can tell.
+    """
+    X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
+    pts = [x.ravel() for x in X]
+    _admit(pts[0].size, kappa, _PSI_ORDERS[0])  # before the grouping sorts them
+    classes = _mirror_classes(pts, kappa)
+    order = _psi_order(fn, pts, z, kappa, classes)[0]
+    _admit(pts[0].size, kappa, order)
+    return _explicit_pass(fn, pts, z, _psi_rules(kappa, order), classes).reshape(X[0].shape)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdt_engine import AnalyticField, TransformPlan, build_plan, fit_profile, forward
+from .cdt_engine import AnalyticField, PlanMismatch, SampledField, TransformPlan, build_plan, fit_profile, forward
 from .clifford_core import MultiVector, blade_label, modulus
 from .quadrature import build_grid
 
@@ -234,6 +234,10 @@ def verdict(f, config: MiyachiConfig, plan: TransformPlan) -> MiyachiVerdict:
     L_x, panels, order = plan.grid_x.spec
     cond1 = check_growth(f, config.alpha, config.exponent, config.ladder,
                          panels=panels, order=order)
+    if (f.sig, f.ms) != (plan.sig, plan.ms):
+        raise PlanMismatch("field signature/multiplicities differ from plan")
+    vals = f.sample(plan.grid_x)  # once: every rung shares the plan's x grid
+    sampled = SampledField(f.sig, f.ms, plan.grid_x, vals)
     rung_fields = []
     for L in config.ladder:
         rung = ((L,) * plan.sig.d, panels, order)
@@ -242,11 +246,10 @@ def verdict(f, config: MiyachiConfig, plan: TransformPlan) -> MiyachiVerdict:
             L_x=L_x, L_y=float(L), panels=panels, order=order,
             normalization=plan.normalization,
         )
-        rung_fields.append(forward(f, rung_plan))
+        rung_fields.append(forward(sampled, rung_plan))
     cond2 = check_log(rung_fields, config.beta, config.lam, config.ladder)
     C = residual = lam_ok = None
     if case == "boundary" and cond1.status == "finite" and cond2.status == "finite":
-        vals = f.sample(plan.grid_x)
         g = np.exp(-config.alpha * sum(x * x for x in plan.grid_x.coords()))
         coeff, residual = fit_profile(vals, g, g)  # weight g: the far tail cannot dominate
         C = MultiVector(f.sig, coeff)

@@ -17,11 +17,14 @@ from functools import partial
 
 import numpy as np
 
-from cliffdunkl.cdt_engine import AnalyticField, ClaimReport, _explicit_pass, _psi_rules, _shift
+from cliffdunkl.cdt_engine import AnalyticField, ClaimReport, _shift
 from cliffdunkl.clifford_core import ImaginaryUnit, MultiVector
 from cliffdunkl.dunkl_rank1 import (
     HERMITE_N_CAP,
     MultiplicitySplit,
+    _explicit_pass,
+    _mirror_classes,
+    _psi_rules,
     eval_kernel_ab,
     eval_orthonormal,
     hermite_basis,
@@ -258,7 +261,8 @@ def translate_at_order(f: AnalyticField, z, ms: MultiplicitySplit, order: int) -
 
     def translated(*X, fn):
         X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
-        return _explicit_pass(fn, [x.ravel() for x in X], z, rules).reshape(X[0].shape)
+        pts = [x.ravel() for x in X]
+        return _explicit_pass(fn, pts, z, rules, _mirror_classes(pts, ms.kappa)).reshape(X[0].shape)
 
     return AnalyticField(f.sig, ms, {mask: partial(translated, fn=fn) for mask, fn in f.blades.items()})
 

@@ -425,10 +425,11 @@ def test_kernel_tabulation_holds_one_block_of_work_at_a_time():
 
 
 @pytest.mark.parametrize("kappa", [1e-17, 1e-300])
-def test_psi_rule_at_float_zero_kappa_is_a_point_mass_at_one(kappa):
-    nodes, weights = psi_rule(kappa, 48)
-    assert np.dot(weights, np.cos(nodes)) == math.cos(1.0)
-    assert np.sum(weights) == 1.0 and np.dot(weights, nodes) == 1.0
+def test_psi_rule_refuses_a_float_zero_kappa(kappa):
+    # no Jacobi rule exists there: explicit translation shifts that axis
+    # instead, and never asks for a rule
+    with pytest.raises(ValueError, match=r"^psi density needs kappa > 2\^-54, got "):
+        psi_rule(kappa, 48)
     # just above the threshold the Jacobi rule is used, and it already sits
     # at the limit to rounding: no jump across the switch
     assert 2.0**-53 - 1.0 != -1.0

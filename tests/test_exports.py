@@ -4,7 +4,8 @@ declared dependency; no module imports a name it never uses, and every
 private module-level function or class has a caller in the package, so
 deleted code leaves neither imports nor helpers behind; and no module
 imports another's private name, so each private name has one owner; nor
-does a demo, which shows the public API."""
+does a demo, which shows the public API; and the benchmark's tracer finds
+every stage it binds by name but the two known stale ones."""
 
 import ast
 import importlib
@@ -103,3 +104,19 @@ def test_no_demo_imports_a_private_name():
                                if alias.name.startswith("_"))
     assert imports, "the scan found no import from the package in the demos"
     assert not private, f"private names imported by demos: {sorted(private)}"
+
+
+def test_the_benchmark_tracer_binds_every_stage_but_the_two_known_stale_ones():
+    # cdbench/trace.py times stages by module and name, so a moved or renamed
+    # function would silently zero its per-layer metric
+    root = str(pathlib.Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from cdbench.trace import Tracer
+
+    for name in MODULES:
+        importlib.import_module(name)
+    tracer = Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert tracer.absent == ["cdt_engine._assemble", "dunkl_rank1.kernel_ab_series"]

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from cliffdunkl.cdt_engine import AnalyticField, SampledField, build_plan, forward
-from cliffdunkl.clifford_core import modulus
+from cliffdunkl.cdt_engine import AnalyticField, PlanMismatch, SampledField, build_plan, forward
+from cliffdunkl.clifford_core import MultiVector, Signature, modulus, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit, mehta_constant
 from cliffdunkl.miyachi import (
     MiyachiConfig,
@@ -355,6 +355,30 @@ def test_verdict_boundary_case_fits_the_gaussian_constant(sig02, ms_std, unit_a,
     assert v.residual <= 1e-12
     assert v.lambda_check is True
     assert modulus(v.C) <= cfg.lam
+
+
+def test_verdict_samples_the_field_once_per_grid(sig02, ms_std, unit_a, unit_b):
+    # one sample per ladder grid for the growth condition, and one on the
+    # plan's x grid shared by every rung's transform and the boundary fit
+    plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=8.0, L_y=5.0)
+    cfg = MiyachiConfig(1.0, 0.25, 3.0, exponent=math.inf)
+    shapes = []
+
+    def body(x1, x2):
+        shapes.append(np.broadcast_shapes(x1.shape, x2.shape))
+        return 2.0 * np.exp(-(x1**2 + x2**2))
+
+    v = verdict(AnalyticField(sig02, ms_std, {0: body}), cfg, plan)
+    assert v.C.coeff[0] == pytest.approx(2.0, abs=1e-12)
+    assert len(shapes) == len(cfg.ladder) + 1
+
+
+def test_verdict_refuses_a_plan_of_another_dimension(sig02, ms_std):
+    sig = Signature(0, 1)
+    e1 = validate_imaginary(MultiVector.blade(sig, "e1"), "e1")
+    plan = build_plan(sig, MultiplicitySplit((0.3,), 0), e1, e1, L_x=4.0, L_y=4.0, order=12)
+    with pytest.raises(PlanMismatch, match="differ from plan"):
+        verdict(gaussian_field(sig02, ms_std), MiyachiConfig(1.0, 0.25, 3.0, exponent=math.inf), plan)
 
 
 def test_verdict_boundary_case_can_fail_the_lambda_bound(sig02, ms_std, unit_a, unit_b):

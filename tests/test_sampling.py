@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffdunkl import cdt_engine, quadrature
+from cliffdunkl import cdt_engine, dunkl_rank1, quadrature
 from cliffdunkl.cdt_engine import AnalyticField, build_plan, translate_explicit
 from cliffdunkl.clifford_core import MultiVector, Signature, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit
@@ -98,14 +98,14 @@ def test_explicit_translation_samples_identically_at_the_same_order(d, order, mo
     z = rng.uniform(-0.8, 0.8, d)
     tf = translate_explicit(f, z, ms)
     orders = []
-    psi_order = cdt_engine._psi_order
+    psi_order = dunkl_rank1._psi_order
 
     def record(*args):
         got = psi_order(*args)
         orders.append(got[0])
         return got
 
-    monkeypatch.setattr(cdt_engine, "_psi_order", record)
+    monkeypatch.setattr(dunkl_rank1, "_psi_order", record)
     got = tf.sample(grid)
     n_open = len(orders)
     want = sample_dense(tf, grid)

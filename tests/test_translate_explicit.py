@@ -11,15 +11,12 @@ import numpy as np
 import pytest
 from scipy.special import hyp0f1
 
-from cliffdunkl import cdt_engine
+from cliffdunkl import dunkl_rank1
 from cliffdunkl.cdt_engine import (
-    _EXPLICIT_CHUNK,
     LEDGER_DEFAULTS,
     AnalyticField,
     SampledField,
-    _branch_table,
     _gaussian_field,
-    _psi_order,
     build_plan,
     rel_l2_error,
     run_claims_ledger,
@@ -27,7 +24,15 @@ from cliffdunkl.cdt_engine import (
     translate_spectral,
 )
 from cliffdunkl.clifford_core import MultiVector, Signature, validate_imaginary
-from cliffdunkl.dunkl_rank1 import MultiplicitySplit, psi_rule, zero_limit
+from cliffdunkl.dunkl_rank1 import (
+    _EXPLICIT_CHUNK,
+    MultiplicitySplit,
+    _branch_table,
+    _mirror_classes,
+    _psi_order,
+    psi_rule,
+    zero_limit,
+)
 from cliffdunkl.quadrature import NodeCountExceeded, build_grid
 
 from oracles import translate_at_order
@@ -253,7 +258,7 @@ def test_unconverged_field_runs_at_the_cap():
         return np.cos(60.0 * x)
 
     x = np.linspace(-8.0, 8.0, 300)
-    order, estimate = _psi_order(body, [x], np.array([2.0]), (0.5,))
+    order, estimate = _psi_order(body, [x], np.array([2.0]), (0.5,), _mirror_classes([x], (0.5,)))
     assert order == 64 and estimate > 1e-14
     got = _translated(body, (0.5,), (2.0,))(x)
     assert np.array_equal(got, _translated(body, (0.5,), (2.0,), order=64)(x))
@@ -267,7 +272,8 @@ def test_exact_shifts_and_the_zero_field_settle_at_once():
         calls.append(1)
         return np.exp(-(x1 * x1 + x2 * x2))
 
-    assert _psi_order(body, [np.linspace(-1.0, 1.0, 5)] * 2, np.array([0.6, -0.4]), ms.kappa) == (8, 0.0)
+    pts = [np.linspace(-1.0, 1.0, 5)] * 2
+    assert _psi_order(body, pts, np.array([0.6, -0.4]), ms.kappa, _mirror_classes(pts, ms.kappa)) == (8, 0.0)
     assert calls == []
     grid = build_grid(ms, 8.0, panels=1, order=48)
     got = translate_explicit(AnalyticField(Signature(0, 2), ms, {0: body}), (0.6, -0.4), ms).sample(grid)
@@ -279,7 +285,7 @@ def test_exact_shifts_and_the_zero_field_settle_at_once():
         return np.zeros(np.broadcast(x1, x2).shape)
 
     pts = [x.ravel() for x in _mesh(2, 12)]
-    assert _psi_order(zero, pts, np.array([0.6, -0.4]), (0.3, 0.7)) == (8, 0.0)
+    assert _psi_order(zero, pts, np.array([0.6, -0.4]), (0.3, 0.7), _mirror_classes(pts, (0.3, 0.7))) == (8, 0.0)
     assert not np.any(_translated(zero, (0.3, 0.7), (0.6, -0.4))(*_mesh(2, 12)))
 
 
@@ -404,7 +410,7 @@ def test_explicit_translation_is_admitted_by_its_field_values(monkeypatch):
 
     ms = MultiplicitySplit((0.5,), 0)
     f = translate_explicit(AnalyticField(Signature(0, 1), ms, {0: body}), (2.0,), ms)
-    monkeypatch.setattr(cdt_engine, "_EXPLICIT_CAP", 300 * 16)
+    monkeypatch.setattr(dunkl_rank1, "_EXPLICIT_CAP", 300 * 16)
     with pytest.raises(NodeCountExceeded, match=r"^explicit translation of 300 points at psi order 16 "
                                                 r"costs 9600 field values, over the cap 4800; "
                                                 r"use --method spectral$"):
@@ -412,15 +418,66 @@ def test_explicit_translation_is_admitted_by_its_field_values(monkeypatch):
     assert widths and max(widths) == 2 * 16
     # the lowest order already over the cap: refused before any field call
     widths.clear()
-    monkeypatch.setattr(cdt_engine, "_EXPLICIT_CAP", 300 * 16 - 1)
+    monkeypatch.setattr(dunkl_rank1, "_EXPLICIT_CAP", 300 * 16 - 1)
     with pytest.raises(NodeCountExceeded, match="at psi order 8 "):
         f.blades[0](x)
     assert widths == []
     # a shift axis counts one branch: 300 points x 1 x 16 at order 8
     ms = MultiplicitySplit((0.0, 0.5), 1)
     g = translate_explicit(AnalyticField(Signature(0, 2), ms, {0: lambda x1, x2: x1 + x2}), (0.3, 0.4), ms)
-    monkeypatch.setattr(cdt_engine, "_EXPLICIT_CAP", 300 * 16 - 1)
+    monkeypatch.setattr(dunkl_rank1, "_EXPLICIT_CAP", 300 * 16 - 1)
     with pytest.raises(NodeCountExceeded, match="of 300 points at psi order 8 costs 4800 "):
         g.blades[0](x, x)
-    monkeypatch.setattr(cdt_engine, "_EXPLICIT_CAP", 300 * 16)
+    monkeypatch.setattr(dunkl_rank1, "_EXPLICIT_CAP", 300 * 16)
     assert np.allclose(g.blades[0](x, x), 2.0 * x - 0.7, rtol=0.0, atol=1e-12)
+
+
+# -- one grouping per call -------------------------------------------------------
+
+
+def test_each_blade_call_groups_its_points_once(monkeypatch):
+    calls = []
+    group = dunkl_rank1._mirror_classes
+    monkeypatch.setattr(dunkl_rank1, "_mirror_classes", lambda *args: calls.append(1) or group(*args))
+    # the 96^2 ledger grid, a field of two blades: one grouping per blade
+    sig, ms = Signature(0, 2), MultiplicitySplit(LEDGER_DEFAULTS["kappa"], 1)
+    grid = build_grid(ms, LEDGER_DEFAULTS["L_x"], panels=1, order=LEDGER_DEFAULTS["order"])
+    f = AnalyticField(sig, ms, {0: _body, 3: _wavy})
+    translate_explicit(f, LEDGER_DEFAULTS["z"], ms).sample(grid)
+    assert len(calls) == 2
+    # scattered points, d = 3
+    calls.clear()
+    X = np.random.default_rng(3).uniform(-3.0, 3.0, (3, 800))
+    _translated(_body, (0.3, 0.5, 0.7), (0.5, -0.3, 0.2))(*X)
+    assert len(calls) == 1
+    # refused at the lowest order: before any grouping
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(dunkl_rank1, "_EXPLICIT_CAP", 800 * 16**3 - 1)
+        with pytest.raises(NodeCountExceeded, match="at psi order 8 "):
+            _translated(_body, (0.3, 0.5, 0.7), (0.5, -0.3, 0.2))(*X)
+    assert calls == []
+    # a probe that climbs to order 64: four probe passes and the final one
+    calls.clear()
+    orders = []
+    explicit_pass = dunkl_rank1._explicit_pass
+
+    def recorded(fn, pts, z, rules, classes):
+        orders.append(len(rules[0][0]))
+        return explicit_pass(fn, pts, z, rules, classes)
+
+    monkeypatch.setattr(dunkl_rank1, "_explicit_pass", recorded)
+    _translated(lambda x: np.cos(60.0 * x), (0.5,), (2.0,))(np.linspace(-8.0, 8.0, 300))
+    assert orders == [8, 16, 32, 64, 64] and len(calls) == 1
+
+
+@pytest.mark.parametrize("kappa", [(0.3, 0.7), (0.0, 0.7), (0.0, 0.0)])
+def test_blades_are_roesler_translate_bit_for_bit(kappa):
+    sig, ms = Signature(0, 2), MultiplicitySplit(kappa, 1)
+    f = AnalyticField(sig, ms, {0: _body, 3: _wavy})
+    z = (0.6, -0.4)
+    X = (np.linspace(-3.0, 3.0, 40)[:, None], np.random.default_rng(4).uniform(-3.0, 3.0, 25)[None, :])
+    g = translate_explicit(f, z, ms)
+    for m in f.blades:
+        want = dunkl_rank1.roesler_translate(f.blades[m], X, np.array(z), ms.kappa)
+        assert np.array_equal(g.blades[m](*X), want)
