@@ -36,6 +36,13 @@ both take class products between the contractions of one pipeline
 (`_scalar_operator`).  `translate_explicit` instead applies Roesler's
 formula blade by blade (`dunkl_rank1.roesler_translate`).
 
+A field's support is the k blades that may be nonzero: an analytic field's
+blade keys, the planes of a caller's array that hold a nonzero value, or
+the nonzero columns of the blade map that made an engine result.  Every
+stage carries only those: the fold and contractions, the rows of cmat in
+the blade step and of the structure tensor in the class products.  So work
+and work buffers scale with k; a partial result is scattered into zeros.
+
 Analytic fields are sampled one blade body per blade.  From 2^20 sampled
 values on, the bodies are dealt out to the calling thread and to usable
 CPUs - 1 threads started for the call and joined before it returns
@@ -151,7 +158,8 @@ class AnalyticField:
     Each body is called once per `sample`.  On grids of `_PARALLEL_MIN`
     (2^20) values or more, nodes times blades, the bodies run concurrently
     on the calling thread and threads started for the call and joined
-    before it returns, so a body must not mutate shared state.
+    before it returns, so a body must not mutate shared state.  The blade
+    keys are the field's support: the engine's work scales with their number.
     """
 
     sig: Signature
@@ -172,6 +180,7 @@ class AnalyticField:
         if not norm:
             raise ValueError("field needs at least one blade")
         object.__setattr__(self, "blades", norm)
+        object.__setattr__(self, "_support", tuple(sorted(norm)))
 
     def sample(self, grid: TensorGrid) -> np.ndarray:
         """Values (*grid.shape, 2^d), a view of a blade-first array, so that
@@ -200,14 +209,20 @@ class AnalyticField:
 
 
 class _Owned(NamedTuple):
-    """A freshly computed array that `SampledField` may keep without a copy."""
+    """A fresh engine result and its support, which `SampledField` keeps as they are."""
 
     array: np.ndarray
+    support: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class SampledField:
-    """One multivector per grid node, stored as (*grid.shape, 2^d) floats."""
+    """One multivector per grid node, stored as (*grid.shape, 2^d) floats.
+
+    Its support, which the engine's work scales with, is found once: the
+    planes of a caller's array holding a nonzero value (-0.0 is zero, and
+    an all-zero array keeps the scalar), or what the engine passes along.
+    """
 
     sig: Signature
     ms: MultiplicitySplit
@@ -215,19 +230,19 @@ class SampledField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = self.values
-        # a caller's array is copied and checked; an engine result nobody else holds is adopted
-        if isinstance(vals, _Owned):
-            vals = vals.array
-        else:
+        # a caller's array is copied, checked and scanned; an engine result nobody else holds is adopted
+        vals, support = self.values if isinstance(self.values, _Owned) else (self.values, None)
+        if support is None:
             vals = np.array(vals, dtype=float, order="C")
             if not np.isfinite(vals).all():
                 raise ValueError("field values hold a non-finite number")
+            support = tuple(np.flatnonzero(vals.any(axis=tuple(range(vals.ndim - 1)))).tolist()) or (0,)
         want = self.grid.shape + (self.sig.n_blades,)
         if vals.shape != want:
             raise ValueError(f"values shape {vals.shape}, grid wants {want}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_support", support)
 
     def norm2(self) -> float:
         """Weighted L^2 norm squared: integral of the modulus squared."""
@@ -419,8 +434,8 @@ def build_plan(
 
 
 class _Work:
-    """Two flat buffers of `size` floats that the stages of a pipeline
-    write in turn.
+    """Two flat buffers that the stages of a pipeline write in turn, of
+    `last` (default `size`) floats for the last stage and `size` otherwise.
 
     A pipeline of n stages ends in bufs[(n - 1) % 2]: a partial transform
     takes d + 2 stages, a transform d + 5 and a scalar operator 2d + 6.
@@ -431,15 +446,21 @@ class _Work:
     benchmark by 16-23 MiB in about half of its runs (glibc malloc).
     """
 
-    def __init__(self, stages: int, size: int):
-        first, second = np.empty(size), np.empty(size)
+    def __init__(self, stages: int, size: int, last: int | None = None):
+        first, second = np.empty(size if last is None else last), np.empty(size)
         self.bufs, self.turn = ((first, second) if stages % 2 else (second, first)), 0
 
     def next(self, shape) -> np.ndarray:
         """The buffer the previous call did not return, as `shape`."""
         buf = self.bufs[self.turn]
         self.turn ^= 1
-        return buf.reshape(shape)
+        return buf[:math.prod(shape)].reshape(shape)
+
+
+def _blades_at(support: tuple):
+    """Index of the sorted blades `support` on a last axis: a slice (a view) if consecutive."""
+    lo, hi = support[0], support[-1] + 1
+    return slice(lo, hi) if hi - lo == len(support) else list(support)
 
 
 @lru_cache(maxsize=None)
@@ -479,13 +500,17 @@ def _fold(values: np.ndarray, d: int, work: _Work) -> np.ndarray:
     return X
 
 
-def _unfold(X: np.ndarray, d: int, work: _Work) -> np.ndarray:
-    """Class stack of parity components -> values (*grid, k)."""
+def _unfold(X: np.ndarray, d: int, work: _Work, support=None, nb=None) -> np.ndarray:
+    """Class stack of parity components -> values (*grid, k).  Given the
+    support of the k blades among nb > k, values (*grid, nb), zero off it."""
     Y = work.next(X.shape)
     np.matmul(_hadamard(d), X.reshape(2**d, -1), out=Y.reshape(2**d, -1))
-    out = work.next(tuple(2 * n for n in X.shape[1:d + 1]) + X.shape[d + 1:])
+    cols = slice(None) if support is None or len(support) == nb else _blades_at(support)
+    out = work.next(tuple(2 * n for n in X.shape[1:d + 1]) + (X.shape[d + 1:] if nb is None else (nb,)))
+    if cols != slice(None):
+        out.fill(0.0)
     for e, index in enumerate(_orthants(out.shape[:d])):
-        out[index] = Y[e]
+        out[index + (cols,)] = Y[e]
     return out
 
 
@@ -518,55 +543,68 @@ def _partial_transform(values: np.ndarray, plan: TransformPlan, inverse: bool,
     return _contract(_fold(values, plan.ms.d, work), plan, inverse, blades, work)
 
 
-def _transform(values: np.ndarray, plan: TransformPlan, inverse: bool,
-               const: float) -> np.ndarray:
-    """const * sum over classes sigma of sign(sigma) a^s (class) b^r."""
-    _, s, r, sign = _parity_classes(plan.ms.d, plan.ms.split)
-    blades = (const * sign)[:, None, None] * plan.cmat[s, r]
-    work = _Work(plan.ms.d + 5, values.size)
-    return _unfold(_partial_transform(values, plan, inverse, blades, work), plan.ms.d, work)
+def _reach(M: np.ndarray, support: tuple, nb: int) -> tuple:
+    """Blade maps M (..., 2^d, 2^d) at the rows `support` and the columns they reach; those columns."""
+    if len(support) == nb:
+        return M, support
+    M = M[..., list(support), :]
+    out = tuple(np.flatnonzero(M.reshape(-1, nb).any(axis=0)).tolist())
+    return M[..., list(out)], out
 
 
-def _scalar_operator(Phi: np.ndarray, values: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    """Phi * g as values (*grid_x, k), for the y-side class stack Phi
-    (C, k', *half) of a left factor in the first k' blades and g's samples.
+def _transform(values: np.ndarray, support: tuple, plan: TransformPlan, inverse: bool,
+               const: float) -> tuple:
+    """const * sum over classes sigma of sign(sigma) a^s (class) b^r, and the support it reaches."""
+    d, nb = plan.ms.d, plan.sig.n_blades
+    _, s, r, sign = _parity_classes(d, plan.ms.split)
+    cmat, out = _reach(plan.cmat[s, r], support, nb)
+    blades = (const * sign)[:, None, None] * cmat
+    work = _Work(d + 5, values.size // nb * max(len(support), len(out)), values.size)
+    X = _partial_transform(values[..., _blades_at(support)], plan, inverse, blades, work)
+    return _unfold(X, d, work, out, nb), out
+
+
+def _scalar_operator(Phi: np.ndarray, left: tuple, values: np.ndarray, right: tuple,
+                     plan: TransformPlan) -> tuple:
+    """Phi * g (*grid_x, 2^d) and its support, for the y-side class stack Phi
+    (C, k', *half) of a left factor with support `left` and g's samples.
 
     y class tau collects (-1)^|alpha or beta| Phi_alpha Gamma_beta over
     alpha xor beta = tau, Gamma g's classes and the sign what the units and
-    the inverse's conjugation leave; one GEMM against the structure tensor
-    takes the blade products.  The inverse contractions and c^2 2^d follow
-    (2^d turns parity components into the fold sums the matrices expect).
+    the inverse's conjugation leave; one GEMM against the supports' rows of
+    the structure tensor takes the blade products.  The inverse contractions
+    and c^2 2^d follow (2^d turns parity components into fold sums).
     """
     d, nb = plan.ms.d, plan.sig.n_blades
-    work = _Work(2 * d + 6, values.size)
-    Gam = _partial_transform(values, plan, False, work=work)
+    S, out = _reach(structure_tensor(plan.sig)[list(left)], right, nb)
+    work = _Work(2 * d + 6, values.size // nb * max(len(right), len(out)), values.size)
+    Gam = _partial_transform(values[..., _blades_at(right)], plan, False, work=work)
     del values  # dead once folded: frees a field before the class products
-    (C, kl), half = Phi.shape[:2], Gam.shape[2:]
-    Phi, Gam = Phi.reshape(C, kl, 1, -1), Gam.reshape(C, 1, nb, -1)
-    S = structure_tensor(plan.sig)[:kl].reshape(kl * nb, nb)
+    (C, kr), half, kl, k = Gam.shape[:2], Gam.shape[2:], len(left), len(out)
+    Phi, Gam, S = Phi.reshape(C, kl, 1, -1), Gam.reshape(C, 1, kr, -1), S.reshape(kl * kr, k)
     bits = _parity_classes(d, plan.ms.split)[0]
     odd = (bits[:, None] | bits[None, :]).sum(axis=-1) % 2
-    H = work.next((C,) + half + (nb,))
-    Q, term = np.empty((2, kl, nb, Gam.shape[-1]))
+    H = work.next((C,) + half + (k,))
+    Q, term = np.empty((2, kl, kr, Gam.shape[-1]))
     for tau in range(C):
         Q.fill(0.0)
         for al in range(C):
             np.multiply(Phi[al], Gam[al ^ tau], out=term)
             (np.subtract if odd[al, al ^ tau] else np.add)(Q, term, out=Q)
-        np.matmul(Q.reshape(kl * nb, -1).T, S, out=H[tau].reshape(-1, nb))
-    scale = np.eye(nb) * (_c_squared(plan) * 2.0**d)
-    return _unfold(_contract(H, plan, True, scale[None], work), d, work)
+        np.matmul(Q.reshape(kl * kr, -1).T, S, out=H[tau].reshape(-1, k))
+    scale = np.eye(k) * (_c_squared(plan) * 2.0**d)
+    return _unfold(_contract(H, plan, True, scale[None], work), d, work, out, nb), out
 
 
-def _result(plan: TransformPlan, grid: TensorGrid, values: np.ndarray) -> SampledField:
-    """An engine result, adopted without the defensive copy."""
-    return SampledField(plan.sig, plan.ms, grid, _Owned(values))
+def _result(plan: TransformPlan, grid: TensorGrid, values: np.ndarray, support: tuple) -> SampledField:
+    """An engine result, adopted without the defensive copy or a scan."""
+    return SampledField(plan.sig, plan.ms, grid, _Owned(values, support))
 
 
 def forward(f, plan: TransformPlan) -> SampledField:
     """Two-sided transform: kernel E_p on the left, E_q on the right."""
     values = _sample_on(f, plan.grid_x, plan.sig, plan.ms)
-    return _result(plan, plan.grid_y, _transform(values, plan, False, plan.mode_scale))
+    return _result(plan, plan.grid_y, *_transform(values, f._support, plan, False, plan.mode_scale))
 
 
 def inverse(F, plan: TransformPlan) -> SampledField:
@@ -576,8 +614,8 @@ def inverse(F, plan: TransformPlan) -> SampledField:
     c_{k_p} c_{k_q} so that inverse(forward(f)) = f in either mode.
     """
     values = _sample_on(F, plan.grid_y, plan.sig, plan.ms)
-    out = _transform(values, plan, True, _c_squared(plan) / plan.mode_scale)
-    return _result(plan, plan.grid_x, out)
+    return _result(plan, plan.grid_x, *_transform(values, F._support, plan, True,
+                                                  _c_squared(plan) / plan.mode_scale))
 
 
 # -- claims ---------------------------------------------------------------
@@ -815,8 +853,8 @@ def translate_spectral(f, z, plan: TransformPlan) -> SampledField:
             )
         AB = np.stack(eval_kernel_ab(table, z[j] * ay.nodes[len(ay) // 2:]))
         delta = (delta[:, None, :, None] * AB[None, :, None, :]).reshape(2 * len(delta), -1)
-    values = _scalar_operator(delta[:, None], _sample_on(f, plan.grid_x, plan.sig, plan.ms), plan)
-    return _result(plan, plan.grid_x, values)
+    return _result(plan, plan.grid_x, *_scalar_operator(
+        delta[:, None], (0,), _sample_on(f, plan.grid_x, plan.sig, plan.ms), f._support, plan))
 
 
 def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit) -> AnalyticField:
@@ -840,9 +878,9 @@ def convolve(f, g, plan: TransformPlan) -> SampledField:
     products of the contracted classes of f and g (`_scalar_operator`).
     The result depends neither on the units nor on the normalization mode.
     """
-    Phi = _partial_transform(_sample_on(f, plan.grid_x, plan.sig, plan.ms), plan, False)
-    values = _scalar_operator(Phi, _sample_on(g, plan.grid_x, plan.sig, plan.ms), plan)
-    return _result(plan, plan.grid_x, values)
+    Phi = _partial_transform(_sample_on(f, plan.grid_x, plan.sig, plan.ms)[..., _blades_at(f._support)], plan, False)
+    return _result(plan, plan.grid_x, *_scalar_operator(
+        Phi, f._support, _sample_on(g, plan.grid_x, plan.sig, plan.ms), g._support, plan))
 
 
 # -- the claims ledger ----------------------------------------------------

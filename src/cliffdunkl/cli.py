@@ -326,6 +326,7 @@ def _add_common(sp, *, field=True, out=True, out_required=False, out_grid=True):
         sp.add_argument("--out", required=out_required, help="output field file")
 
 
+@functools.lru_cache(maxsize=None)  # built once per process; parse_args leaves it unchanged
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="cliffdunkl",

@@ -37,8 +37,8 @@ __all__ = [
     "NODE_CAP",
 ]
 
-# values per grid (nodes x 2^d blades) and (panels x order)^2 per axis; an operation holds
-# at most 6 such fields of 128 MiB (test_transform_memory_stays_within_two_work_buffers)
+# values per grid (nodes x 2^d blades) and (panels x order)^2 per axis; an operation on full-blade
+# fields holds at most 6 such fields of 128 MiB (test_transform_memory_stays_within_two_work_buffers)
 NODE_CAP = 1 << 24
 
 
@@ -245,8 +245,9 @@ def build_grid(ms, L, panels: int = 4, order: int = 12) -> TensorGrid:
     any eigen-solve, NodeCountExceeded refuses more than NODE_CAP values per
     axis, (panels x order)^2, which bounds a plan's kernel quadrant and a
     rule's order x order Jacobi matrix; then per grid, nodes times 2^d blades.
-    That is the one memory rule: forward, inverse, translate_spectral and
-    convolve hold at most 3, 2, 4 and 6 fields of the grid's size.
+    That is the one memory rule: on full-blade fields, forward, inverse,
+    translate_spectral and convolve hold at most 3, 2, 4 and 6 fields of
+    the grid's size; fields with fewer blades hold less.
     """
     kappas = tuple(getattr(ms, "kappa", ms))
     d = len(kappas)

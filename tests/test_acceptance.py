@@ -38,7 +38,7 @@ from cliffdunkl.cdt_engine import (
     translate_explicit,
     translate_spectral,
 )
-from cliffdunkl.cdt_engine import _sample_on, eigen_fit
+from cliffdunkl.cdt_engine import eigen_fit
 from cliffdunkl.miyachi import MiyachiConfig, check_log, verdict
 from cliffdunkl.field_io import load_field, save_field
 from cliffdunkl.field_expr import (
@@ -59,7 +59,7 @@ def _report(num, name, ok, detail):
 
 
 def _sampled(f, grid):
-    return SampledField(f.sig, f.ms, grid, _sample_on(f, grid, f.sig, f.ms))
+    return SampledField(f.sig, f.ms, grid, f.sample(grid))
 
 
 def test_criterion_1_gaussian_image_shape(sig02, ms_std, unit_a, unit_b):

@@ -56,7 +56,7 @@ from cliffdunkl.cdt_engine import (
     translate_explicit,
     translate_spectral,
 )
-from cliffdunkl.cdt_engine import _Work, _fold, _sample_on, _unfold
+from cliffdunkl.cdt_engine import _Work, _fold, _unfold
 from cliffdunkl import cdt_engine, dunkl_rank1
 from cliffdunkl.quadrature import build_grid
 
@@ -73,7 +73,7 @@ def _unit(sig, spec):
 
 
 def _sampled(f, grid, sig, ms):
-    return SampledField(sig, ms, grid, _sample_on(f, grid, sig, ms))
+    return SampledField(sig, ms, grid, f.sample(grid))
 
 
 def _scalar_sampled(grid, sig, ms, values):
@@ -153,8 +153,8 @@ def test_forward_is_linear(sig02, ms_std, plan_std):
         1: lambda x1, x2: np.exp(-2.0 * (x1**2 + x2**2)),
         3: lambda x1, x2: x2 * np.exp(-(x1**2 + x2**2)),
     })
-    vf = _sample_on(f, plan_std.grid_x, sig02, ms_std)
-    vg = _sample_on(g, plan_std.grid_x, sig02, ms_std)
+    vf = f.sample(plan_std.grid_x)
+    vg = g.sample(plan_std.grid_x)
     combo = SampledField(sig02, ms_std, plan_std.grid_x, 2.0 * vf - 0.25 * vg)
     got = forward(combo, plan_std).values
     want = 2.0 * forward(f, plan_std).values - 0.25 * forward(g, plan_std).values
@@ -170,7 +170,7 @@ def test_transform_matches_multivector_loop(sig02, ms_std, unit_a, unit_b):
         for m in range(4)
     })
     F = forward(f, plan)
-    vals = _sample_on(f, plan.grid_x, sig02, ms_std)
+    vals = f.sample(plan.grid_x)
     w = plan.grid_x.total_weights().reshape(plan.grid_x.shape)
     n1, n2 = plan.grid_x.shape
     for j1, j2 in ((3, 11), (20, 26), (31, 2)):
@@ -240,7 +240,7 @@ def test_multi_axis_blocks_match_multivector_loop(q, split, transform):
     else:
         got = forward(f, plan)
         scale = 1.0
-    vals = _sample_on(f, src, sig, ms)
+    vals = f.sample(src)
     w = src.total_weights().reshape(src.shape)
     rng = np.random.default_rng(7)
     for out_idx in (tuple(rng.integers(0, n) for n in dst.shape) for _ in range(3)):
@@ -567,7 +567,7 @@ def test_convolution_matches_the_literal_double_integral(sig02, ms_std, unit_a, 
     })
     got = convolve(f, g, plan)
     S = structure_tensor(sig02)
-    fs = _sample_on(f, plan.grid_x, sig02, ms_std)
+    fs = f.sample(plan.grid_x)
     w = plan.grid_x.total_weights().reshape(plan.grid_x.shape)
     acc = np.zeros(plan.grid_x.shape + (sig02.n_blades,))
     n1, n2 = plan.grid_x.shape
@@ -596,8 +596,8 @@ def test_convolution_is_bilinear_in_the_left_slot(sig02, ms_std, unit_a, unit_b)
     f1 = gaussian_field(sig02, ms_std)
     f2 = gaussian_field(sig02, ms_std, delta=0.7, blades=(1,))
     g = gaussian_field(sig02, ms_std, delta=1.3)
-    v1 = _sample_on(f1, plan.grid_x, sig02, ms_std)
-    v2 = _sample_on(f2, plan.grid_x, sig02, ms_std)
+    v1 = f1.sample(plan.grid_x)
+    v2 = f2.sample(plan.grid_x)
     combo = SampledField(sig02, ms_std, plan.grid_x, 1.5 * v1 - 2.0 * v2)
     got = convolve(combo, g, plan).values
     want = 1.5 * convolve(f1, g, plan).values - 2.0 * convolve(f2, g, plan).values

@@ -5,6 +5,7 @@ entry point.  Grid and z values beginning with "-" are passed as separate
 tokens on purpose: the dash-binding preprocessing must keep them values.
 """
 
+import argparse
 import importlib
 import inspect
 import json
@@ -248,6 +249,34 @@ def test_argparse_rejections_exit_2(tmp_path, capsys):
         main(["transform", "--field", "f.json"])  # --out is required
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_and_usage_errors_leave_it_as_it_was(
+        tmp_path, gauss_file, capsys, monkeypatch):
+    parsers = []
+    parse = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args, **kw: parsers.append(self) or parse(self, *args, **kw))
+    out = tmp_path / "F.json"
+    argv = ["transform", "--field", str(gauss_file), "--in-grid", "-4:4:1:8",
+            "--out-grid", "-4:4:1:8", "--out", str(out)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out, out.read_bytes()
+    out.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--field", str(gauss_file), "--z", "1"])  # a flag transform lacks
+    assert exc.value.code == 2
+    assert main(["transform", "--field", str(gauss_file), "--in-grid", "junk", "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert (capsys.readouterr().out, out.read_bytes()) == first
+    assert len(parsers) == 4 and all(p is parsers[0] for p in parsers)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = re.search(r"\{(.*?)\}", capsys.readouterr().out).group(1).split(",")
+    assert listed == ["transform", "inverse", "roundtrip", "plancherel", "eigencheck", "translate",
+                      "convolve", "miyachi", "verify", "kernel"]
 
 
 @pytest.mark.parametrize("split", ["0", "2", "7"])
