@@ -49,6 +49,8 @@ __all__ = [
     "eval_orthonormal",
     "psi_rule",
     "roesler_translate",
+    "roesler_translate_axis",
+    "explicit_widths",
     "kernel_rule_order",
 ]
 
@@ -308,11 +310,18 @@ def _psi_rules(kappa, order: int) -> list:
     return [None if zero_limit(k) else psi_rule(k, order) for k in kappa]
 
 
+def explicit_widths(kappa, order: int = _PSI_ORDERS[0]) -> list:
+    """Field values per point of an explicit pass, per axis, at psi `order`
+    (by default the lowest the probe tries): 2 order on a Roesler axis and
+    1 on a shift axis."""
+    return [1 if zero_limit(k) else 2 * order for k in kappa]
+
+
 def _admit(points: int, kappa, order: int) -> None:
     """Refuse an explicit pass over `points` at psi `order` that costs more
-    than `_EXPLICIT_CAP` field values: points x prod_j w_j, w_j = 2 order on
-    a Roesler axis and 1 on a shift axis.  Raises NodeCountExceeded."""
-    cost = points * math.prod(1 if zero_limit(k) else 2 * order for k in kappa)
+    than `_EXPLICIT_CAP` field values: points x prod_j w_j, the
+    `explicit_widths` w_j.  Raises NodeCountExceeded."""
+    cost = points * math.prod(explicit_widths(kappa, order))
     if cost > _EXPLICIT_CAP:
         raise NodeCountExceeded(f"explicit translation of {points} points at psi order {order} costs {cost} "
                                 f"field values, over the cap {_EXPLICIT_CAP}; use --method spectral")
@@ -402,10 +411,10 @@ def _explicit_chunk(fn, pts: list, z: np.ndarray, rules: list, widths: list, bou
     return acc
 
 
-def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple) -> tuple:
+def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, stride: int = _PROBE_STRIDE) -> tuple:
     """(order, estimate): the psi order for tau_z fn at `pts`, and its error estimate.
 
-    A probe of every `_PROBE_STRIDE`-th of the points' `classes`, with all
+    A probe of every `stride`-th of the points' `classes`, with all
     of its points, plus the classes of the largest |x_j| on each axis (where
     |x_j z_j|, and so the integrand's variation, peaks), runs at the orders
     of `_PSI_ORDERS` in turn until two successive results agree to
@@ -422,7 +431,7 @@ def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple) -> tuple:
     order, sizes = classes[0], np.diff(classes[1])
     key = np.repeat(np.arange(sizes.size), sizes)  # of each sorted point
     chosen = np.zeros(sizes.size, dtype=bool)
-    chosen[::_PROBE_STRIDE] = True
+    chosen[::stride] = True
     chosen[[key[np.argmax(np.abs(x[order]))] for x in pts]] = True
     probe = [x[order[chosen[key]]] for x in pts]
     probe_classes = np.arange(probe[0].size), np.append(0, np.cumsum(sizes[chosen]))
@@ -455,11 +464,28 @@ def roesler_translate(fn, X, z: np.ndarray, kappa) -> np.ndarray:
     field, so the rule converges spectrally.  A pass that would cost more
     than 2^30 field values, points x prod_j (2 order on a Roesler axis),
     raises NodeCountExceeded (`_admit`), as early as the probe can tell.
+    `cdt_engine.translate_explicit` translates a product-form field one
+    coordinate factor at a time (`roesler_translate_axis`).
     """
+    return _translate(fn, X, z, kappa, _PROBE_STRIDE)
+
+
+def roesler_translate_axis(fn, x, zj: float, kappa_j: float) -> np.ndarray:
+    """`roesler_translate` along one coordinate: tau_zj fn at the points x,
+    fn a function of that coordinate alone, in x's shape.  Its probe takes
+    every mirror class: a one-axis pass costs 2 order field values per
+    point, so the full probe is cheap, while every 16th class of a short
+    axis is too few to trust (4 of the 48 classes of the default grid's
+    axis let order 8 through at 5.6e-14 from order 64, for exp(-0.7 x^2))."""
+    return _translate(fn, (x,), np.array([zj], dtype=float), (kappa_j,), 1)
+
+
+def _translate(fn, X, z: np.ndarray, kappa, stride: int) -> np.ndarray:
+    """`roesler_translate` with a probe of every `stride`-th mirror class."""
     X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
     pts = [x.ravel() for x in X]
     _admit(pts[0].size, kappa, _PSI_ORDERS[0])  # before the grouping sorts them
     classes = _mirror_classes(pts, kappa)
-    order = _psi_order(fn, pts, z, kappa, classes)[0]
+    order = _psi_order(fn, pts, z, kappa, classes, stride)[0]
     _admit(pts[0].size, kappa, order)
     return _explicit_pass(fn, pts, z, _psi_rules(kappa, order), classes).reshape(X[0].shape)

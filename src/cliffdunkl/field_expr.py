@@ -12,12 +12,16 @@ Gaussian, and a grammar this size can be tested exhaustively.  Numbers are
 decimal with an optional exponent; no hex, no underscores.  Note "^" binds
 the whole preceding atom, so "-x1^2" is (-x1)^2 -- unary minus lives in
 `atom`, below the power.  Literals are stored nonnegative: a leading
-minus parses to `Neg`.
+minus parses to `Neg`.  `compile_expr` also splits a product-form
+expression into one-coordinate factors, which explicit translation runs
+one axis at a time.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,11 +312,134 @@ def _owned(value) -> tuple:
 
 
 def compile_expr(text: str, d: int):
-    """Callable (x1, ..., xd) -> array, tagged with the source text."""
-    ast = parse_expr(text, d)
+    """Callable (x1, ..., xd) -> array, tagged with the source text as
+    `expr_text` and, where the expression is a sum of products of
+    one-coordinate factors, with that sum as `split` (`_Compiled`).
 
-    def body(*xs):
-        return eval_expr(ast, xs)
+    `split` is a list of terms (c, factors): a float c and a tuple of d
+    one-coordinate callables x_j -> array, None for a factor that is 1, so
+    that the body is sum_t c_t prod_j factor_{t,j}(x_j) up to rounding.
+    A factor node that several terms share, such as the exp of a product
+    with a sum, is one callable.  Products, quotients by a single term and
+    integer powers of a single term split, as does exp of a sum of
+    one-coordinate terms; a product with a sum expands into terms.  A sum
+    under a power or a quotient, exp of a term that couples coordinates
+    (exp(x1*x2)), more than `_SPLIT_TERMS` terms or a constant part that
+    is not a normal float leave the body without it.
+    """
+    return _Compiled(parse_expr(text, d), text, d)
 
-    body.expr_text = text
-    return body
+
+class _Compiled:
+    """A compiled expression.  Its `split` is found on first read, as only
+    explicit translation reads it, and is an AttributeError where the
+    expression does not split."""
+
+    def __init__(self, ast, text: str, d: int):
+        self.ast, self.expr_text, self.d = ast, text, d
+
+    def __call__(self, *xs):
+        return eval_expr(self.ast, xs)
+
+    def __getattr__(self, name):  # only for attributes not set in __init__
+        if name != "split":
+            raise AttributeError(name)
+        try:
+            terms = _split(self.ast)
+        except RecursionError:  # a chain deeper than the evaluator goes, too
+            terms = None
+        if terms is None:
+            raise AttributeError(f"{self.expr_text!r} does not split into one-coordinate factors")
+        factors = {}  # by node identity: hashing a node walks all of it
+        self.split = [(c, tuple(None if j not in fs else factors.setdefault(id(fs[j]), _factor(fs[j], self.d))
+                                for j in range(1, self.d + 1))) for c, fs in terms]
+        return self.split
+
+
+_SPLIT_TERMS = 64  # most terms a split may hold; a longer expansion keeps the whole body
+
+
+def _factor(node, d: int):
+    """The one-coordinate node as a callable of its coordinate's array."""
+    def factor(x):
+        return eval_expr(node, (x,) * d)
+
+    return factor
+
+
+def _split(node):
+    """[(c, {j: node})]: node as sum_t c_t prod_j node_{t,j}, each
+    node_{t,j} reading x_j alone, or None where `compile_expr` says it does
+    not split.  A node reading at most one coordinate is its own factor,
+    or a constant term."""
+    if isinstance(node, Const):
+        return [(float(node.value), {})]
+    if isinstance(node, Coord):
+        return [(1.0, {node.j: node})]
+    if isinstance(node, (Exp, Neg)):
+        kids = [_split(node.arg)]
+    elif isinstance(node, Pow):
+        kids = [_split(node.base)]
+    else:
+        kids = [_split(node.left), _split(node.right)]
+    if any(kid is None for kid in kids):
+        return None
+    read = {j for kid in kids for _, fs in kid for j in fs}
+    if not read:
+        try:
+            return [(float(eval_expr(node, ())), {})]
+        except NonFiniteResult:
+            return None
+    if len(read) == 1:
+        return [(1.0, {read.pop(): node})]
+    try:
+        terms = _combine(node, kids)
+    except OverflowError:
+        return None
+    if terms is None or len(terms) > _SPLIT_TERMS or not all(math.isfinite(c) for c, _ in terms):
+        return None
+    return terms
+
+
+def _combine(node, kids):
+    """The terms of a node reading several coordinates from its children's."""
+    if isinstance(node, Neg):
+        return [(-c, fs) for c, fs in kids[0]]
+    if isinstance(node, (Add, Sub)):
+        sign = 1.0 if isinstance(node, Add) else -1.0
+        return kids[0] + [(sign * c, fs) for c, fs in kids[1]]
+    if isinstance(node, Mul):
+        if len(kids[0]) * len(kids[1]) > _SPLIT_TERMS:
+            return None
+        return [(ca * cb, _merge(Mul, fa, fb)) for ca, fa in kids[0] for cb, fb in kids[1]]
+    if isinstance(node, Div):
+        if len(kids[1]) != 1 or kids[1][0][0] == 0.0:
+            return None
+        cb, fb = kids[1][0]
+        return [(ca / cb, _merge(Div, fa, fb)) for ca, fa in kids[0]]
+    if isinstance(node, Pow):
+        if len(kids[0]) != 1:
+            return None
+        c, fs = kids[0][0]
+        return [(c ** node.n, {j: Pow(f, node.n) for j, f in fs.items()})]
+    # Exp: a sum of constant and one-coordinate terms, exp(c0) prod_j exp(sum of x_j's terms)
+    if any(len(fs) > 1 for _, fs in kids[0]):
+        return None
+    c0 = math.fsum(c for c, fs in kids[0] if not fs)
+    scale = math.exp(c0)
+    if not sys.float_info.min <= scale < math.inf:
+        return None
+    args = {}
+    for c, fs in kids[0]:
+        for j, f in fs.items():
+            f = f if c == 1.0 else Mul(Const(c), f)
+            args[j] = Add(args[j], f) if j in args else f
+    return [(scale, {j: Exp(arg) for j, arg in args.items()})]
+
+
+def _merge(op, fa: dict, fb: dict) -> dict:
+    """Factors of a product (op Mul) or quotient (op Div) of two terms."""
+    out = dict(fa)
+    for j, f in fb.items():
+        out[j] = op(fa[j], f) if j in fa else (f if op is Mul else Div(Const(1.0), f))
+    return out

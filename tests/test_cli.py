@@ -528,10 +528,11 @@ def test_explicit_translation_reads_only_the_input_grid(tmp_path, gauss_file):
 
 def test_explicit_translation_at_d3_on_the_default_grid_exits_4(tmp_path, capsys):
     # 96^3 points x (2 x 8)^3 branches is 3.6e9 field values at the lowest
-    # psi order, over 2^30: refused before the probe, instead of minutes
+    # psi order, over 2^30: refused before the probe, instead of minutes.
+    # The field couples its coordinates, so it has no per-axis split
     field = tmp_path / "g3.json"
     field.write_text(json.dumps({"signature": [0, 3], "kappa": [0.3, 0.7, 0.5], "split": 1,
-                                 "blades": {"1": "exp(-(x1^2+x2^2+x3^2))"}}))
+                                 "blades": {"1": "exp(-(x1+x2+x3)^2)"}}))
     start = time.perf_counter()
     rc = main(["translate", "--field", str(field), "--z", "0.6,-0.4,0.2", "--method", "explicit",
                "--out", str(tmp_path / "o.json")])
@@ -540,6 +541,22 @@ def test_explicit_translation_at_d3_on_the_default_grid_exits_4(tmp_path, capsys
         "numerical failure: explicit translation of 884736 points at psi order 8 costs 3623878656 "
         "field values, over the cap 1073741824; use --method spectral\n"))
     assert not (tmp_path / "o.json").exists()
+
+
+def test_explicit_translation_of_a_product_field_at_d3_on_the_default_grid_runs(tmp_path):
+    # the Gaussian is a product of one-coordinate factors, so it translates
+    # one axis at a time: 3 x 96 x 16 factor values at psi order 8
+    field = tmp_path / "g3.json"
+    field.write_text(json.dumps({"signature": [0, 3], "kappa": [0.3, 0.7, 0.5], "split": 1,
+                                 "blades": {"1": "exp(-(x1^2+x2^2+x3^2))"}}))
+    outs = {}
+    for method in ("explicit", "spectral"):
+        out = tmp_path / f"{method}.json"
+        assert main(["translate", "--field", str(field), "--z", "0.6,-0.4,0.2", "--method", method,
+                     "--out-grid", "-9:9:1:48", "--out", str(out)]) == 0
+        outs[method] = load_field(out)
+    assert outs["explicit"].grid.shape == (96, 96, 96)
+    assert rel_l2_error(outs["spectral"], outs["explicit"]) <= 1e-5
 
 
 def test_kernel_at_large_kappa_exits_0(capsys):
