@@ -34,10 +34,10 @@ convolution are scalar operators (each unit enters every path an even
 number of times), and translation by z is convolution with delta_z, so
 both take class products between the contractions of one pipeline
 (`_scalar_operator`).  `translate_explicit` instead applies Roesler's
-formula blade by blade (`dunkl_rank1.roesler_translate`), or, for a blade
-expression that is a sum of products of one-coordinate factors, to each
-factor along its own axis, as Roesler's translation is the product of
-the rank-one ones.
+formula blade by blade (`dunkl_rank1.roesler_translate`), which takes a
+blade expression that is a sum of products of one-coordinate factors one
+factor at a time, each along its own axis, as Roesler's translation is
+the product of the rank-one ones.
 
 A field's support is the k blades that may be nonzero: an analytic field's
 blade keys, the planes of a caller's array that hold a nonzero value, or
@@ -89,12 +89,10 @@ from .dunkl_rank1 import (
     MultiplicitySplit,
     eval_kernel_ab,
     eval_orthonormal,
-    explicit_widths,
     hermite_basis,
     kernel_coefficients,
     mehta_constant,
     roesler_translate,
-    roesler_translate_axis,
 )
 from .quadrature import TensorGrid, build_grid
 
@@ -868,55 +866,16 @@ def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit) -> AnalyticFi
     that is not analytic, PlanMismatch for other multiplicities than `ms`,
     and ValueError for a z that is not d finite numbers (`_shift`).
 
-    Roesler's translation on Z2^d is the product of the rank-one ones, so
-    a blade body that carries a `split` (`field_expr.compile_expr`), the
-    terms c_t prod_j f_tj(x_j), translates one axis at a time at d >= 2:
-    sum_t c_t prod_j roesler_translate_axis(f_tj, X_j, z_j, kappa_j),
-    each factor on its own coordinate array and broadcast along its axis
-    (`_split_translate`).  A call takes that path when its factor values
-    at psi order 8, sum over distinct factors of X_j.size x w_j, are fewer
-    than the per-point pass's points x prod_j w_j (`explicit_widths`), and
-    keeps the per-point pass where a factor raises an ArithmeticError or
-    the sum is not finite.  Other bodies always take the per-point pass.
+    A blade body that carries a `split` (`field_expr.compile_expr`)
+    translates one axis at a time at d >= 2, inside `roesler_translate`.
     """
     if not isinstance(f, AnalyticField):
         raise TypeError("explicit translation needs an analytic field")
     if f.ms != ms:
         raise PlanMismatch("field multiplicities differ")
     z = _shift(z, ms.d)
-
-    def translated(fn):
-        split = getattr(fn, "split", None) if ms.d >= 2 else None
-
-        def blade(*X):
-            out = None if split is None else _split_translate(split, X, z, ms.kappa)
-            return roesler_translate(fn, X, z, ms.kappa) if out is None else out
-
-        return blade
-
-    return AnalyticField(f.sig, ms, {mask: translated(fn) for mask, fn in f.blades.items()})
-
-
-def _split_translate(split: list, X: tuple, z: np.ndarray, kappa):
-    """sum_t c_t prod_j tau_zj f_tj(X_j) in the points' broadcast shape,
-    each distinct factor translated once on its own axis, or None where
-    `translate_explicit` keeps the per-point pass."""
-    X = [np.asarray(x, dtype=float) for x in X]
-    shape = np.broadcast_shapes(*(x.shape for x in X))
-    widths = explicit_widths(kappa)
-    factors = dict.fromkeys((j, fj) for _, fs in split for j, fj in enumerate(fs) if fj is not None)
-    if sum(X[j].size * widths[j] for j, _ in factors) >= math.prod(shape) * math.prod(widths):
-        return None
-    try:
-        for j, fj in factors:
-            factors[j, fj] = roesler_translate_axis(fj, X[j], z[j], kappa[j])
-    except ArithmeticError:
-        return None
-    out = np.zeros(shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c, fs in split:
-            out += math.prod((factors[j, fj] for j, fj in enumerate(fs) if fj is not None), start=c)
-    return out if np.isfinite(out).all() else None
+    blades = {mask: lambda *X, fn=fn: roesler_translate(fn, X, z, ms.kappa) for mask, fn in f.blades.items()}
+    return AnalyticField(f.sig, ms, blades)
 
 
 def convolve(f, g, plan: TransformPlan) -> SampledField:

@@ -49,8 +49,6 @@ __all__ = [
     "eval_orthonormal",
     "psi_rule",
     "roesler_translate",
-    "roesler_translate_axis",
-    "explicit_widths",
     "kernel_rule_order",
 ]
 
@@ -310,18 +308,11 @@ def _psi_rules(kappa, order: int) -> list:
     return [None if zero_limit(k) else psi_rule(k, order) for k in kappa]
 
 
-def explicit_widths(kappa, order: int = _PSI_ORDERS[0]) -> list:
-    """Field values per point of an explicit pass, per axis, at psi `order`
-    (by default the lowest the probe tries): 2 order on a Roesler axis and
-    1 on a shift axis."""
-    return [1 if zero_limit(k) else 2 * order for k in kappa]
-
-
 def _admit(points: int, kappa, order: int) -> None:
     """Refuse an explicit pass over `points` at psi `order` that costs more
-    than `_EXPLICIT_CAP` field values: points x prod_j w_j, the
-    `explicit_widths` w_j.  Raises NodeCountExceeded."""
-    cost = points * math.prod(explicit_widths(kappa, order))
+    than `_EXPLICIT_CAP` field values: points x prod_j w_j, w_j = 2 order on
+    a Roesler axis and 1 on a shift axis.  Raises NodeCountExceeded."""
+    cost = points * math.prod(1 if zero_limit(k) else 2 * order for k in kappa)
     if cost > _EXPLICIT_CAP:
         raise NodeCountExceeded(f"explicit translation of {points} points at psi order {order} costs {cost} "
                                 f"field values, over the cap {_EXPLICIT_CAP}; use --method spectral")
@@ -411,10 +402,10 @@ def _explicit_chunk(fn, pts: list, z: np.ndarray, rules: list, widths: list, bou
     return acc
 
 
-def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, stride: int = _PROBE_STRIDE) -> tuple:
+def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, full: list | None = None) -> tuple:
     """(order, estimate): the psi order for tau_z fn at `pts`, and its error estimate.
 
-    A probe of every `stride`-th of the points' `classes`, with all
+    A probe of every `_PROBE_STRIDE`-th of the points' `classes`, with all
     of its points, plus the classes of the largest |x_j| on each axis (where
     |x_j z_j|, and so the integrand's variation, peaks), runs at the orders
     of `_PSI_ORDERS` in turn until two successive results agree to
@@ -424,6 +415,8 @@ def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, stride: int 
     the chosen class sizes.  Before each later pass (the caller admits the
     first), `_admit` checks the final pass at the lowest order the probe
     could still return.  No points, or exact shifts only: (first order, 0.0).
+    Given a list `full`, the probe takes every class and is the final pass:
+    `full` receives its values at the returned order, in the points' order.
     """
     n = pts[0].size
     if n == 0 or all(zero_limit(k) for k in kappa):
@@ -431,7 +424,7 @@ def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, stride: int 
     order, sizes = classes[0], np.diff(classes[1])
     key = np.repeat(np.arange(sizes.size), sizes)  # of each sorted point
     chosen = np.zeros(sizes.size, dtype=bool)
-    chosen[::stride] = True
+    chosen[::1 if full is not None else _PROBE_STRIDE] = True
     chosen[[key[np.argmax(np.abs(x[order]))] for x in pts]] = True
     probe = [x[order[chosen[key]]] for x in pts]
     probe_classes = np.arange(probe[0].size), np.append(0, np.cumsum(sizes[chosen]))
@@ -442,9 +435,12 @@ def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, stride: int 
         diff, scale = np.max(np.abs(cur - prev)), np.max(np.abs(cur))
         est = float(diff / scale) if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
         if est <= _PSI_RTOL:
-            return low, est
-        prev = cur
-    return high, est
+            break
+        prev, low = cur, high
+    if full is not None:
+        full.append(np.empty(n))
+        full[0][order] = prev
+    return low, est
 
 
 def roesler_translate(fn, X, z: np.ndarray, kappa) -> np.ndarray:
@@ -464,28 +460,52 @@ def roesler_translate(fn, X, z: np.ndarray, kappa) -> np.ndarray:
     field, so the rule converges spectrally.  A pass that would cost more
     than 2^30 field values, points x prod_j (2 order on a Roesler axis),
     raises NodeCountExceeded (`_admit`), as early as the probe can tell.
-    `cdt_engine.translate_explicit` translates a product-form field one
-    coordinate factor at a time (`roesler_translate_axis`).
+
+    Roesler's translation is the product of the rank-one ones, so at d >= 2
+    a field whose `split` (`field_expr.compile_expr`) lists the terms
+    c_t prod_j f_tj(x_j) translates one axis at a time (`_split_translate`),
+    at sum_t sum_j X_j.size x 2 order field values, and keeps the pass
+    above where a factor raises an ArithmeticError or the sum is not finite.
     """
-    return _translate(fn, X, z, kappa, _PROBE_STRIDE)
+    split = getattr(fn, "split", None) if len(kappa) >= 2 else None
+    out = None if split is None else _split_translate(split, X, z, kappa)
+    return _translate(fn, X, z, kappa) if out is None else out
 
 
-def roesler_translate_axis(fn, x, zj: float, kappa_j: float) -> np.ndarray:
-    """`roesler_translate` along one coordinate: tau_zj fn at the points x,
-    fn a function of that coordinate alone, in x's shape.  Its probe takes
-    every mirror class: a one-axis pass costs 2 order field values per
-    point, so the full probe is cheap, while every 16th class of a short
-    axis is too few to trust (4 of the 48 classes of the default grid's
-    axis let order 8 through at 5.6e-14 from order 64, for exp(-0.7 x^2))."""
-    return _translate(fn, (x,), np.array([zj], dtype=float), (kappa_j,), 1)
-
-
-def _translate(fn, X, z: np.ndarray, kappa, stride: int) -> np.ndarray:
-    """`roesler_translate` with a probe of every `stride`-th mirror class."""
+def _translate(fn, X, z: np.ndarray, kappa, full: bool = False) -> np.ndarray:
+    """The pass of `roesler_translate` over every point, with a probe of
+    every mirror class (`_psi_order`'s `full`) where `full` is set."""
     X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
     pts = [x.ravel() for x in X]
     _admit(pts[0].size, kappa, _PSI_ORDERS[0])  # before the grouping sorts them
     classes = _mirror_classes(pts, kappa)
-    order = _psi_order(fn, pts, z, kappa, classes, stride)[0]
+    probed = [] if full else None
+    order = _psi_order(fn, pts, z, kappa, classes, probed)[0]
+    if probed:  # the probe took every class at `order`
+        return probed[0].reshape(X[0].shape)
     _admit(pts[0].size, kappa, order)
     return _explicit_pass(fn, pts, z, _psi_rules(kappa, order), classes).reshape(X[0].shape)
+
+
+def _split_translate(split: list, X: tuple, z: np.ndarray, kappa):
+    """sum_t c_t prod_j tau_zj f_tj(X_j) in the points' broadcast shape,
+    each distinct factor translated once on its own coordinate array and
+    broadcast along its axis, or None where a factor raises an
+    ArithmeticError or the sum is not finite.  A factor's probe takes every
+    mirror class: a one-axis pass costs 2 order field values per point, so
+    the full probe is cheap, while every 16th class of a short axis is too
+    few to trust (4 of the 48 classes of the default grid's axis let order
+    8 through at 5.6e-14 from order 64, for exp(-0.7 x^2))."""
+    X = [np.asarray(x, dtype=float) for x in X]
+    shape = np.broadcast_shapes(*(x.shape for x in X))
+    factors = dict.fromkeys((j, fj) for _, fs in split for j, fj in enumerate(fs) if fj is not None)
+    try:
+        for j, fj in factors:
+            factors[j, fj] = _translate(fj, (X[j],), z[j:j + 1], kappa[j:j + 1], full=True)
+    except ArithmeticError:
+        return None
+    out = np.zeros(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, fs in split:
+            out += math.prod((factors[j, fj] for j, fj in enumerate(fs) if fj is not None), start=c)
+    return out if np.isfinite(out).all() else None

@@ -23,6 +23,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -314,7 +315,7 @@ def _owned(value) -> tuple:
 def compile_expr(text: str, d: int):
     """Callable (x1, ..., xd) -> array, tagged with the source text as
     `expr_text` and, where the expression is a sum of products of
-    one-coordinate factors, with that sum as `split` (`_Compiled`).
+    one-coordinate factors, with that sum as `split`, else None (`_Compiled`).
 
     `split` is a list of terms (c, factors): a float c and a tuple of d
     one-coordinate callables x_j -> array, None for a factor that is 1, so
@@ -325,15 +326,15 @@ def compile_expr(text: str, d: int):
     one-coordinate terms; a product with a sum expands into terms.  A sum
     under a power or a quotient, exp of a term that couples coordinates
     (exp(x1*x2)), more than `_SPLIT_TERMS` terms or a constant part that
-    is not a normal float leave the body without it.
+    is not a normal float leave it None.
     """
     return _Compiled(parse_expr(text, d), text, d)
 
 
 class _Compiled:
     """A compiled expression.  Its `split` is found on first read, as only
-    explicit translation reads it, and is an AttributeError where the
-    expression does not split."""
+    explicit translation reads it, and is None where the expression does
+    not split."""
 
     def __init__(self, ast, text: str, d: int):
         self.ast, self.expr_text, self.d = ast, text, d
@@ -341,19 +342,17 @@ class _Compiled:
     def __call__(self, *xs):
         return eval_expr(self.ast, xs)
 
-    def __getattr__(self, name):  # only for attributes not set in __init__
-        if name != "split":
-            raise AttributeError(name)
+    @cached_property
+    def split(self):
         try:
             terms = _split(self.ast)
         except RecursionError:  # a chain deeper than the evaluator goes, too
-            terms = None
+            return None
         if terms is None:
-            raise AttributeError(f"{self.expr_text!r} does not split into one-coordinate factors")
+            return None
         factors = {}  # by node identity: hashing a node walks all of it
-        self.split = [(c, tuple(None if j not in fs else factors.setdefault(id(fs[j]), _factor(fs[j], self.d))
-                                for j in range(1, self.d + 1))) for c, fs in terms]
-        return self.split
+        return [(c, tuple(None if j not in fs else factors.setdefault(id(fs[j]), _factor(fs[j], self.d))
+                          for j in range(1, self.d + 1))) for c, fs in terms]
 
 
 _SPLIT_TERMS = 64  # most terms a split may hold; a longer expansion keeps the whole body

@@ -35,6 +35,11 @@ def _counted(text, d):
     return counted, calls
 
 
+def _opaque(fn):
+    """fn without its split: `roesler_translate` of it is the per-point pass."""
+    return lambda *X: fn(*X)
+
+
 def _gauss(d):
     return "exp(-(" + "+".join(f"x{j}^2" for j in range(1, d + 1)) + "))"
 
@@ -76,7 +81,7 @@ def test_product_forms_split_and_sum_back_to_the_body(text, d, terms):
 ])
 def test_coupled_expressions_do_not_split(text):
     body = compile_expr(text, 2)
-    assert not hasattr(body, "split") and body.expr_text == text
+    assert body.split is None and body.expr_text == text
 
 
 def test_a_factor_that_terms_share_is_one_callable():
@@ -87,9 +92,9 @@ def test_a_factor_that_terms_share_is_one_callable():
 def test_reading_the_split_of_a_long_chain_raises_no_recursion_error():
     # hashing a 900-deep node recurses past the interpreter's limit; a
     # chain too deep for the evaluator itself has no split
-    assert hasattr(compile_expr("+".join(["x1"] * 900), 2), "split")
-    assert hasattr(compile_expr("*".join(["x1"] * 900) + "*x2", 2), "split")
-    assert not hasattr(compile_expr("+".join(["x1*x2"] * 5000), 2), "split")
+    assert compile_expr("+".join(["x1"] * 900), 2).split is not None
+    assert compile_expr("*".join(["x1"] * 900) + "*x2", 2).split is not None
+    assert compile_expr("+".join(["x1*x2"] * 5000), 2).split is None
 
 
 # -- the per-axis path ----------------------------------------------------------
@@ -145,20 +150,16 @@ def test_a_point_does_not_depend_on_the_points_that_share_its_call(monkeypatch):
     assert calls == []
 
 
-def test_a_call_takes_the_path_with_fewer_field_values():
-    # exact shifts cost one value per point: two axes of P scattered points
-    # are 2P factor values against P per point, while an open n x n grid is
-    # 2n against n^2
+def test_exact_shifts_translate_per_axis_to_the_shifted_body():
     body, calls = _counted("x1*exp(-(x1^2+x2^2))", 2)
     f, ms = _field(body, (0.0, 0.0))
     blade = translate_explicit(f, (0.6, -0.4), ms).blades[0]
     x = np.linspace(-3.0, 3.0, 20)
-    want = body(x - 0.6, x + 0.4)
-    calls.clear()
-    assert np.array_equal(blade(x, x), want) and len(calls) == 1
-    calls.clear()
-    got = blade(x[:, None], x[None, :])
-    assert calls == [] and np.max(np.abs(got - body(x[:, None] - 0.6, x[None, :] + 0.4))) <= 1e-15
+    for X in ((x, x[::-1]), (x[:, None], x[None, :])):  # scattered points, an open grid
+        want = body(X[0] - 0.6, X[1] + 0.4)
+        calls.clear()
+        got = blade(*X)
+        assert calls == [] and got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("text,kappa", [("exp(-(x1+x2)^2)", (0.3, 0.7)), ("exp(-x1^2)", (0.4,))])
@@ -167,7 +168,7 @@ def test_unsplit_fields_and_d1_keep_the_per_point_pass(text, kappa):
     f, ms = _field(compile_expr(text, d), kappa)
     X = tuple(np.random.default_rng(5).uniform(-3.0, 3.0, (d, 200)))
     z = np.array((0.6, -0.4)[:d])
-    want = roesler_translate(f.blades[0], X, z, ms.kappa)
+    want = roesler_translate(_opaque(f.blades[0]), X, z, ms.kappa)
     assert np.array_equal(translate_explicit(f, z, ms).blades[0](*X), want)
 
 
@@ -180,12 +181,12 @@ def test_a_factor_that_overflows_falls_back_to_the_per_point_pass():
     z = np.array((0.6, -0.4))
     got = translate_explicit(f, z, ms).blades[0](*X)
     assert calls and np.isfinite(got).all()
-    assert np.array_equal(got, roesler_translate(body, X, z, ms.kappa))
+    assert np.array_equal(got, roesler_translate(_opaque(body), X, z, ms.kappa))
     # where the per-point pass overflows too, it raises what that pass raises
     f, ms = _field(compile_expr("exp(x1^2)*exp(-x2^2)", 2), (0.5, 0.5))
     X = (np.array([30.0]), np.array([1.0]))
     with pytest.raises(NonFiniteResult):
-        roesler_translate(f.blades[0], X, z, ms.kappa)
+        roesler_translate(_opaque(f.blades[0]), X, z, ms.kappa)
     with pytest.raises(NonFiniteResult):
         translate_explicit(f, z, ms).blades[0](*X)
 
