@@ -681,7 +681,7 @@ class ClaimReport:
 
 
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
+    return json.dumps([vars(r) for r in reports], indent=2)  # the fields are plain values: no deep copy
 
 
 def _block_constant(ms: MultiplicitySplit) -> float:

@@ -56,8 +56,8 @@ KERNEL_RADIUS_CAP = 300.0  # max |x y| a kernel table accepts; tested to there a
 _KERNEL_BLOCK = 1 << 14  # arguments per block of kernel_ab_integral: the triangle of a 180 x 180 quadrant
 _EXPLICIT_CHUNK = 1 << 15  # field values per call in roesler_translate
 _EXPLICIT_CAP = 1 << 30  # field values one explicit pass may cost, points x prod_j branches
-_PSI_ORDERS = (8, 16, 32, 64)  # psi orders the adaptive roesler_translate tries, in turn
-_PSI_RTOL = 1e-14  # agreement of two successive orders, relative max norm
+_PSI_ORDERS = (8, 12, 16, 24, 32, 48, 64)  # the rungs each axis of the adaptive roesler_translate climbs
+_PSI_RTOL = 1e-14  # agreement of an axis's next rung with its current one, relative max norm
 _PROBE_STRIDE = 16  # every k-th key joins the order probe, with all of its points
 
 
@@ -303,18 +303,20 @@ def _branch_table(x: np.ndarray, zj: float, rule) -> tuple:
     return np.hstack((om, -om)), 0.5 * np.hstack((w * (1.0 + ratio), w * (1.0 - ratio)))
 
 
-def _psi_rules(kappa, order: int) -> list:
-    """One psi rule of `order` nodes per axis, None for an exact shift."""
-    return [None if zero_limit(k) else psi_rule(k, order) for k in kappa]
+def _psi_rules(kappa, orders) -> list:
+    """One psi rule per axis, of that axis's order of `orders`, None for an exact shift."""
+    return [None if zero_limit(k) else psi_rule(k, o) for k, o in zip(kappa, orders)]
 
 
-def _admit(points: int, kappa, order: int) -> None:
-    """Refuse an explicit pass over `points` at psi `order` that costs more
-    than `_EXPLICIT_CAP` field values: points x prod_j w_j, w_j = 2 order on
-    a Roesler axis and 1 on a shift axis.  Raises NodeCountExceeded."""
-    cost = points * math.prod(1 if zero_limit(k) else 2 * order for k in kappa)
+def _admit(points: int, kappa, orders) -> None:
+    """Refuse an explicit pass over `points` at the per-axis psi `orders`
+    that costs more than `_EXPLICIT_CAP` field values: points x prod_j w_j,
+    w_j = 2 orders[j] on a Roesler axis and 1 on a shift axis.  Raises
+    NodeCountExceeded, naming the one order or, if they differ, all."""
+    cost = points * math.prod(1 if zero_limit(k) else 2 * o for k, o in zip(kappa, orders))
     if cost > _EXPLICIT_CAP:
-        raise NodeCountExceeded(f"explicit translation of {points} points at psi order {order} costs {cost} "
+        at = f"order {orders[0]}" if len(set(orders)) == 1 else f"orders {tuple(orders)}"
+        raise NodeCountExceeded(f"explicit translation of {points} points at psi {at} costs {cost} "
                                 f"field values, over the cap {_EXPLICIT_CAP}; use --method spectral")
 
 
@@ -403,24 +405,27 @@ def _explicit_chunk(fn, pts: list, z: np.ndarray, rules: list, widths: list, bou
 
 
 def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, full: list | None = None) -> tuple:
-    """(order, estimate): the psi order for tau_z fn at `pts`, and its error estimate.
+    """(orders, estimate): one psi order per axis for tau_z fn at `pts`, and the error estimate.
 
     A probe of every `_PROBE_STRIDE`-th of the points' `classes`, with all
     of its points, plus the classes of the largest |x_j| on each axis (where
-    |x_j z_j|, and so the integrand's variation, peaks), runs at the orders
-    of `_PSI_ORDERS` in turn until two successive results agree to
-    `_PSI_RTOL` in relative max norm: the lower order of that pair is
-    returned with their difference, else the last order with the last
-    difference.  The probe keeps the key order, so its classes are runs of
-    the chosen class sizes.  Before each later pass (the caller admits the
-    first), `_admit` checks the final pass at the lowest order the probe
-    could still return.  No points, or exact shifts only: (first order, 0.0).
-    Given a list `full`, the probe takes every class and is the final pass:
-    `full` receives its values at the returned order, in the points' order.
+    |x_j z_j|, and so the integrand's variation, peaks), starts at the first
+    order of `_PSI_ORDERS` on every axis.  Each round runs it once per open
+    Roesler axis, that axis one rung up and the others held: an axis whose
+    result agrees with the base to `_PSI_RTOL` in relative max norm closes
+    at its current order, and the other open axes step up together, their
+    result the new base.  An axis at the last order closes there.  The
+    estimate is the largest of the axes' last differences.  The probe keeps
+    the key order, so its classes are runs of the chosen class sizes.
+    Before each later pass (the caller admits the first), `_admit` checks
+    the final pass at the lowest orders the probe could still return.  No
+    points, or exact shifts only: (first order on every axis, 0.0).  Given
+    a list `full`, the probe takes every class and is the final pass:
+    `full` receives its values at the returned orders, in the points' order.
     """
-    n = pts[0].size
+    n, at = pts[0].size, [_PSI_ORDERS[0]] * len(kappa)
     if n == 0 or all(zero_limit(k) for k in kappa):
-        return _PSI_ORDERS[0], 0.0
+        return tuple(at), 0.0
     order, sizes = classes[0], np.diff(classes[1])
     key = np.repeat(np.arange(sizes.size), sizes)  # of each sorted point
     chosen = np.zeros(sizes.size, dtype=bool)
@@ -428,19 +433,29 @@ def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, full: list |
     chosen[[key[np.argmax(np.abs(x[order]))] for x in pts]] = True
     probe = [x[order[chosen[key]]] for x in pts]
     probe_classes = np.arange(probe[0].size), np.append(0, np.cumsum(sizes[chosen]))
-    prev = _explicit_pass(fn, probe, z, _psi_rules(kappa, _PSI_ORDERS[0]), probe_classes)
-    for low, high in zip(_PSI_ORDERS, _PSI_ORDERS[1:]):
-        _admit(n, kappa, low)
-        cur = _explicit_pass(fn, probe, z, _psi_rules(kappa, high), probe_classes)
-        diff, scale = np.max(np.abs(cur - prev)), np.max(np.abs(cur))
-        est = float(diff / scale) if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
-        if est <= _PSI_RTOL:
-            break
-        prev, low = cur, high
+    base = _explicit_pass(fn, probe, z, _psi_rules(kappa, at), probe_classes)
+    rung = dict(zip(_PSI_ORDERS, _PSI_ORDERS[1:]))  # each order's next one
+    est, axes = {}, [j for j, k in enumerate(kappa) if not zero_limit(k)]
+    while axes := [j for j in axes if at[j] < _PSI_ORDERS[-1]]:
+        _admit(n, kappa, at)
+        up = {}
+        for j in axes:
+            rules = _psi_rules(kappa, at[:j] + [rung[at[j]]] + at[j + 1:])  # axis j one rung up
+            up[j] = _explicit_pass(fn, probe, z, rules, probe_classes)
+            diff, scale = np.max(np.abs(up[j] - base)), np.max(np.abs(up[j]))
+            est[j] = float(diff / scale) if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
+        axes = [j for j in axes if est[j] > _PSI_RTOL]
+        for j in axes:
+            at[j] = rung[at[j]]
+        if len(axes) == 1:
+            base = up[axes[0]]
+        elif axes:
+            _admit(n, kappa, at)
+            base = _explicit_pass(fn, probe, z, _psi_rules(kappa, at), probe_classes)
     if full is not None:
         full.append(np.empty(n))
-        full[0][order] = prev
-    return low, est
+        full[0][order] = base
+    return tuple(at), max(est.values(), default=0.0)
 
 
 def roesler_translate(fn, X, z: np.ndarray, kappa) -> np.ndarray:
@@ -455,11 +470,12 @@ def roesler_translate(fn, X, z: np.ndarray, kappa) -> np.ndarray:
     exact shift x_j - z_j.  So tau f sums fn over the product of the axes'
     branch tables, weighted by the product of their coefficients, and fn
     is evaluated once per mirror class of points, grouped once per call
-    (`_mirror_classes`).  A probe picks the psi order per call from 8, 16,
-    32 and 64 (`_psi_order`); the integrand is entire in t for an entire
-    field, so the rule converges spectrally.  A pass that would cost more
-    than 2^30 field values, points x prod_j (2 order on a Roesler axis),
-    raises NodeCountExceeded (`_admit`), as early as the probe can tell.
+    (`_mirror_classes`).  A probe picks the psi order per call and per axis
+    from 8, 12, 16, 24, 32, 48 and 64 (`_psi_order`); the integrand is
+    entire in t for an entire field, so the rule converges spectrally.  A
+    pass that would cost more than 2^30 field values, points x prod_j
+    (2 order_j on a Roesler axis), raises NodeCountExceeded (`_admit`), as
+    early as the probe can tell.
 
     Roesler's translation is the product of the rank-one ones, so at d >= 2
     a field whose `split` (`field_expr.compile_expr`) lists the terms
@@ -477,14 +493,14 @@ def _translate(fn, X, z: np.ndarray, kappa, full: bool = False) -> np.ndarray:
     every mirror class (`_psi_order`'s `full`) where `full` is set."""
     X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
     pts = [x.ravel() for x in X]
-    _admit(pts[0].size, kappa, _PSI_ORDERS[0])  # before the grouping sorts them
+    _admit(pts[0].size, kappa, (_PSI_ORDERS[0],) * len(kappa))  # before the grouping sorts them
     classes = _mirror_classes(pts, kappa)
     probed = [] if full else None
-    order = _psi_order(fn, pts, z, kappa, classes, probed)[0]
-    if probed:  # the probe took every class at `order`
+    orders = _psi_order(fn, pts, z, kappa, classes, probed)[0]
+    if probed:  # the probe took every class at `orders`
         return probed[0].reshape(X[0].shape)
-    _admit(pts[0].size, kappa, order)
-    return _explicit_pass(fn, pts, z, _psi_rules(kappa, order), classes).reshape(X[0].shape)
+    _admit(pts[0].size, kappa, orders)
+    return _explicit_pass(fn, pts, z, _psi_rules(kappa, orders), classes).reshape(X[0].shape)
 
 
 def _split_translate(split: list, X: tuple, z: np.ndarray, kappa):

@@ -257,7 +257,7 @@ def translate_at_order(f: AnalyticField, z, ms: MultiplicitySplit, order: int) -
     """`translate_explicit` with the psi order fixed at `order` for every
     call, where the library picks it per call by a probe: one
     `_explicit_pass` over the requested points with that order's rules."""
-    z, rules = _shift(z, ms.d), _psi_rules(ms.kappa, order)
+    z, rules = _shift(z, ms.d), _psi_rules(ms.kappa, (order,) * ms.d)
 
     def translated(*X, fn):
         X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))

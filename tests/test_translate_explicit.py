@@ -259,7 +259,7 @@ def test_unconverged_field_runs_at_the_cap():
 
     x = np.linspace(-8.0, 8.0, 300)
     order, estimate = _psi_order(body, [x], np.array([2.0]), (0.5,), _mirror_classes([x], (0.5,)))
-    assert order == 64 and estimate > 1e-14
+    assert order == (64,) and estimate > 1e-14
     got = _translated(body, (0.5,), (2.0,))(x)
     assert np.array_equal(got, _translated(body, (0.5,), (2.0,), order=64)(x))
 
@@ -273,7 +273,7 @@ def test_exact_shifts_and_the_zero_field_settle_at_once():
         return np.exp(-(x1 * x1 + x2 * x2))
 
     pts = [np.linspace(-1.0, 1.0, 5)] * 2
-    assert _psi_order(body, pts, np.array([0.6, -0.4]), ms.kappa, _mirror_classes(pts, ms.kappa)) == (8, 0.0)
+    assert _psi_order(body, pts, np.array([0.6, -0.4]), ms.kappa, _mirror_classes(pts, ms.kappa)) == ((8, 8), 0.0)
     assert calls == []
     grid = build_grid(ms, 8.0, panels=1, order=48)
     got = translate_explicit(AnalyticField(Signature(0, 2), ms, {0: body}), (0.6, -0.4), ms).sample(grid)
@@ -285,7 +285,7 @@ def test_exact_shifts_and_the_zero_field_settle_at_once():
         return np.zeros(np.broadcast(x1, x2).shape)
 
     pts = [x.ravel() for x in _mesh(2, 12)]
-    assert _psi_order(zero, pts, np.array([0.6, -0.4]), (0.3, 0.7), _mirror_classes(pts, (0.3, 0.7))) == (8, 0.0)
+    assert _psi_order(zero, pts, np.array([0.6, -0.4]), (0.3, 0.7), _mirror_classes(pts, (0.3, 0.7))) == ((8, 8), 0.0)
     assert not np.any(_translated(zero, (0.3, 0.7), (0.6, -0.4))(*_mesh(2, 12)))
 
 
@@ -333,6 +333,57 @@ def test_probe_includes_the_largest_coordinates():
     got = _translated(body, (0.5,), (1.5,))(x)
     want = _translated(body, (0.5,), (1.5,), order=64)(x)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_each_axis_climbs_to_its_own_order(monkeypatch):
+    # cos(8 x1) varies fast along x1 only, so axis 1 needs the higher order
+    def body(x1, x2):
+        return np.cos(8.0 * x1) * np.exp(-x2 * x2)
+
+    orders = []
+    psi_order = dunkl_rank1._psi_order
+
+    def record(*args):
+        got = psi_order(*args)
+        orders.append(got[0])
+        return got
+
+    monkeypatch.setattr(dunkl_rank1, "_psi_order", record)
+    kappa, z = (0.3, 0.7), (0.6, -0.4)
+    scattered = np.random.default_rng(11).uniform(-3.0, 3.0, (2, 400))
+    for X in (_mesh(2, 24), scattered):
+        orders.clear()
+        got = _translated(body, kappa, z)(*X)
+        assert len(orders) == 1 and orders[0][0] > orders[0][1]
+        want = _translated(body, kappa, z, order=64)(*X)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_ledger_translation_field_values_stay_low():
+    # the opaque ledger Gaussian on the 96^2 grid: 3138816 field values with
+    # one order for all axes, 1107456 at the per-axis orders (12, 8)
+    sizes = []
+    sig, ms = Signature(0, 2), MultiplicitySplit(LEDGER_DEFAULTS["kappa"], 1)
+    gauss = _gaussian_field(sig, ms, LEDGER_DEFAULTS["delta"]).blades[0]
+
+    def body(x1, x2):
+        sizes.append(np.broadcast(x1, x2).size)
+        return gauss(x1, x2)
+
+    grid = build_grid(ms, LEDGER_DEFAULTS["L_x"], panels=1, order=LEDGER_DEFAULTS["order"])
+    translate_explicit(AnalyticField(sig, ms, {0: body}), LEDGER_DEFAULTS["z"], ms).sample(grid)
+    assert sum(sizes) <= 1_250_000
+
+
+def test_admission_prices_mixed_orders_per_axis(monkeypatch):
+    # 300 points x (2 x 12) x 1 x (2 x 24): the shift axis counts one branch
+    kappa, orders = (0.3, 0.0, 0.7), (12, 8, 24)
+    monkeypatch.setattr(dunkl_rank1, "_EXPLICIT_CAP", 300 * 24 * 48)
+    dunkl_rank1._admit(300, kappa, orders)
+    monkeypatch.setattr(dunkl_rank1, "_EXPLICIT_CAP", 300 * 24 * 48 - 1)
+    with pytest.raises(NodeCountExceeded, match=r"^explicit translation of 300 points at psi orders "
+                                                r"\(12, 8, 24\) costs 345600 field values"):
+        dunkl_rank1._admit(300, kappa, orders)
 
 
 # -- one field evaluation per mirrored point class ------------------------------
@@ -399,8 +450,8 @@ def test_explicit_sample_memory_stays_within_fourteen_chunks():
 def test_explicit_translation_is_admitted_by_its_field_values(monkeypatch):
     # cost = points x prod_j (2 order on a Roesler axis, 1 on a shift axis);
     # cos(60 x) never settles, so the probe climbs: with a cap that admits
-    # the final pass at order 8 only, the pass at order 32 (which could
-    # return 16) is refused before it runs
+    # the final pass at order 8 only, the pass at order 16 (which could
+    # return 12) is refused before it runs
     x = np.linspace(-8.0, 8.0, 300)
     widths = []
 
@@ -411,11 +462,11 @@ def test_explicit_translation_is_admitted_by_its_field_values(monkeypatch):
     ms = MultiplicitySplit((0.5,), 0)
     f = translate_explicit(AnalyticField(Signature(0, 1), ms, {0: body}), (2.0,), ms)
     monkeypatch.setattr(dunkl_rank1, "_EXPLICIT_CAP", 300 * 16)
-    with pytest.raises(NodeCountExceeded, match=r"^explicit translation of 300 points at psi order 16 "
-                                                r"costs 9600 field values, over the cap 4800; "
+    with pytest.raises(NodeCountExceeded, match=r"^explicit translation of 300 points at psi order 12 "
+                                                r"costs 7200 field values, over the cap 4800; "
                                                 r"use --method spectral$"):
         f.blades[0](x)
-    assert widths and max(widths) == 2 * 16
+    assert widths and max(widths) == 2 * 12
     # the lowest order already over the cap: refused before any field call
     widths.clear()
     monkeypatch.setattr(dunkl_rank1, "_EXPLICIT_CAP", 300 * 16 - 1)
@@ -457,7 +508,7 @@ def test_each_blade_call_groups_its_points_once(monkeypatch):
         with pytest.raises(NodeCountExceeded, match="at psi order 8 "):
             _translated(_body, (0.3, 0.5, 0.7), (0.5, -0.3, 0.2))(*X)
     assert calls == []
-    # a probe that climbs to order 64: four probe passes and the final one
+    # a probe that climbs to order 64: seven probe passes and the final one
     calls.clear()
     orders = []
     explicit_pass = dunkl_rank1._explicit_pass
@@ -468,7 +519,7 @@ def test_each_blade_call_groups_its_points_once(monkeypatch):
 
     monkeypatch.setattr(dunkl_rank1, "_explicit_pass", recorded)
     _translated(lambda x: np.cos(60.0 * x), (0.5,), (2.0,))(np.linspace(-8.0, 8.0, 300))
-    assert orders == [8, 16, 32, 64, 64] and len(calls) == 1
+    assert orders == [8, 12, 16, 24, 32, 48, 64, 64] and len(calls) == 1
 
 
 @pytest.mark.parametrize("kappa", [(0.3, 0.7), (0.0, 0.7), (0.0, 0.0)])
