@@ -94,9 +94,13 @@ from .dunkl_rank1 import (
     mehta_constant,
     roesler_translate,
 )
-from .quadrature import TensorGrid, build_grid
+from .quadrature import TensorGrid, build_axis, build_grid
 
 _PARALLEL_MIN = 1 << 20  # values from which `_each` shares its items out to threads
+# beside NODE_CAP's memory rule: `_axis_mats` keeps the tables of the 64 latest axes of up to
+# 128 positive nodes, 2 x 2 x 128^2 floats (512 KiB) each, so at most 32 MiB outlives the plans
+_SHARED_AXIS_MAX = 128
+_SHARED_AXES = 64
 
 
 class PlanMismatch(ValueError):
@@ -355,6 +359,32 @@ def _blade_matrices(sig: Signature, a: MultiVector, b: MultiVector) -> np.ndarra
     return out
 
 
+@lru_cache(maxsize=_SHARED_AXES)
+def _axis_mats(kappa: float, L_x: float, L_y: float, panels: int, order: int) -> tuple:
+    """(fwd, inv) of one axis, `TransformPlan`'s half matrices, read-only.
+
+    They depend on these five numbers alone, so plans share them: the axes
+    are built again, bit for bit as `build_grid` builds them, and the
+    kernel is tabulated on the triangle of the positive quadrant, where
+    t = x_i x_k L_y / L_x is symmetric; parity gives the rest.
+    """
+    ax = build_axis(kappa, L_x, panels, order)
+    ay = ax if L_y == L_x else build_axis(kappa, L_y, panels, order)
+    table = kernel_coefficients(kappa, t_max=L_x * L_y)
+    n = panels * order  # positive nodes of either axis
+    upper = np.less_equal.outer(np.arange(n), np.arange(n))
+    pos = ax.nodes[n:]
+    AB = np.empty((2, n, n))
+    AB[0][upper], AB[1][upper] = eval_kernel_ab(table, np.outer(pos, pos)[upper] * (L_y / L_x))
+    AB = np.where(upper, AB, AB.transpose(0, 2, 1))
+    wx, wy = (ax.weights * ax.wk)[n:, None], (ay.weights * ay.wk)[n:, None]
+    fwd, inv = AB * wx, AB.transpose(0, 2, 1) * wy
+    inv[1] *= -1.0
+    for M in (fwd, inv):
+        M.flags.writeable = False
+    return fwd, inv
+
+
 def build_plan(
     sig: Signature,
     ms: MultiplicitySplit,
@@ -368,7 +398,7 @@ def build_plan(
     normalization: str = "raw",
     rtol: float = 1e-6,
 ) -> TransformPlan:
-    """Discretize both sides and tabulate the kernels once.
+    """Discretize both sides and tabulate each axis's kernels once per process.
 
     L_x / L_y are half-widths per coordinate (scalars broadcast); without
     L_y both sides share one grid.  `build_grid` admits the grids: NODE_CAP
@@ -376,8 +406,12 @@ def build_plan(
     quadrant of each axis (positive x nodes times positive y nodes).  Before
     tabulating, the plan refuses coordinates with L_x * L_y beyond the
     kernel radius (ArgumentOutOfRadius from `kernel_coefficients`).
-    Kernels are tabulated on the triangle of the positive quadrant of each
-    axis, where t = x_i x_k L_y / L_x is symmetric; parity gives the rest.
+
+    An axis's half matrices depend only on (kappa_j, L_x_j, L_y_j, panels,
+    order) (`_axis_mats`), so plans share them: every plan with an equal
+    axis holds the same read-only arrays.  Axes of up to 128 positive
+    nodes stay cached, the 64 most recent, at most 32 MiB; larger ones are
+    tabulated for the plan alone, so a dropped plan frees them.
     """
     if sig.d != ms.d:
         raise PlanMismatch(f"{ms.d} multiplicities for d={sig.d}")
@@ -392,20 +426,8 @@ def build_plan(
     grid_y = grid_x if L_y is None else build_grid(ms, L_y, panels=panels, order=order)
     axes = tuple(zip(grid_x.axes, grid_y.axes))
     tables = tuple(kernel_coefficients(k, t_max=ax.L * ay.L) for k, (ax, ay) in zip(ms.kappa, axes))
-    n = panels * order  # positive nodes of every axis, on either side
-    upper = np.less_equal.outer(np.arange(n), np.arange(n))
-    mats = []
-    for table, (ax, ay) in zip(tables, axes):
-        pos = ax.nodes[n:]
-        AB = np.empty((2, n, n))
-        AB[0][upper], AB[1][upper] = eval_kernel_ab(table, np.outer(pos, pos)[upper] * (ay.L / ax.L))
-        AB = np.where(upper, AB, AB.transpose(0, 2, 1))
-        wx, wy = (ax.weights * ax.wk)[n:, None], (ay.weights * ay.wk)[n:, None]
-        fwd, inv = AB * wx, AB.transpose(0, 2, 1) * wy
-        inv[1] *= -1.0
-        for M in (fwd, inv):
-            M.flags.writeable = False
-        mats.append((fwd, inv))
+    tabulate = _axis_mats if panels * order <= _SHARED_AXIS_MAX else _axis_mats.__wrapped__
+    mats = [tabulate(k, ax.L, ay.L, panels, order) for k, (ax, ay) in zip(ms.kappa, axes)]
     return TransformPlan(
         sig=sig,
         ms=ms,

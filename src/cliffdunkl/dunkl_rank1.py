@@ -404,11 +404,18 @@ def _explicit_chunk(fn, pts: list, z: np.ndarray, rules: list, widths: list, bou
     return acc
 
 
-def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, full: list | None = None) -> tuple:
+def _subset(classes: tuple, chosen: np.ndarray) -> tuple:
+    """The classes whose keys `chosen` marks, as `_mirror_classes` gives them."""
+    order, sizes = classes[0], np.diff(classes[1])
+    return order[np.repeat(chosen, sizes)], np.append(0, np.cumsum(sizes[chosen]))
+
+
+def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, probed: list | None = None,
+               stride: int = _PROBE_STRIDE) -> tuple:
     """(orders, estimate): one psi order per axis for tau_z fn at `pts`, and the error estimate.
 
-    A probe of every `_PROBE_STRIDE`-th of the points' `classes`, with all
-    of its points, plus the classes of the largest |x_j| on each axis (where
+    A probe of every `stride`-th of the points' `classes`, with all of its
+    points, plus the classes of the largest |x_j| on each axis (where
     |x_j z_j|, and so the integrand's variation, peaks), starts at the first
     order of `_PSI_ORDERS` on every axis.  Each round runs it once per open
     Roesler axis, that axis one rung up and the others held: an axis whose
@@ -419,9 +426,10 @@ def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, full: list |
     the key order, so its classes are runs of the chosen class sizes.
     Before each later pass (the caller admits the first), `_admit` checks
     the final pass at the lowest orders the probe could still return.  No
-    points, or exact shifts only: (first order on every axis, 0.0).  Given
-    a list `full`, the probe takes every class and is the final pass:
-    `full` receives its values at the returned orders, in the points' order.
+    points, or exact shifts only: (first order on every axis, 0.0), and no
+    probe.  A list `probed` receives the probe's mask over the keys of
+    `classes`, then the probed points and their values at the returned
+    orders, which are the final pass's bits for them.
     """
     n, at = pts[0].size, [_PSI_ORDERS[0]] * len(kappa)
     if n == 0 or all(zero_limit(k) for k in kappa):
@@ -429,10 +437,11 @@ def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, full: list |
     order, sizes = classes[0], np.diff(classes[1])
     key = np.repeat(np.arange(sizes.size), sizes)  # of each sorted point
     chosen = np.zeros(sizes.size, dtype=bool)
-    chosen[::1 if full is not None else _PROBE_STRIDE] = True
+    chosen[::stride] = True
     chosen[[key[np.argmax(np.abs(x[order]))] for x in pts]] = True
-    probe = [x[order[chosen[key]]] for x in pts]
-    probe_classes = np.arange(probe[0].size), np.append(0, np.cumsum(sizes[chosen]))
+    idx, starts = _subset(classes, chosen)
+    probe = [x[idx] for x in pts]
+    probe_classes = np.arange(idx.size), starts
     base = _explicit_pass(fn, probe, z, _psi_rules(kappa, at), probe_classes)
     rung = dict(zip(_PSI_ORDERS, _PSI_ORDERS[1:]))  # each order's next one
     est, axes = {}, [j for j, k in enumerate(kappa) if not zero_limit(k)]
@@ -452,9 +461,8 @@ def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, full: list |
         elif axes:
             _admit(n, kappa, at)
             base = _explicit_pass(fn, probe, z, _psi_rules(kappa, at), probe_classes)
-    if full is not None:
-        full.append(np.empty(n))
-        full[0][order] = base
+    if probed is not None:
+        probed += [chosen, idx, base]
     return tuple(at), max(est.values(), default=0.0)
 
 
@@ -490,17 +498,22 @@ def roesler_translate(fn, X, z: np.ndarray, kappa) -> np.ndarray:
 
 def _translate(fn, X, z: np.ndarray, kappa, full: bool = False) -> np.ndarray:
     """The pass of `roesler_translate` over every point, with a probe of
-    every mirror class (`_psi_order`'s `full`) where `full` is set."""
+    every mirror class where `full` is set.  The final pass, admitted by
+    all the points, runs the classes the probe left out, if any; the
+    probed ones keep the probe's values."""
     X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
     pts = [x.ravel() for x in X]
     _admit(pts[0].size, kappa, (_PSI_ORDERS[0],) * len(kappa))  # before the grouping sorts them
     classes = _mirror_classes(pts, kappa)
-    probed = [] if full else None
-    orders = _psi_order(fn, pts, z, kappa, classes, probed)[0]
-    if probed:  # the probe took every class at `orders`
-        return probed[0].reshape(X[0].shape)
-    _admit(pts[0].size, kappa, orders)
-    return _explicit_pass(fn, pts, z, _psi_rules(kappa, orders), classes).reshape(X[0].shape)
+    probed = []
+    orders = _psi_order(fn, pts, z, kappa, classes, probed, 1 if full else _PROBE_STRIDE)[0]
+    chosen, done, values = probed or (np.zeros(classes[1].size - 1, dtype=bool), [], [])
+    out = np.empty(pts[0].size)
+    if not chosen.all():
+        _admit(pts[0].size, kappa, orders)
+        out = _explicit_pass(fn, pts, z, _psi_rules(kappa, orders), _subset(classes, ~chosen))
+    out[done] = values
+    return out.reshape(X[0].shape)
 
 
 def _split_translate(split: list, X: tuple, z: np.ndarray, kappa):

@@ -247,7 +247,10 @@ def build_grid(ms, L, panels: int = 4, order: int = 12) -> TensorGrid:
     rule's order x order Jacobi matrix; then per grid, nodes times 2^d blades.
     That is the one memory rule: on full-blade fields, forward, inverse,
     translate_spectral and convolve hold at most 3, 2, 4 and 6 fields of
-    the grid's size; fields with fewer blades hold less.
+    the grid's size; fields with fewer blades hold less.  Beyond the
+    plans a caller holds, the kernel tables that plans share stay cached
+    (`cdt_engine.build_plan`): at most 32 MiB, the 64 latest axes of up to
+    128 positive nodes.
     """
     kappas = tuple(getattr(ms, "kappa", ms))
     d = len(kappas)

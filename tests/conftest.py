@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cliffdunkl
+from cliffdunkl import cdt_engine
 from cliffdunkl.cdt_engine import AnalyticField, build_plan
 from cliffdunkl.clifford_core import MultiVector, Signature, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit
@@ -12,6 +13,13 @@ from cliffdunkl.dunkl_rank1 import MultiplicitySplit
 # on the path only through pytest's `pythonpath` setting
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
     os.path.dirname(os.path.dirname(cliffdunkl.__file__)), os.environ.get("PYTHONPATH")]))
+
+
+@pytest.fixture(autouse=True)
+def _cold_axis_tables():
+    # plans share each axis's kernel tables for the life of the process, so
+    # a test that counts tabulations must not see the tables of the one before
+    cdt_engine._axis_mats.cache_clear()
 
 
 @pytest.fixture(scope="session")

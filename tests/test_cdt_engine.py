@@ -141,6 +141,72 @@ def test_plan_tabulates_one_triangle_per_axis(monkeypatch, sig02, ms_std, unit_a
     assert sizes == [n * (n + 1) // 2] * 2
 
 
+# -- shared axis tables -------------------------------------------------------
+
+
+def _mats(plan):
+    return plan.fwd_mats + plan.inv_mats
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_shared_tables_equal_a_cold_build(d):
+    sig, ms, a, b = _cl0(d)
+    first = build_plan(sig, ms, a, b, L_x=6.0, L_y=8.0, panels=2, order=9)
+    again = build_plan(sig, ms, a, b, L_x=6.0, L_y=8.0, panels=2, order=9)
+    cdt_engine._axis_mats.cache_clear()
+    cold = build_plan(sig, ms, a, b, L_x=6.0, L_y=8.0, panels=2, order=9)
+    for shared, mine, want in zip(_mats(first), _mats(again), _mats(cold)):
+        assert mine is shared and want is not shared
+        assert not mine.flags.writeable and np.array_equal(mine, want)
+
+
+def test_raw_and_mehta_plans_hold_the_same_arrays(sig02, ms_std, unit_a, unit_b):
+    raw = build_plan(sig02, ms_std, unit_a, unit_b, L_x=6.0, L_y=7.0, order=16)
+    mehta = build_plan(sig02, ms_std, unit_a, unit_b, L_x=6.0, L_y=7.0, order=16, normalization="mehta")
+    assert all(r is m for r, m in zip(_mats(raw), _mats(mehta)))
+
+
+def test_equal_axes_tabulate_once(monkeypatch, sig02, unit_a, unit_b):
+    sizes = []
+    tabulate = dunkl_rank1.kernel_ab_integral
+
+    def counted(kappa, t, order):
+        sizes.append(np.size(t))
+        return tabulate(kappa, t, order)
+
+    monkeypatch.setattr(dunkl_rank1, "kernel_ab_integral", counted)
+    plan = build_plan(sig02, MultiplicitySplit((0.5, 0.5), 1), unit_a, unit_b, L_x=6.0, order=16)
+    assert sizes == [16 * 17 // 2]
+    assert plan.fwd_mats[0] is plan.fwd_mats[1] and plan.inv_mats[0] is plan.inv_mats[1]
+
+
+def test_the_shared_tables_hold_at_most_32_mib():
+    # 128 positive nodes is the largest shared axis, 129 is tabulated for its plan alone
+    sig, ms = Signature(0, 1), MultiplicitySplit((0.5,), 1)
+    a = validate_imaginary(MultiVector.blade(sig, "e1"), "e1")
+    cache = cdt_engine._axis_mats
+    build_plan(sig, ms, a, a, L_x=4.0, panels=3, order=43)
+    assert cache.cache_info().currsize == 0
+    plan = build_plan(sig, ms, a, a, L_x=4.0, panels=2, order=64)
+    assert cache.cache_info().currsize == 1
+    entry = sum(M.nbytes for M in _mats(plan))
+    assert entry == 512 << 10
+    assert cache.cache_info().maxsize * entry <= 32 << 20
+
+
+@pytest.mark.parametrize("kappa,L,error", [
+    ((0.3, 0.7), 20.0, ArgumentOutOfRadius),  # L_x L_y = 400 beyond the kernel radius
+    ((600.0, 0.7), 6.0, OverflowError),  # the x^(2 kappa) weights overflow
+])
+def test_a_failed_build_caches_nothing(sig02, unit_a, unit_b, kappa, L, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            build_plan(sig02, MultiplicitySplit(kappa, 1), unit_a, unit_b, L_x=L, order=8)
+        with pytest.raises(error):
+            cdt_engine._axis_mats(kappa[0], L, L, 1, 8)
+    assert cdt_engine._axis_mats.cache_info().currsize == 0
+
+
 # -- linearity and operator structure --------------------------------------
 
 

@@ -71,6 +71,26 @@ def test_transform_inverse_pipeline(tmp_path, gauss_file, capsys):
     assert rel_l2_error(got, want) <= 1e-5
 
 
+def test_transform_and_inverse_share_their_kernel_tables(tmp_path, gauss_file, monkeypatch):
+    plans = []
+    build = cli.build_plan
+
+    def recorded(*args, **kwargs):
+        plans.append(build(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(cli, "build_plan", recorded)
+    fwd = tmp_path / "F.json"
+    assert main(["transform", "--field", str(gauss_file), "--in-grid", "-6:6:1:16",
+                 "--out-grid", "-8:8:1:16", "--out", str(fwd)]) == 0
+    assert main(["inverse", "--field", str(fwd), "--in-grid", "-8:8:1:16",
+                 "--out-grid", "-6:6:1:16", "--out", str(tmp_path / "back.json")]) == 0
+    first, second = plans
+    assert first is not second
+    for name in ("fwd_mats", "inv_mats"):
+        assert all(m1 is m2 for m1, m2 in zip(getattr(first, name), getattr(second, name)))
+
+
 def test_roundtrip_reports_the_error(gauss_file, capsys):
     rc = main(["roundtrip", "--field", str(gauss_file),
                "--in-grid", "-6:6:1:48", "--out-grid", "-9:9:1:48"])
@@ -154,10 +174,13 @@ def test_miyachi_tabulates_two_kernels_per_rung(tmp_path, capsys, monkeypatch, l
     monkeypatch.setattr(dunkl_rank1, "kernel_ab_integral", counted)
     f = tmp_path / "g.json"
     f.write_text(json.dumps(_gauss_doc()))
-    rc = main(["miyachi", "--field", str(f), "--alpha", "1", "--beta", "0.25",
-               "--lambda", "3", "--ladder", ladder, "--in-grid", "-8:8:1:16"])
-    assert rc == 0
+    command = ["miyachi", "--field", str(f), "--alpha", "1", "--beta", "0.25",
+               "--lambda", "3", "--ladder", ladder, "--in-grid", "-8:8:1:16"]
+    assert main(command) == 0
     rungs = len(json.loads(capsys.readouterr().out)["ladder"])
+    assert len(calls) == 2 * rungs
+    # the same command again finds every axis's tables in the process cache
+    assert main(command) == 0
     assert len(calls) == 2 * rungs
 
 
