@@ -34,10 +34,12 @@ convolution are scalar operators (each unit enters every path an even
 number of times), and translation by z is convolution with delta_z, so
 both take class products between the contractions of one pipeline
 (`_scalar_operator`).  `translate_explicit` instead applies Roesler's
-formula blade by blade (`dunkl_rank1.roesler_translate`), which takes a
-blade expression that is a sum of products of one-coordinate factors one
-factor at a time, each along its own axis, as Roesler's translation is
-the product of the rank-one ones.
+formula blade by blade at the points a blade is called on
+(`dunkl_rank1.roesler_translate`): one field evaluation per mirror class
+of points, at psi orders a probe picks per axis.  A blade expression that
+is a sum of products of one-coordinate factors translates one factor at
+a time, each along its own axis, as Roesler's translation is the product
+of the rank-one ones.
 
 A field's support is the k blades that may be nonzero: an analytic field's
 blade keys, the planes of a caller's array that hold a nonzero value, or
@@ -886,7 +888,9 @@ def translate_explicit(f: AnalyticField, z, ms: MultiplicitySplit) -> AnalyticFi
     """Rank-one (Roesler) translation of an analytic field: each blade is
     `dunkl_rank1.roesler_translate` of f's.  Raises TypeError for a field
     that is not analytic, PlanMismatch for other multiplicities than `ms`,
-    and ValueError for a z that is not d finite numbers (`_shift`).
+    and ValueError for a z that is not d finite numbers (`_shift`); its
+    blades raise ValueError for points that are not d finite coordinate
+    arrays.
 
     A blade body that carries a `split` (`field_expr.compile_expr`)
     translates one axis at a time at d >= 2, inside `roesler_translate`.

@@ -366,7 +366,8 @@ def _explicit_chunk(fn, pts: list, z: np.ndarray, rules: list, widths: list, bou
     the key's first point, and again at the other sign for the keys whose
     points take both; on a mirrored grid every key does, and both tables
     line up with the field values, so neither is gathered.  Every other
-    axis tabulates per distinct coordinate.  Each point reads its own rows.
+    axis tabulates per distinct coordinate, a shift axis with coefficient
+    1.  Each point reads its own rows.
     """
     inner = int(np.argmax(widths))
     outer = [j for j in range(len(pts)) if j != inner]
@@ -384,19 +385,19 @@ def _explicit_chunk(fn, pts: list, z: np.ndarray, rules: list, widths: list, bou
     for j in outer:
         _, first, at = np.unique(pts[j].view(np.int64), return_index=True, return_inverse=True)
         a, c = _branch_table(pts[j][first], z[j], rules[j])
-        tables[j] = (a, at[heads], None if rules[j] is None else c, at)
+        tables[j] = (a, at[heads], c, at)
     call, sums, acc = [args] * len(pts), np.empty(n_keys + both.size), np.zeros(rows.size)
     for branch in itertools.product(*(range(widths[j]) for j in outer)):
         c = None
         for j, b in zip(outer, branch):
             a, head_at, cj, at = tables[j]
             call[j] = a[head_at, b:b + 1]
-            if cj is not None:
-                c = cj[at, b] if c is None else c * cj[at, b]
+            c = cj[at, b] if c is None else c * cj[at, b]
         vals = np.broadcast_to(np.asarray(fn(*call), dtype=float), args.shape)
         np.einsum("ij,ij->i", vals, coef, out=sums[:n_keys])
         if both.size:
             np.einsum("ij,ij->i", vals if both.size == n_keys else vals[both], flipped, out=sums[n_keys:])
+        del vals  # freed before the next field call, which may reuse its memory
         t = sums[irow]
         if c is not None:
             t *= c
@@ -410,60 +411,55 @@ def _subset(classes: tuple, chosen: np.ndarray) -> tuple:
     return order[np.repeat(chosen, sizes)], np.append(0, np.cumsum(sizes[chosen]))
 
 
-def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, probed: list | None = None,
-               stride: int = _PROBE_STRIDE) -> tuple:
-    """(orders, estimate): one psi order per axis for tau_z fn at `pts`, and the error estimate.
+def _psi_order(fn, pts: list, z: np.ndarray, kappa, classes: tuple, stride: int = _PROBE_STRIDE) -> tuple:
+    """(orders, estimate, probed): one psi order per axis for tau_z fn at
+    `pts`, the error estimate, and what the probe evaluated.
 
-    A probe of every `stride`-th of the points' `classes`, with all of its
-    points, plus the classes of the largest |x_j| on each axis (where
-    |x_j z_j|, and so the integrand's variation, peaks), starts at the first
-    order of `_PSI_ORDERS` on every axis.  Each round runs it once per open
-    Roesler axis, that axis one rung up and the others held: an axis whose
-    result agrees with the base to `_PSI_RTOL` in relative max norm closes
-    at its current order, and the other open axes step up together, their
-    result the new base.  An axis at the last order closes there.  The
-    estimate is the largest of the axes' last differences.  The probe keeps
-    the key order, so its classes are runs of the chosen class sizes.
-    Before each later pass (the caller admits the first), `_admit` checks
-    the final pass at the lowest orders the probe could still return.  No
-    points, or exact shifts only: (first order on every axis, 0.0), and no
-    probe.  A list `probed` receives the probe's mask over the keys of
-    `classes`, then the probed points and their values at the returned
-    orders, which are the final pass's bits for them.
+    The probe takes every `stride`-th of the points' `classes`, with all of
+    its points, plus the classes of the largest |x_j| on each axis (where
+    |x_j z_j|, and so the integrand's variation, peaks), and keeps the key
+    order, so its classes are runs of the chosen class sizes.  It starts at
+    the first order of `_PSI_ORDERS` on every axis.  Each round first
+    admits (`_admit`) the final pass over all the points at the current
+    orders, the lowest the probe can still return, and then runs the probe
+    once per open Roesler axis below the last order, that axis one rung up
+    and the others held.  An axis whose result agrees with the base to
+    `_PSI_RTOL` in relative max norm closes at its current order; the other
+    open axes step up together, and their result is the new base.  An axis
+    at the last order closes there.  The estimate is the largest of the
+    axes' last differences.  `probed` is the probe's mask over the keys of
+    `classes`, its points and their values at the returned orders, which
+    are the final pass's bits for them.  No points, or exact shifts only:
+    the first order on every axis, 0.0, and no probe.
     """
     n, at = pts[0].size, [_PSI_ORDERS[0]] * len(kappa)
-    if n == 0 or all(zero_limit(k) for k in kappa):
-        return tuple(at), 0.0
     order, sizes = classes[0], np.diff(classes[1])
-    key = np.repeat(np.arange(sizes.size), sizes)  # of each sorted point
     chosen = np.zeros(sizes.size, dtype=bool)
+    axes = [j for j, k in enumerate(kappa) if not zero_limit(k)]
+    if n == 0 or not axes:
+        return tuple(at), 0.0, (chosen, [], [])
+    key = np.repeat(np.arange(sizes.size), sizes)  # of each sorted point
     chosen[::stride] = True
     chosen[[key[np.argmax(np.abs(x[order]))] for x in pts]] = True
     idx, starts = _subset(classes, chosen)
     probe = [x[idx] for x in pts]
     probe_classes = np.arange(idx.size), starts
-    base = _explicit_pass(fn, probe, z, _psi_rules(kappa, at), probe_classes)
-    rung = dict(zip(_PSI_ORDERS, _PSI_ORDERS[1:]))  # each order's next one
-    est, axes = {}, [j for j, k in enumerate(kappa) if not zero_limit(k)]
-    while axes := [j for j in axes if at[j] < _PSI_ORDERS[-1]]:
+    rung, est, base = dict(zip(_PSI_ORDERS, _PSI_ORDERS[1:])), {}, None  # rung: each order's next one
+    while True:
         _admit(n, kappa, at)
-        up = {}
+        if base is None:
+            base = _explicit_pass(fn, probe, z, _psi_rules(kappa, at), probe_classes)
+        axes, up = [j for j in axes if at[j] < _PSI_ORDERS[-1]], {}
         for j in axes:
             rules = _psi_rules(kappa, at[:j] + [rung[at[j]]] + at[j + 1:])  # axis j one rung up
             up[j] = _explicit_pass(fn, probe, z, rules, probe_classes)
             diff, scale = np.max(np.abs(up[j] - base)), np.max(np.abs(up[j]))
             est[j] = float(diff / scale) if scale > 0.0 else (0.0 if diff == 0.0 else math.inf)
-        axes = [j for j in axes if est[j] > _PSI_RTOL]
+        if not (axes := [j for j in axes if est[j] > _PSI_RTOL]):
+            return tuple(at), max(est.values(), default=0.0), (chosen, idx, base)
         for j in axes:
             at[j] = rung[at[j]]
-        if len(axes) == 1:
-            base = up[axes[0]]
-        elif axes:
-            _admit(n, kappa, at)
-            base = _explicit_pass(fn, probe, z, _psi_rules(kappa, at), probe_classes)
-    if probed is not None:
-        probed += [chosen, idx, base]
-    return tuple(at), max(est.values(), default=0.0)
+        base = up[axes[0]] if len(axes) == 1 else None
 
 
 def roesler_translate(fn, X, z: np.ndarray, kappa) -> np.ndarray:
@@ -483,7 +479,8 @@ def roesler_translate(fn, X, z: np.ndarray, kappa) -> np.ndarray:
     entire in t for an entire field, so the rule converges spectrally.  A
     pass that would cost more than 2^30 field values, points x prod_j
     (2 order_j on a Roesler axis), raises NodeCountExceeded (`_admit`), as
-    early as the probe can tell.
+    early as the probe can tell.  Raises ValueError for other than d
+    coordinate arrays, or a coordinate that is not finite.
 
     Roesler's translation is the product of the rank-one ones, so at d >= 2
     a field whose `split` (`field_expr.compile_expr`) lists the terms
@@ -491,32 +488,33 @@ def roesler_translate(fn, X, z: np.ndarray, kappa) -> np.ndarray:
     at sum_t sum_j X_j.size x 2 order field values, and keeps the pass
     above where a factor raises an ArithmeticError or the sum is not finite.
     """
+    X = [np.asarray(x, dtype=float) for x in X]
+    if len(X) != len(kappa):
+        raise ValueError(f"need {len(kappa)} coordinate arrays, got {len(X)}")
+    if not all(np.isfinite(x).all() for x in X):
+        raise ValueError("coordinates must be finite")
     split = getattr(fn, "split", None) if len(kappa) >= 2 else None
     out = None if split is None else _split_translate(split, X, z, kappa)
     return _translate(fn, X, z, kappa) if out is None else out
 
 
-def _translate(fn, X, z: np.ndarray, kappa, full: bool = False) -> np.ndarray:
-    """The pass of `roesler_translate` over every point, with a probe of
-    every mirror class where `full` is set.  The final pass, admitted by
-    all the points, runs the classes the probe left out, if any; the
-    probed ones keep the probe's values."""
-    X = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in X))
+def _translate(fn, X: list, z: np.ndarray, kappa, stride: int = _PROBE_STRIDE) -> np.ndarray:
+    """The pass of `roesler_translate` over every point, probing every
+    `stride`-th mirror class (`_psi_order`).  The final pass runs the
+    classes the probe left out; the probed ones keep the probe's values."""
+    X = np.broadcast_arrays(*X)
     pts = [x.ravel() for x in X]
     _admit(pts[0].size, kappa, (_PSI_ORDERS[0],) * len(kappa))  # before the grouping sorts them
     classes = _mirror_classes(pts, kappa)
-    probed = []
-    orders = _psi_order(fn, pts, z, kappa, classes, probed, 1 if full else _PROBE_STRIDE)[0]
-    chosen, done, values = probed or (np.zeros(classes[1].size - 1, dtype=bool), [], [])
+    orders, _, (chosen, done, values) = _psi_order(fn, pts, z, kappa, classes, stride)
     out = np.empty(pts[0].size)
     if not chosen.all():
-        _admit(pts[0].size, kappa, orders)
         out = _explicit_pass(fn, pts, z, _psi_rules(kappa, orders), _subset(classes, ~chosen))
     out[done] = values
     return out.reshape(X[0].shape)
 
 
-def _split_translate(split: list, X: tuple, z: np.ndarray, kappa):
+def _split_translate(split: list, X: list, z: np.ndarray, kappa):
     """sum_t c_t prod_j tau_zj f_tj(X_j) in the points' broadcast shape,
     each distinct factor translated once on its own coordinate array and
     broadcast along its axis, or None where a factor raises an
@@ -525,12 +523,11 @@ def _split_translate(split: list, X: tuple, z: np.ndarray, kappa):
     the full probe is cheap, while every 16th class of a short axis is too
     few to trust (4 of the 48 classes of the default grid's axis let order
     8 through at 5.6e-14 from order 64, for exp(-0.7 x^2))."""
-    X = [np.asarray(x, dtype=float) for x in X]
     shape = np.broadcast_shapes(*(x.shape for x in X))
     factors = dict.fromkeys((j, fj) for _, fs in split for j, fj in enumerate(fs) if fj is not None)
     try:
         for j, fj in factors:
-            factors[j, fj] = _translate(fj, (X[j],), z[j:j + 1], kappa[j:j + 1], full=True)
+            factors[j, fj] = _translate(fj, [X[j]], z[j:j + 1], kappa[j:j + 1], stride=1)
     except ArithmeticError:
         return None
     out = np.zeros(shape)

@@ -408,8 +408,6 @@ def _combine(node, kids):
         sign = 1.0 if isinstance(node, Add) else -1.0
         return kids[0] + [(sign * c, fs) for c, fs in kids[1]]
     if isinstance(node, Mul):
-        if len(kids[0]) * len(kids[1]) > _SPLIT_TERMS:
-            return None
         return [(ca * cb, _merge(Mul, fa, fb)) for ca, fa in kids[0] for cb, fb in kids[1]]
     if isinstance(node, Div):
         if len(kids[1]) != 1 or kids[1][0][0] == 0.0:

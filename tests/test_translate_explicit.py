@@ -33,6 +33,7 @@ from cliffdunkl.dunkl_rank1 import (
     psi_rule,
     zero_limit,
 )
+from cliffdunkl.field_expr import compile_expr
 from cliffdunkl.quadrature import NodeCountExceeded, build_grid
 
 from oracles import translate_at_order
@@ -180,6 +181,41 @@ def test_explicit_gaussian_closed_form_at_large_kappa():
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("kappa", [(0.3, 0.7), (0.3, 0.5, 0.7), (1e-3, 5.0), (0.0, 0.7)])
+def test_explicit_gaussian_closed_form_on_scattered_points(kappa):
+    # the per-point pass of an opaque e^(-s |x|^2) against
+    # prod_j e^(-s (x_j^2 + z_j^2)) E_kappa_j(2 s x_j z_j), E = e^t on a
+    # kappa = 0 axis; the points come with their negatives
+    s, d = 0.8, len(kappa)
+    z = (0.6, -0.4, 0.5)[:d]
+    ms = MultiplicitySplit(kappa, d // 2)
+    f = AnalyticField(Signature(0, d), ms, {0: lambda *X: np.exp(-s * sum(x * x for x in X))})
+    X = np.random.default_rng(17 * d).uniform(-3.0, 3.0, (d, 150))
+    X = np.concatenate((X, -X), axis=1)
+    got = translate_explicit(f, z, ms).blades[0](*X)
+    want = np.ones(X.shape[1])
+    for k, x, zj in zip(kappa, X, z):
+        t = 2.0 * s * x * zj
+        E = np.exp(t) if k == 0.0 else (hyp0f1(k + 0.5, t * t / 4.0)
+                                          + t / (2.0 * k + 1.0) * hyp0f1(k + 1.5, t * t / 4.0))
+        want *= np.exp(-s * (x * x + zj * zj)) * E
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("X,match", [
+    ((np.array([0.5, np.nan]), np.zeros(2)), "finite"),
+    ((np.array([0.5, np.inf]), np.zeros(2)), "finite"),
+    ((np.zeros(2),), "need 2 coordinate arrays, got 1"),
+    ((np.zeros(2),) * 3, "need 2 coordinate arrays, got 3"),
+])
+@pytest.mark.parametrize("body", [_body, compile_expr("exp(-(x1^2+x2^2))", 2)], ids=["opaque", "split"])
+def test_translated_blade_refuses_points_that_are_not_d_finite_coordinates(X, match, body):
+    ms = MultiplicitySplit((0.3, 0.7), 1)
+    blade = translate_explicit(AnalyticField(Signature(0, 2), ms, {0: body}), (0.6, -0.4), ms).blades[0]
+    with pytest.raises(ValueError, match=match):
+        blade(*X)
+
+
 # -- the adaptive psi order -------------------------------------------------------
 
 
@@ -258,7 +294,7 @@ def test_unconverged_field_runs_at_the_cap():
         return np.cos(60.0 * x)
 
     x = np.linspace(-8.0, 8.0, 300)
-    order, estimate = _psi_order(body, [x], np.array([2.0]), (0.5,), _mirror_classes([x], (0.5,)))
+    order, estimate = _psi_order(body, [x], np.array([2.0]), (0.5,), _mirror_classes([x], (0.5,)))[:2]
     assert order == (64,) and estimate > 1e-14
     got = _translated(body, (0.5,), (2.0,))(x)
     assert np.array_equal(got, _translated(body, (0.5,), (2.0,), order=64)(x))
@@ -273,7 +309,7 @@ def test_exact_shifts_and_the_zero_field_settle_at_once():
         return np.exp(-(x1 * x1 + x2 * x2))
 
     pts = [np.linspace(-1.0, 1.0, 5)] * 2
-    assert _psi_order(body, pts, np.array([0.6, -0.4]), ms.kappa, _mirror_classes(pts, ms.kappa)) == ((8, 8), 0.0)
+    assert _psi_order(body, pts, np.array([0.6, -0.4]), ms.kappa, _mirror_classes(pts, ms.kappa))[:2] == ((8, 8), 0.0)
     assert calls == []
     grid = build_grid(ms, 8.0, panels=1, order=48)
     got = translate_explicit(AnalyticField(Signature(0, 2), ms, {0: body}), (0.6, -0.4), ms).sample(grid)
@@ -285,7 +321,7 @@ def test_exact_shifts_and_the_zero_field_settle_at_once():
         return np.zeros(np.broadcast(x1, x2).shape)
 
     pts = [x.ravel() for x in _mesh(2, 12)]
-    assert _psi_order(zero, pts, np.array([0.6, -0.4]), (0.3, 0.7), _mirror_classes(pts, (0.3, 0.7))) == ((8, 8), 0.0)
+    assert _psi_order(zero, pts, np.array([0.6, -0.4]), (0.3, 0.7), _mirror_classes(pts, (0.3, 0.7)))[:2] == ((8, 8), 0.0)
     assert not np.any(_translated(zero, (0.3, 0.7), (0.6, -0.4))(*_mesh(2, 12)))
 
 
