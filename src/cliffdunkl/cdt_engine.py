@@ -53,8 +53,11 @@ values on, the bodies are dealt out to the calling thread and to usable
 CPUs - 1 threads started for the call and joined before it returns
 (`_each`).  numpy releases the GIL in its ufunc loops, so the bodies run on
 every core, each writing its own slice of the blade-first samples, and the
-result is bit-identical to the serial loop.  The GEMMs already use every
-core through BLAS.
+result is bit-identical to the serial loop.  The same threads run the
+orthant gather and scatter of fields that large, and every GEMM too large
+for BLAS to keep on one thread (`_matmul`): in row blocks small enough that
+BLAS never wakes a worker of its own, which would keep spinning on a core
+after the call and slow down whatever runs next, blade bodies included.
 
 Normalization: `raw` implements the integral above literally; `mehta`
 multiplies the forward transform by c_{k_p} c_{k_q} (and adjusts the
@@ -71,6 +74,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple
@@ -98,7 +102,12 @@ from .dunkl_rank1 import (
 )
 from .quadrature import TensorGrid, build_axis, build_grid
 
-_PARALLEL_MIN = 1 << 20  # values from which `_each` shares its items out to threads
+_PARALLEL_MIN = 1 << 20  # values from which sampling, gather and scatter share their items out to threads
+# m*n*k of the largest 2-D product `_matmul` hands to BLAS in one piece.  With numpy 2.4.6 on
+# OpenBLAS 0.3.31 (2 CPUs), products of up to 10^6 multiply-adds ran on the calling thread;
+# from 1,007,616 on they woke BLAS's own worker, which then busy-waits on the other CPU for
+# 0.1-0.2 s after the call.  2^19 leaves a 1.9x margin.
+_BLAS_SERIAL = 1 << 19
 # beside NODE_CAP's memory rule: `_axis_mats` keeps the tables of the 64 latest axes of up to
 # 128 positive nodes, 2 x 2 x 128^2 floats (512 KiB) each, so at most 32 MiB outlives the plans
 _SHARED_AXIS_MAX = 128
@@ -113,7 +122,7 @@ class ZeroNormField(ValueError):
     pass
 
 
-# -- concurrent blade bodies -----------------------------------------------
+# -- concurrent work: blade bodies, orthants, GEMM row blocks ---------------
 
 
 def _usable_cpus() -> int:
@@ -123,31 +132,67 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _each(fn, items, size: int) -> None:
-    """fn(item) for every item, where `size` counts the values the calls
-    compute together.
+def _each(fn, items, shared: bool) -> None:
+    """fn(item) for every item: blade bodies, orthants or GEMM row blocks,
+    each writing its own part of one output.
 
-    From `_PARALLEL_MIN` values on, the items are dealt out in turn to n
-    shares, n the usable CPUs: the calling thread runs the first, and n - 1
-    threads started for the call and joined before it returns run the
-    others.  An error raised in the calling thread's share wins, then the
-    other shares' in order.  Below the threshold it is the plain loop, and
-    concurrent.futures is never imported.
+    If `shared`, the items are dealt out in turn to n shares, n the usable
+    CPUs: the calling thread runs the first, and n - 1 threads started for
+    the call and joined before it returns run the others.  An error raised
+    in the calling thread's share wins, then the other shares' in order.
+    Otherwise it is the plain loop on the calling thread.
     """
     items = list(items)
-    n = min(_usable_cpus() if size >= _PARALLEL_MIN else 1, len(items))
+    n = min(_usable_cpus() if shared else 1, len(items))
     if n < 2:
         for item in items:
             fn(item)
         return
-    from concurrent.futures import ThreadPoolExecutor
+    errors = [None] * n
 
-    with ThreadPoolExecutor(n - 1, thread_name_prefix="cliffdunkl") as pool:
-        futures = [pool.submit(_each, fn, items[k::n], 0) for k in range(1, n)]
-        for item in items[::n]:
-            fn(item)
-    for fut in futures:
-        fut.result()
+    def share(k):
+        try:
+            for item in items[k::n]:
+                fn(item)
+        except BaseException as exc:  # raised in the caller, after the join
+            errors[k] = exc
+
+    threads = [threading.Thread(target=share, args=(k,), name=f"cliffdunkl-{k}") for k in range(1, n)]
+    for thread in threads:
+        thread.start()
+    share(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b, out=out), bit for bit, for 2-D products (m, k) @ (k, n)
+    batched over any leading axes.
+
+    A product of more than `_BLAS_SERIAL` multiply-adds is cut into blocks
+    of rows of at most that many, dealt out by `_each`, so that BLAS runs
+    each block on the thread that calls it.  The threads take only views of
+    a, b and out.  The sums of a row are those of the whole product as long
+    as blocks start at multiples of 8 rows, because OpenBLAS sums a ragged
+    edge of fewer rows in another order, and none is a single row, which
+    numpy hands to gemv instead.  So a last block of one row takes in the 8
+    rows before it (at most 9/8 of the bound, still far below BLAS's own
+    threshold), and where 8 rows exceed the bound BLAS gets the product whole.
+    """
+    per_row = a.shape[-1] * b.shape[-1]
+    rows = _BLAS_SERIAL // per_row // 8 * 8
+    m = a.shape[-2]
+    if m * per_row <= _BLAS_SERIAL or not rows:
+        return np.matmul(a, b, out=out)
+    starts = list(range(0, m, rows))
+    if starts[-1] == m - 1:
+        starts[-1] -= 8
+    blocks = [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [m]) if hi > lo]
+    _each(lambda rs: np.matmul(a[..., rs, :], b, out=out[..., rs, :]), blocks, True)
+    return out
 
 
 # -- fields ---------------------------------------------------------------
@@ -167,7 +212,10 @@ class AnalyticField:
     Each body is called once per `sample`.  On grids of `_PARALLEL_MIN`
     (2^20) values or more, nodes times blades, the bodies run concurrently
     on the calling thread and threads started for the call and joined
-    before it returns, so a body must not mutate shared state.  The blade
+    before it returns, so a body must not mutate shared state.  Threads
+    started the same way run the engine's large contractions, so no BLAS
+    worker is left spinning on a core that the next bodies need.  Each
+    plane is checked for non-finite values as its body writes it.  The blade
     keys are the field's support: the engine's work scales with their number.
     """
 
@@ -196,12 +244,15 @@ class AnalyticField:
         every blade is written contiguously."""
         coords = grid.coords()
         out = np.zeros((self.sig.n_blades,) + grid.shape)
+        nonfinite, finite = [], np.empty(out.shape, dtype=bool)  # allocated here, not on the threads
 
         def put(mask):
             try:
                 value = np.asarray(self.blades[mask](*coords))
                 if value.dtype.kind in "biuf":  # bool, integer or real floating
                     out[mask] = value
+                    if not np.isfinite(out[mask], out=finite[mask]).all():  # while the plane is in cache
+                        nonfinite.append(mask)
                     return
             except ValueError as exc:
                 raise ValueError(
@@ -211,8 +262,8 @@ class AnalyticField:
             raise ValueError(f"blade {blade_label(mask)} body returned {value.dtype} values; "
                              "a field takes real numbers")
 
-        _each(put, self.blades, out.size)
-        if not np.isfinite(out).all():
+        _each(put, self.blades, out.size >= _PARALLEL_MIN)
+        if nonfinite:  # after the join, so that a body's own error wins
             raise ValueError("field evaluated to a non-finite value on the grid")
         return np.moveaxis(out, 0, -1)
 
@@ -520,24 +571,37 @@ def _fold(values: np.ndarray, d: int, work: _Work) -> np.ndarray:
     integrate against."""
     full = values.shape[:d]
     Y = work.next((2**d,) + tuple(n // 2 for n in full) + values.shape[d:])
-    for e, index in enumerate(_orthants(full)):
-        Y[e] = values[index]
+    orthants = _orthants(full)
+
+    def gather(e):
+        Y[e] = values[orthants[e]]
+
+    _each(gather, range(2**d), values.size >= _PARALLEL_MIN)
+    return _mix(Y, d, work)
+
+
+def _mix(Y: np.ndarray, d: int, work: _Work) -> np.ndarray:
+    """H Y over the leading axis, as (columns, 2^d) @ H^T so that `_matmul`
+    cuts the long axis: numpy hands BLAS the product H Y of each block."""
     X = work.next(Y.shape)
-    np.matmul(_hadamard(d), Y.reshape(2**d, -1), out=X.reshape(2**d, -1))
+    _matmul(Y.reshape(2**d, -1).T, _hadamard(d).T, X.reshape(2**d, -1).T)
     return X
 
 
 def _unfold(X: np.ndarray, d: int, work: _Work, support=None, nb=None) -> np.ndarray:
     """Class stack of parity components -> values (*grid, k).  Given the
     support of the k blades among nb > k, values (*grid, nb), zero off it."""
-    Y = work.next(X.shape)
-    np.matmul(_hadamard(d), X.reshape(2**d, -1), out=Y.reshape(2**d, -1))
+    Y = _mix(X, d, work)
     cols = slice(None) if support is None or len(support) == nb else _blades_at(support)
     out = work.next(tuple(2 * n for n in X.shape[1:d + 1]) + (X.shape[d + 1:] if nb is None else (nb,)))
     if cols != slice(None):
         out.fill(0.0)
-    for e, index in enumerate(_orthants(out.shape[:d])):
-        out[index + (cols,)] = Y[e]
+    orthants = _orthants(out.shape[:d])
+
+    def scatter(e):
+        out[orthants[e] + (cols,)] = Y[e]
+
+    _each(scatter, range(2**d), Y.size >= _PARALLEL_MIN)
     return out
 
 
@@ -558,7 +622,7 @@ def _contract(X: np.ndarray, plan: TransformPlan, inverse: bool, blades,
     C, shape = X.shape[0], list(X.shape[1:])
     for classes, M in steps if blades is None else steps + [((C,), blades)]:
         lhs = X.reshape(classes + (M.shape[-2], -1)).swapaxes(-1, -2)
-        X = np.matmul(lhs, M, out=work.next(lhs.shape[:-1] + M.shape[-1:]))
+        X = _matmul(lhs, M, work.next(lhs.shape[:-1] + M.shape[-1:]))
         shape = shape[1:] + [M.shape[-1]]
     return X.reshape([C] + shape)
 
@@ -618,7 +682,7 @@ def _scalar_operator(Phi: np.ndarray, left: tuple, values: np.ndarray, right: tu
         for al in range(C):
             np.multiply(Phi[al], Gam[al ^ tau], out=term)
             (np.subtract if odd[al, al ^ tau] else np.add)(Q, term, out=Q)
-        np.matmul(Q.reshape(kl * kr, -1).T, S, out=H[tau].reshape(-1, k))
+        _matmul(Q.reshape(kl * kr, -1).T, S, H[tau].reshape(-1, k))
     scale = np.eye(k) * (_c_squared(plan) * 2.0**d)
     return _unfold(_contract(H, plan, True, scale[None], work), d, work, out, nb), out
 

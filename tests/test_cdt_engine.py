@@ -1302,3 +1302,87 @@ def test_small_fields_start_no_thread_and_never_import_the_pool():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "1"]
+
+
+# -- GEMM row blocks -------------------------------------------------------------
+#
+# Products of more than `_BLAS_SERIAL` multiply-adds run as row blocks on the
+# engine's own threads (`_matmul`), so BLAS never wakes a worker that keeps
+# spinning after the call.  The tests lower the bound on small plans, so that
+# the blocks take every shape a large plan gives them.
+
+
+def _blocked_outputs(d, order, masks):
+    """forward, inverse of it, translate_spectral and convolve of seeded fields."""
+    sig, ms, a, b = _cl0(d)
+    plan = build_plan(sig, ms, a, b, L_x=4.0, L_y=4.0, order=order)
+    f = AnalyticField(sig, ms, _seeded_bodies(d, masks, d, []))
+    g = AnalyticField(sig, ms, _seeded_bodies(d, masks[::-1], 10 + d, []))
+    F = forward(f, plan)
+    return [F.values, inverse(F, plan).values,
+            translate_spectral(f, (0.3, -0.2, 0.1, 0.4)[:d], plan).values, convolve(f, g, plan).values]
+
+
+def test_gemm_row_blocks_give_the_bits_of_whole_products(monkeypatch):
+    # odd orders leave ragged edges: 81 or 125 half-grid points per blade
+    blocks = []
+    each = cdt_engine._each
+
+    def spy(fn, items, shared):
+        items = list(items)
+        if items and isinstance(items[0], slice):
+            blocks.append([s.stop - s.start for s in items])
+        each(fn, items, shared)
+
+    for d, order in ((2, 9), (3, 5), (4, 3)):
+        nb = 2**d
+        for masks in ([0], [0, 3], list(range(nb))):
+            monkeypatch.undo()
+            want = _blocked_outputs(d, order, masks)
+            _force_pool(monkeypatch)
+            monkeypatch.setattr(cdt_engine, "_each", spy)
+            for bound in (8 * nb * nb, 8 * nb * nb + 100, 2**11, 2**14):
+                monkeypatch.setattr(cdt_engine, "_BLAS_SERIAL", bound)
+                got = _blocked_outputs(d, order, masks)
+                for name, x, y in zip(("forward", "inverse", "translate_spectral", "convolve"), got, want):
+                    assert x.tobytes() == y.tobytes(), (d, masks, bound, name)
+    assert any(cut[0] == 8 for cut in blocks)  # the smallest blocks
+    assert any(cut[-1] < cut[0] for cut in blocks)  # a remainder block
+    assert any(cut[-1] == 9 for cut in blocks)  # a single last row joins the 8 before it
+    assert all(size % 8 == 0 for cut in blocks for size in cut[:-1])
+
+
+@pytest.mark.parametrize("bound", [2**12, 2**15])
+def test_gemm_row_blocks_keep_the_pinned_memory_multiples(bound, monkeypatch):
+    # the blocks' threads take views of the work buffers and write into them
+    _force_pool(monkeypatch)
+    monkeypatch.setattr(cdt_engine, "_BLAS_SERIAL", bound)
+    test_transform_memory_stays_within_two_work_buffers(0, 3, (0.3, 0.7, 0.5), 16)
+
+
+def _openblas() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(cdt_engine._usable_cpus() < 2, reason="BLAS starts no worker on one CPU")
+@pytest.mark.skipif(not _openblas(), reason="the spin after a threaded GEMM is OpenBLAS's")
+def test_no_blas_worker_spins_after_an_operation():
+    # OpenBLAS's worker busy-waits for 0.1-0.2 s after a GEMM it shared, so
+    # this process used 48-52 ms of CPU time in a 50 ms sleep after each of
+    # these operations when BLAS ran their GEMMs whole
+    sig, ms, a, b = _cl0(3)
+    plan = build_plan(sig, ms, a, b, L_x=5.0, L_y=5.0, order=32)
+    f = gaussian_field(sig, ms, blades=range(sig.n_blades))
+    assert plan.grid_x.n_nodes * sig.n_blades > 2**20
+    held = {}
+    ops = {"forward": lambda: held.setdefault("F", forward(f, plan)),
+           "inverse": lambda: inverse(held["F"], plan),
+           "translate_spectral": lambda: translate_spectral(f, (0.4, -0.3, 0.2), plan),
+           "convolve": lambda: convolve(f, f, plan)}
+    time.sleep(0.5)  # outlasts a worker that set-up woke
+    for name, run in ops.items():
+        run()
+        cpu = time.process_time()
+        time.sleep(0.05)
+        assert time.process_time() - cpu < 0.01, name

@@ -158,6 +158,26 @@ def test_non_finite_bodies_are_still_refused():
         f.sample(grid)
 
 
+@pytest.mark.parametrize("parallel_min", [cdt_engine._PARALLEL_MIN, 1])
+def test_a_body_error_wins_over_a_non_finite_plane(parallel_min, monkeypatch):
+    # each plane is checked as its body writes it, and the check speaks
+    # only after every body ran: a later blade's own error comes first
+    monkeypatch.setattr(cdt_engine, "_PARALLEL_MIN", parallel_min)
+    monkeypatch.setattr(cdt_engine, "_usable_cpus", lambda: 2)
+    sig, ms, grid = _setup(2, order=3)
+    bodies = {0: lambda x1, x2: np.full_like(x1 * x2, np.nan), 1: lambda x1, x2: x1 * x2,
+              "e12": lambda x1, x2: np.exp(1j * x1)}
+    with pytest.raises(ValueError, match="^blade e12 body returned complex128 values"):
+        AnalyticField(sig, ms, bodies).sample(grid)
+    bodies["e12"] = lambda x1, x2: np.where(x1 > 0, np.inf, 1.0) + 0.0 * x2
+    with pytest.raises(ValueError, match="^field evaluated to a non-finite value on the grid$"):
+        AnalyticField(sig, ms, bodies).sample(grid)
+    # the plane is checked as stored: 1e318 is a finite long double but not a finite float
+    huge = AnalyticField(sig, ms, {"e12": lambda x1, x2: np.longdouble(1e308) * 1e10 + 0.0 * x1 * x2})
+    with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+        huge.sample(grid)
+
+
 def _units(sig):
     return tuple(validate_imaginary(MultiVector.blade(sig, e), e) for e in ("e1", "e2"))
 
