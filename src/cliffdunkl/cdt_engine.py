@@ -28,18 +28,18 @@ one stack, then mix them into the 2^d classes with the +-1 Hadamard matrix
 (-1)^(sigma . epsilon) in a single GEMM; the unfold is the same GEMM and a
 scatter back onto the full axes.  Every stage, from the gather to the
 scatter, writes into one of two work buffers that the stages take in turn,
-and the last one is the result.  `forward` and `inverse` differ only in
-the kernel conjugation (B -> -B) and constants.  Translation and
-convolution are scalar operators (each unit enters every path an even
-number of times), and translation by z is convolution with delta_z, so
-both take class products between the contractions of one pipeline
-(`_scalar_operator`).  `translate_explicit` instead applies Roesler's
-formula blade by blade at the points a blade is called on
+and the last one is the result.  `inverse` differs from `forward` in its
+constants and in the class sign (-1)^|sigma| of its kernel A - uB.
+Translation and convolution are scalar operators (each unit enters every
+path an even number of times), and translation by z is convolution with
+delta_z, so both take class products between the contractions of one
+pipeline (`_scalar_operator`).  `translate_explicit` instead applies
+Roesler's formula blade by blade at the points a blade is called on
 (`dunkl_rank1.roesler_translate`): one field evaluation per mirror class
-of points, at psi orders a probe picks per axis.  A blade expression that
-is a sum of products of one-coordinate factors translates one factor at
-a time, each along its own axis, as Roesler's translation is the product
-of the rank-one ones.
+of points, at psi orders a probe picks per axis.  A blade expression
+that is a sum of products of one-coordinate factors translates one
+factor at a time, each along its own axis, as Roesler's translation is
+the product of the rank-one ones.
 
 A field's support is the k blades that may be nonzero: an analytic field's
 blade keys, the planes of a caller's array that hold a nonzero value, or
@@ -75,7 +75,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple
 
@@ -100,7 +100,7 @@ from .dunkl_rank1 import (
     mehta_constant,
     roesler_translate,
 )
-from .quadrature import TensorGrid, build_axis, build_grid
+from .quadrature import Grid1D, TensorGrid, build_grid
 
 _PARALLEL_MIN = 1 << 20  # values from which sampling, gather and scatter share their items out to threads
 # m*n*k of the largest 2-D product `_matmul` hands to BLAS in one piece.  With numpy 2.4.6 on
@@ -108,8 +108,8 @@ _PARALLEL_MIN = 1 << 20  # values from which sampling, gather and scatter share 
 # from 1,007,616 on they woke BLAS's own worker, which then busy-waits on the other CPU for
 # 0.1-0.2 s after the call.  2^19 leaves a 1.9x margin.
 _BLAS_SERIAL = 1 << 19
-# beside NODE_CAP's memory rule: `_axis_mats` keeps the tables of the 64 latest axes of up to
-# 128 positive nodes, 2 x 2 x 128^2 floats (512 KiB) each, so at most 32 MiB outlives the plans
+# beside NODE_CAP's memory rule: `_axis_mats` keeps the tables of the 64 latest axis pairs of up
+# to 128 positive nodes, 2 x 2 x 128^2 floats (512 KiB) each, so at most 32 MiB outlives the plans
 _SHARED_AXIS_MAX = 128
 _SHARED_AXES = 64
 
@@ -358,8 +358,8 @@ class TransformPlan:
 
     `fwd_mats[j]` stacks axis j's (even, odd) half matrices, positive x
     nodes to positive y nodes: w(x) A(x y) and w(x) B(x y).  `inv_mats[j]`
-    holds the inverse's, y to x: w(y) A(x y) and -w(y) B(x y).  Plans hold
-    arrays, so they compare and hash by identity.
+    holds y to x, w(y) A^T and w(y) B^T: `fwd_mats[j]` itself on one grid.
+    Plans hold arrays, so they compare and hash by identity.
     """
 
     sig: Signature
@@ -413,26 +413,21 @@ def _blade_matrices(sig: Signature, a: MultiVector, b: MultiVector) -> np.ndarra
 
 
 @lru_cache(maxsize=_SHARED_AXES)
-def _axis_mats(kappa: float, L_x: float, L_y: float, panels: int, order: int) -> tuple:
-    """(fwd, inv) of one axis, `TransformPlan`'s half matrices, read-only.
-
-    They depend on these five numbers alone, so plans share them: the axes
-    are built again, bit for bit as `build_grid` builds them, and the
-    kernel is tabulated on the triangle of the positive quadrant, where
+def _axis_mats(ax: Grid1D, ay: Grid1D) -> tuple:
+    """`TransformPlan`'s half matrices (fwd, inv) of the x axis `ax` and the
+    y axis `ay`, read-only; inv is fwd when `ay is ax`.  The kernel is
+    tabulated on the triangle of the positive quadrant, where
     t = x_i x_k L_y / L_x is symmetric; parity gives the rest.
     """
-    ax = build_axis(kappa, L_x, panels, order)
-    ay = ax if L_y == L_x else build_axis(kappa, L_y, panels, order)
-    table = kernel_coefficients(kappa, t_max=L_x * L_y)
-    n = panels * order  # positive nodes of either axis
+    table = kernel_coefficients(ax.kappa, t_max=ax.L * ay.L)
+    n = len(ax) // 2  # positive nodes of either axis
     upper = np.less_equal.outer(np.arange(n), np.arange(n))
     pos = ax.nodes[n:]
     AB = np.empty((2, n, n))
-    AB[0][upper], AB[1][upper] = eval_kernel_ab(table, np.outer(pos, pos)[upper] * (L_y / L_x))
+    AB[0][upper], AB[1][upper] = eval_kernel_ab(table, np.outer(pos, pos)[upper] * (ay.L / ax.L))
     AB = np.where(upper, AB, AB.transpose(0, 2, 1))
-    wx, wy = (ax.weights * ax.wk)[n:, None], (ay.weights * ay.wk)[n:, None]
-    fwd, inv = AB * wx, AB.transpose(0, 2, 1) * wy
-    inv[1] *= -1.0
+    fwd = AB * (ax.weights * ax.wk)[n:, None]
+    inv = fwd if ay is ax else AB.transpose(0, 2, 1) * (ay.weights * ay.wk)[n:, None]
     for M in (fwd, inv):
         M.flags.writeable = False
     return fwd, inv
@@ -460,10 +455,9 @@ def build_plan(
     tabulating, the plan refuses coordinates with L_x * L_y beyond the
     kernel radius (ArgumentOutOfRadius from `kernel_coefficients`).
 
-    An axis's half matrices depend only on (kappa_j, L_x_j, L_y_j, panels,
-    order) (`_axis_mats`), so plans share them: every plan with an equal
-    axis holds the same read-only arrays.  Axes of up to 128 positive
-    nodes stay cached, the 64 most recent, at most 32 MiB; larger ones are
+    Grids share cached axes (`build_axis`), and plans share the read-only
+    half matrices of each axis pair (`_axis_mats`).  Pairs of up to
+    `_SHARED_AXIS_MAX` positive nodes stay cached; larger ones are
     tabulated for the plan alone, so a dropped plan frees them.
     """
     if sig.d != ms.d:
@@ -480,7 +474,7 @@ def build_plan(
     axes = tuple(zip(grid_x.axes, grid_y.axes))
     tables = tuple(kernel_coefficients(k, t_max=ax.L * ay.L) for k, (ax, ay) in zip(ms.kappa, axes))
     tabulate = _axis_mats if panels * order <= _SHARED_AXIS_MAX else _axis_mats.__wrapped__
-    mats = [tabulate(k, ax.L, ay.L, panels, order) for k, (ax, ay) in zip(ms.kappa, axes)]
+    mats = [tabulate(ax, ay) for ax, ay in axes]
     return TransformPlan(
         sig=sig,
         ms=ms,
@@ -588,12 +582,12 @@ def _mix(Y: np.ndarray, d: int, work: _Work) -> np.ndarray:
     return X
 
 
-def _unfold(X: np.ndarray, d: int, work: _Work, support=None, nb=None) -> np.ndarray:
-    """Class stack of parity components -> values (*grid, k).  Given the
-    support of the k blades among nb > k, values (*grid, nb), zero off it."""
+def _unfold(X: np.ndarray, d: int, work: _Work, support: tuple, nb: int) -> np.ndarray:
+    """Class stack of parity components (C, *half, k) -> values (*grid, nb)
+    of the k blades `support`, zero off it."""
     Y = _mix(X, d, work)
-    cols = slice(None) if support is None or len(support) == nb else _blades_at(support)
-    out = work.next(tuple(2 * n for n in X.shape[1:d + 1]) + (X.shape[d + 1:] if nb is None else (nb,)))
+    cols = slice(None) if len(support) == nb else _blades_at(support)
+    out = work.next(tuple(2 * n for n in X.shape[1:d + 1]) + (nb,))
     if cols != slice(None):
         out.fill(0.0)
     orthants = _orthants(out.shape[:d])
@@ -648,6 +642,7 @@ def _transform(values: np.ndarray, support: tuple, plan: TransformPlan, inverse:
     """const * sum over classes sigma of sign(sigma) a^s (class) b^r, and the support it reaches."""
     d, nb = plan.ms.d, plan.sig.n_blades
     _, s, r, sign = _parity_classes(d, plan.ms.split)
+    sign = sign * (-1.0) ** (s + r) if inverse else sign  # kernel A - uB: -B on every odd axis
     cmat, out = _reach(plan.cmat[s, r], support, nb)
     blades = (const * sign)[:, None, None] * cmat
     work = _Work(d + 5, values.size // nb * max(len(support), len(out)), values.size)
@@ -661,10 +656,10 @@ def _scalar_operator(Phi: np.ndarray, left: tuple, values: np.ndarray, right: tu
     (C, k', *half) of a left factor with support `left` and g's samples.
 
     y class tau collects (-1)^|alpha or beta| Phi_alpha Gamma_beta over
-    alpha xor beta = tau, Gamma g's classes and the sign what the units and
-    the inverse's conjugation leave; one GEMM against the supports' rows of
-    the structure tensor takes the blade products.  The inverse contractions
-    and c^2 2^d follow (2^d turns parity components into fold sums).
+    alpha xor beta = tau, Gamma g's classes and the sign what the units leave;
+    one GEMM against the supports' rows of the structure tensor takes the blade
+    products.  The inverse contractions follow, and c^2 2^d (2^d turns parity
+    components into fold sums) times the class sign (-1)^|tau| of A - uB.
     """
     d, nb = plan.ms.d, plan.sig.n_blades
     S, out = _reach(structure_tensor(plan.sig)[list(left)], right, nb)
@@ -683,8 +678,8 @@ def _scalar_operator(Phi: np.ndarray, left: tuple, values: np.ndarray, right: tu
             np.multiply(Phi[al], Gam[al ^ tau], out=term)
             (np.subtract if odd[al, al ^ tau] else np.add)(Q, term, out=Q)
         _matmul(Q.reshape(kl * kr, -1).T, S, H[tau].reshape(-1, k))
-    scale = np.eye(k) * (_c_squared(plan) * 2.0**d)
-    return _unfold(_contract(H, plan, True, scale[None], work), d, work, out, nb), out
+    scale = (-1.0) ** bits.sum(axis=1)[:, None, None] * np.eye(k) * (_c_squared(plan) * 2.0**d)
+    return _unfold(_contract(H, plan, True, scale, work), d, work, out, nb), out
 
 
 def _result(plan: TransformPlan, grid: TensorGrid, values: np.ndarray, support: tuple) -> SampledField:
@@ -763,9 +758,6 @@ class ClaimReport:
             kappa=tuple(float(k) for k in plan.ms.kappa),
             units=units,
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def reports_to_json(reports) -> str:

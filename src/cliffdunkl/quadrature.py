@@ -156,6 +156,7 @@ class Grid1D:
         return len(self.nodes)
 
 
+@lru_cache(maxsize=128)  # NODE_CAP admits 8192 nodes per axis, 3 arrays of 64 KiB: at most 24 MiB
 def build_axis(kappa: float, L: float, panels: int, order: int) -> Grid1D:
     """Uniform panels per side, split at 0; singular inner panel gets the
     x^(2 kappa)-weighted Gauss rule (exposed as effective dx weights).
@@ -247,10 +248,8 @@ def build_grid(ms, L, panels: int = 4, order: int = 12) -> TensorGrid:
     rule's order x order Jacobi matrix; then per grid, nodes times 2^d blades.
     That is the one memory rule: on full-blade fields, forward, inverse,
     translate_spectral and convolve hold at most 3, 2, 4 and 6 fields of
-    the grid's size; fields with fewer blades hold less.  Beyond the
-    plans a caller holds, the kernel tables that plans share stay cached
-    (`cdt_engine.build_plan`): at most 32 MiB, the 64 latest axes of up to
-    128 positive nodes.
+    the grid's size; fields with fewer blades hold less.  The axes come
+    from `build_axis`'s cache.
     """
     kappas = tuple(getattr(ms, "kappa", ms))
     d = len(kappas)

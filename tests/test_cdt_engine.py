@@ -57,7 +57,7 @@ from cliffdunkl.cdt_engine import (
     translate_spectral,
 )
 from cliffdunkl.cdt_engine import _Work, _fold, _unfold
-from cliffdunkl import cdt_engine, dunkl_rank1
+from cliffdunkl import cdt_engine, dunkl_rank1, quadrature
 from cliffdunkl.quadrature import build_grid
 
 from conftest import gaussian_field
@@ -112,17 +112,18 @@ def test_plan_kernels_match_a_full_quadrant_evaluation(sig02, unit_a, unit_b,
         n = len(ax) // 2
         A, B = eval_kernel_ab(table, np.outer(ax.nodes[n:], ay.nodes[n:]))
         wx, wy = (ax.weights * ax.wk)[n:, None], (ay.weights * ay.wk)[n:, None]
-        for got, want in ((fwd, np.stack((wx * A, wx * B))), (inv, np.stack((wy * A.T, -wy * B.T)))):
+        for got, want in ((fwd, np.stack((wx * A, wx * B))), (inv, np.stack((wy * A.T, wy * B.T)))):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("L_y", [None, 8.0])
 def test_one_grid_plan_kernels_are_exactly_symmetric(sig02, ms_std, unit_a, unit_b, L_y):
-    # fwd = (w A, w B) and inv = (w A^T, -w B^T) with one w: bit-equal
-    # exactly when A and B are symmetric
+    # fwd = (w A, w B) and inv = (w A^T, w B^T) with one w and symmetric
+    # A and B: one grid stores the one array for both
     plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=8.0, L_y=L_y, panels=2, order=9)
+    assert plan.grid_y.axes == plan.grid_x.axes
     for fwd, inv in zip(plan.fwd_mats, plan.inv_mats):
-        assert np.array_equal(inv[0], fwd[0]) and np.array_equal(inv[1], -fwd[1])
+        assert inv is fwd
 
 
 @pytest.mark.parametrize("L_y,panels,order", [(None, 1, 48), (10.0, 3, 7)])
@@ -187,11 +188,27 @@ def test_the_shared_tables_hold_at_most_32_mib():
     cache = cdt_engine._axis_mats
     build_plan(sig, ms, a, a, L_x=4.0, panels=3, order=43)
     assert cache.cache_info().currsize == 0
-    plan = build_plan(sig, ms, a, a, L_x=4.0, panels=2, order=64)
-    assert cache.cache_info().currsize == 1
-    entry = sum(M.nbytes for M in _mats(plan))
-    assert entry == 512 << 10
-    assert cache.cache_info().maxsize * entry <= 32 << 20
+    one = build_plan(sig, ms, a, a, L_x=4.0, panels=2, order=64)
+    two = build_plan(sig, ms, a, a, L_x=4.0, L_y=5.0, panels=2, order=64)
+    assert cache.cache_info().currsize == 2
+
+    def entry(plan):  # the bytes of the distinct arrays
+        return sum(M.nbytes for M in {id(M): M for M in _mats(plan)}.values())
+
+    assert entry(one) == 256 << 10  # one grid: inv is fwd
+    assert entry(two) == 512 << 10  # L_x != L_y, the worst case
+    assert cache.cache_info().maxsize * entry(two) <= 32 << 20
+
+
+def test_a_cold_axis_table_builds_no_axis(sig02, ms_std, unit_a, unit_b):
+    # the tables come from the plan's own axes: no call of `build_axis`, not even a cache hit
+    plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=6.0, L_y=8.0, order=16)
+    cdt_engine._axis_mats.cache_clear()
+    before = quadrature.build_axis.cache_info()
+    for ax, ay, fwd, inv in zip(plan.grid_x.axes, plan.grid_y.axes, plan.fwd_mats, plan.inv_mats):
+        cold = cdt_engine._axis_mats(ax, ay)
+        assert cold[0] is not fwd and np.array_equal(cold[0], fwd) and np.array_equal(cold[1], inv)
+    assert quadrature.build_axis.cache_info() == before
 
 
 @pytest.mark.parametrize("kappa,L,error", [
@@ -203,7 +220,8 @@ def test_a_failed_build_caches_nothing(sig02, unit_a, unit_b, kappa, L, error):
         with pytest.raises(error):
             build_plan(sig02, MultiplicitySplit(kappa, 1), unit_a, unit_b, L_x=L, order=8)
         with pytest.raises(error):
-            cdt_engine._axis_mats(kappa[0], L, L, 1, 8)
+            ax = quadrature.build_axis(kappa[0], L, 1, 8)
+            cdt_engine._axis_mats(ax, ax)
     assert cdt_engine._axis_mats.cache_info().currsize == 0
 
 
@@ -929,15 +947,16 @@ def test_fold_and_unfold_match_the_literal_orthant_sums(shape):
     d = len(shape) - 1
     v = np.random.default_rng(len(shape)).standard_normal(shape)
     want = _literal_fold(v, d)
+    blades = tuple(range(shape[-1])), shape[-1]  # the support and the blade count
     for name, view in _layouts(v).items():
         np.testing.assert_array_equal(view, v)
         X = _fold(view, d, _Work(2, v.size))
         assert X.shape == want.shape, name
         np.testing.assert_allclose(X, want, rtol=0, atol=1e-13, err_msg=name)
-        np.testing.assert_allclose(_unfold(X, d, _Work(2, X.size)), 2.0**d * v,
+        np.testing.assert_allclose(_unfold(X, d, _Work(2, X.size), *blades), 2.0**d * v,
                                    rtol=0, atol=1e-13, err_msg=name)
     H = np.random.default_rng(7).standard_normal(want.shape)
-    np.testing.assert_allclose(_unfold(H, d, _Work(2, H.size)), _literal_unfold(H, d),
+    np.testing.assert_allclose(_unfold(H, d, _Work(2, H.size), *blades), _literal_unfold(H, d),
                                rtol=0, atol=1e-13)
 
 
@@ -996,8 +1015,11 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity(sig02, ms_std, u
     # the generated __eq__ and __hash__ reached the arrays: == raised
     # ValueError and hash() TypeError
     p1, p2 = (build_plan(sig02, ms_std, unit_a, unit_b, L_x=4.0, order=8) for _ in range(2))
+    ax = p1.grid_x.axes[0]
+    fresh = quadrature.build_axis.__wrapped__(ax.kappa, ax.L, ax.panels, ax.order)  # equal values, uncached
+    assert np.array_equal(fresh.nodes, ax.nodes) and np.array_equal(fresh.weights, ax.weights)
     F = forward(gaussian_field(sig02, ms_std), p1)
-    for one, other in ((p1, p2), (p1.grid_x, p2.grid_x), (p1.grid_x.axes[0], p2.grid_x.axes[0]),
+    for one, other in ((p1, p2), (p1.grid_x, p2.grid_x), (ax, fresh),
                        (F, forward(gaussian_field(sig02, ms_std), p1)),
                        (gaussian_field(sig02, ms_std), gaussian_field(sig02, ms_std))):
         assert one == one and one != other

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from cliffdunkl import quadrature
 from cliffdunkl.cdt_engine import AnalyticField, PlanMismatch, SampledField, build_plan, forward
 from cliffdunkl.clifford_core import MultiVector, Signature, modulus, validate_imaginary
 from cliffdunkl.dunkl_rank1 import MultiplicitySplit, mehta_constant
@@ -371,6 +372,19 @@ def test_verdict_samples_the_field_once_per_grid(sig02, ms_std, unit_a, unit_b):
     v = verdict(AnalyticField(sig02, ms_std, {0: body}), cfg, plan)
     assert v.C.coeff[0] == pytest.approx(2.0, abs=1e-12)
     assert len(shapes) == len(cfg.ladder) + 1
+
+
+def test_verdict_builds_each_axis_once(sig02, ms_std, unit_a, unit_b):
+    # the plan's x axes and one axis per coordinate and rung, whether the
+    # growth condition's grids, the plan or a rung plan asks for them
+    quadrature.build_axis.cache_clear()
+    plan = build_plan(sig02, ms_std, unit_a, unit_b, L_x=8.0, L_y=5.0)
+    cfg = MiyachiConfig(1.0, 0.25, 3.0, exponent=math.inf)
+    verdict(gaussian_field(sig02, ms_std), cfg, plan)
+    distinct = sig02.d * (1 + len(cfg.ladder))
+    assert distinct == 10
+    assert quadrature.build_axis.cache_info().misses == distinct
+    assert quadrature.build_axis.cache_info().currsize == distinct
 
 
 def test_verdict_refuses_a_plan_of_another_dimension(sig02, ms_std):

@@ -5,8 +5,11 @@ all 2^3 classes of both factors enter the class products, and so does every
 sign of the product table.  At kappa = 0 both operators have closed forms:
 the shift f(x - z), and the classical convolution of two Gaussians.  At
 kappa > 0 spectral translation is checked against the rank-one integral
-formula (`translate_explicit`'s passes at a fixed psi order).
+formula (`translate_explicit`'s passes at a fixed psi order), and the
+convolution of two centred Gaussians in Cl(0,2) against its closed form.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -97,3 +100,21 @@ def test_translation_at_kappa_positive_matches_the_explicit_formula(case, kappa)
     for m, body in moved.blades.items():
         want[..., m] = body(*sub)
     assert _rel_max(got, want) <= 1e-6
+
+
+@pytest.mark.parametrize("normalization", ["raw", "mehta"])
+@pytest.mark.parametrize("kappa", [(0.3, 0.7), (1.5, 0.2)])
+def test_convolution_of_centred_gaussians_at_kappa_positive_is_the_closed_form(kappa, normalization):
+    # e^{-a|x|^2} * e^{-b|x|^2} = prod_j Gamma(k_j + 1/2) (a + b)^(-k_j - 1/2) e^{-ab x_j^2/(a + b)},
+    # whatever the normalization; at kappa = 0 the classical (pi/(a + b))^(d/2) e^{-ab|x|^2/(a + b)}
+    a, b = 0.7, 1.3
+    sig = Signature(0, 2)
+    e1, e2 = (validate_imaginary(MultiVector.blade(sig, lab), lab) for lab in ("e1", "e2"))
+    plan = build_plan(sig, MultiplicitySplit(kappa, 1), e1, e2, L_x=8.0, order=48,
+                      normalization=normalization)
+    got = convolve(_gaussian(plan, [1.0], a, (0.0, 0.0)), _gaussian(plan, [1.0], b, (0.0, 0.0)), plan).values
+    want = np.zeros_like(got)
+    want[..., 0] = 1.0
+    for k, x in zip(kappa, plan.grid_x.coords()):
+        want[..., 0] *= math.gamma(k + 0.5) * (a + b) ** (-k - 0.5) * np.exp(-a * b * x * x / (a + b))
+    assert _rel_max(got, want) <= 1e-12
